@@ -9,7 +9,6 @@ verified through several structurally independent computation routes.
 
 from .appell import (
     AppellSeed,
-    AppellSequence,
     appell_eval,
     appell_moment_link,
     appell_polynomial,
@@ -44,6 +43,7 @@ from .exact_core import (
     CnNTable,
     Polynomial,
     Rational,
+    alternating_sum,
     bell_poly,
     binomial,
     cnn_alternating,
@@ -104,6 +104,7 @@ from .sums import (
     verify_theorem9,
     verify_theorem10,
     verify_theorem11,
+    verify_theorem12,
 )
 
 __version__ = "0.1.0"

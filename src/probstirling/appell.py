@@ -31,7 +31,6 @@ from .series import (
 
 __all__ = [
     "AppellSeed",
-    "AppellSequence",
     "appell_eval",
     "appell_polynomial",
     "binomial_convolve",
@@ -58,38 +57,30 @@ class AppellSeed:
         if self.g0.coeffs[0] == 0:
             raise ValueError("Appell seed requires a nonzero constant term")
 
-
-@dataclass(frozen=True)
-class AppellSequence:
-    """Evaluated view of the polynomial family determined by a seed."""
-
-    seed: AppellSeed
-
     @property
     def order(self) -> int:
-        return self.seed.g0.order
+        """Truncation order: the largest n for which A_n is determined."""
+        return self.g0.order
 
 
-def appell_eval(seq: AppellSequence, n: int, x: Fraction | int) -> Fraction:
+def appell_eval(seed: AppellSeed, n: int, x: Fraction | int) -> Fraction:
     """A_n(x) = sum_k C(n, k) A_k(0) x^(n-k); n must not exceed the seed's
     truncation order."""
-    if n > seq.order:
-        raise ValueError(f"family truncated at order {seq.order}, got n={n}")
+    if n > seed.order:
+        raise ValueError(f"family truncated at order {seed.order}, got n={n}")
     x = Fraction(x)
-    g0 = seq.seed.g0
     return sum(
-        (binomial(n, k) * egf_coefficient(g0, k) * x ** (n - k) for k in range(n + 1)),
+        (binomial(n, k) * egf_coefficient(seed.g0, k) * x ** (n - k) for k in range(n + 1)),
         Fraction(0),
     )
 
 
-def appell_polynomial(seq: AppellSequence, n: int) -> Polynomial:
+def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
     """A_n as a polynomial in x."""
-    if n > seq.order:
-        raise ValueError(f"family truncated at order {seq.order}, got n={n}")
-    g0 = seq.seed.g0
+    if n > seed.order:
+        raise ValueError(f"family truncated at order {seed.order}, got n={n}")
     return Polynomial(
-        [binomial(n, d) * egf_coefficient(g0, n - d) for d in range(n + 1)]
+        [binomial(n, d) * egf_coefficient(seed.g0, n - d) for d in range(n + 1)]
     )
 
 
@@ -122,7 +113,7 @@ def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
     values = []
     power = series_one(seed.g0.order)
     for _ in range(N + 1):
-        values.append(appell_eval(AppellSequence(AppellSeed(seed.name, power)), n, x))
+        values.append(appell_eval(AppellSeed(seed.name, power), n, x))
         power = series_mul(power, seed.g0)
     lhs = sum(values, Fraction(0))
     weights = cnn_table(n, N).values

@@ -8,18 +8,19 @@ JSON object per line. Rational values are always rendered losslessly as
 floats; only Monte Carlo estimates and standard errors are floating point.
 
 Exit codes: 0 when everything passes, 1 when a verified mathematical or
-statistical comparison fails, 2 on usage or parse errors.
+statistical comparison fails, 2 on usage or parse errors, including
+negative bounds and Monte Carlo rows that are not finite in floating point.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .appell import family_seed, theorem12_check
 from .distributions import (
     format_distribution,
     parse_distribution,
@@ -38,35 +39,42 @@ from .sums import (
     verify_theorem9,
     verify_theorem10,
     verify_theorem11,
+    verify_theorem12,
 )
 
 SCHEMA_VERSION = 1
 
 TABLE_KINDS = ("stirling2", "stirling1", "cnn", "sy", "bell")
-VERIFY_SUITES = (
-    "corollary8",
-    "theorem1",
-    "theorem9",
-    "theorem10",
-    "theorem11",
-    "theorem12",
-    "gf",
-    "paths",
-    "bernoulli-classic",
-)
 
-# per-suite (n_max, N_max) defaults; None where a suite takes no N
-_SUITE_DEFAULTS = {
-    "corollary8": (5, 10),
-    "theorem1": (5, 10),
-    "theorem9": (6, 12),
-    "theorem10": (6, 12),
-    "theorem11": (4, 12),
-    "theorem12": (6, 12),
-    "gf": (6, None),
-    "paths": (6, None),
-    "bernoulli-classic": (8, 15),
+
+def _required(args, option: str):
+    value = getattr(args, option)
+    if not value:
+        raise ValueError(f"suite {args.suite!r} requires --{option}")
+    return value
+
+
+# suite -> ((default n_max, default N_max or None where a suite takes no N),
+#           runner(args, n_max, N_max, xs)); runners look the verify_*
+# functions up at call time, so replacing one on this module takes effect
+VERIFY_SUITES = {
+    "corollary8": ((5, 10), lambda a, n, N, xs: verify_corollary8(_required(a, "dist"), n, N, xs)),
+    "theorem1": ((5, 10), lambda a, n, N, xs: verify_theorem1(n, N, xs)),
+    "theorem9": ((6, 12), lambda a, n, N, xs: verify_theorem9(n, N)),
+    "theorem10": ((6, 12), lambda a, n, N, xs: verify_theorem10(a.rate, n, N)),
+    "theorem11": ((4, 12), lambda a, n, N, xs: verify_theorem11(a.q, n, N)),
+    "theorem12": ((6, 12), lambda a, n, N, xs: verify_theorem12(_required(a, "family"), n, N, xs)),
+    "gf": ((6, None), lambda a, n, N, xs: verify_gf(_required(a, "dist"), n, xs)),
+    "paths": ((6, None), lambda a, n, N, xs: verify_paths(_required(a, "dist"), n, xs)),
+    "bernoulli-classic": ((8, 15), lambda a, n, N, xs: verify_bernoulli_classic(n, N, xs)),
 }
+
+
+def _check_bounds(**bounds) -> None:
+    """Refuse a negative row or grid bound; None means the option was not given."""
+    for option, value in bounds.items():
+        if value is not None and value < 0:
+            raise ValueError(f"--{option.replace('_', '-')} must be nonnegative, got {value}")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -148,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _table_rows(args) -> tuple[tuple[str, ...], list[tuple], dict]:
+    _check_bounds(n=args.n, N=args.N, m=args.m)
     kind = args.kind
     if kind == "cnn":
         if args.n is None or args.N is None:
@@ -206,54 +215,35 @@ def _handle_table(args) -> int:
 
 
 def _handle_verify(args) -> int:
-    suite = args.suite
-    default_n, default_N = _SUITE_DEFAULTS[suite]
+    (default_n, default_N), run = VERIFY_SUITES[args.suite]
     n_max = args.n_max if args.n_max is not None else default_n
     N_max = args.N_max if args.N_max is not None else default_N
-    xs = args.x if args.x else [Fraction(0)]
-
-    if suite in ("corollary8", "gf", "paths"):
-        if args.dist is None:
-            raise ValueError(f"suite {suite!r} requires --dist")
-        if suite == "corollary8":
-            reports = verify_corollary8(args.dist, n_max, N_max, xs)
-        elif suite == "gf":
-            reports = verify_gf(args.dist, n_max, xs)
-        else:
-            reports = verify_paths(args.dist, n_max, xs)
-    elif suite == "theorem1":
-        reports = verify_theorem1(n_max, N_max, xs)
-    elif suite == "theorem9":
-        reports = verify_theorem9(n_max, N_max)
-    elif suite == "theorem10":
-        reports = verify_theorem10(args.rate, n_max, N_max)
-    elif suite == "theorem11":
-        reports = verify_theorem11(args.q, n_max, N_max)
-    elif suite == "theorem12":
-        if not args.family:
-            raise ValueError("suite 'theorem12' requires --family")
-        seed = family_seed(args.family, n_max)
-        reports = [
-            theorem12_check(seed, n, N, x)
-            for n in range(n_max + 1)
-            for N in range(n, N_max + 1)
-            for x in xs
-        ]
-    else:  # bernoulli-classic
-        reports = verify_bernoulli_classic(n_max, N_max, xs)
-
+    _check_bounds(n_max=n_max, N_max=N_max)
+    reports = run(args, n_max, N_max, args.x if args.x else [Fraction(0)])
     for report in reports:
         _emit_report(report)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _handle_mc(args) -> int:
+    _check_bounds(k_max=args.k_max, n_max=args.n_max)
     all_pass = True
     for k in range(args.k_max + 1):
         for n in range(args.n_max + 1):
             estimate = estimate_sum_moment(args.dist, k, n, args.samples, args.seed)
             exact = sum_moment(args.dist, k, n)
-            passed = abs(estimate.mean - float(exact)) <= args.z * estimate.stderr
+            try:
+                exact_float = float(exact)
+            except OverflowError:
+                exact_float = math.inf
+            # an overflowed float comparison is no statistical verdict
+            if not all(map(math.isfinite, (exact_float, estimate.mean, estimate.stderr))):
+                raise ValueError(
+                    f"mc-check row k={k}, n={n} is not finite in floating point "
+                    f"(exact {exact_float}, estimate {estimate.mean}, "
+                    f"stderr {estimate.stderr}); lower --k-max or --n-max"
+                )
+            passed = abs(estimate.mean - exact_float) <= args.z * estimate.stderr
             all_pass = all_pass and passed
             _emit_json(
                 {

@@ -34,6 +34,7 @@ __all__ = [
     "stirling2",
     "stirling1",
     "stirling2_poly",
+    "alternating_sum",
     "bell_poly",
     "forward_diff",
     "iterated_diff",
@@ -128,11 +129,16 @@ def stirling2_poly(n: int, m: int, x: Fraction | int) -> Fraction:
     Identically 0 once m exceeds n, because the difference operator kills
     polynomials of lower degree; no special-casing is needed.
     """
-    total: Fraction | int = 0
-    for k in range(m + 1):
-        term = comb(m, k) * (x + k) ** n
-        total += -term if (m - k) % 2 else term
-    return Fraction(total) / factorial(m)
+    return Fraction(alternating_sum(m, [(x + k) ** n for k in range(m + 1)])) / factorial(m)
+
+
+def alternating_sum(m: int, values: Sequence[Fraction | int]) -> Fraction | int:
+    """The m-th alternating binomial difference of a sequence:
+    sum over k = 0..m of (-1)^(m-k) C(m, k) values[k]."""
+    # terms with m - k even carry the plus sign
+    positive = sum(comb(m, k) * values[k] for k in range(m % 2, m + 1, 2))
+    negative = sum(comb(m, k) * values[k] for k in range(1 - m % 2, m + 1, 2))
+    return positive - negative
 
 
 def bell_poly(n: int, x: Fraction | int) -> Fraction | int:

@@ -15,8 +15,10 @@ Four structurally independent evaluation routes are provided:
 * :func:`sy_via_factorial`, an expansion through classical Stirling
   numbers and falling-factorial moments of the partial sums.
 
-The routes share nothing beyond the raw moment tables, so their exact
-agreement is meaningful evidence of correctness rather than a tautology.
+The routes share nothing beyond the raw moment tables and the primitives
+of the exact kernel (binomials, Stirling numbers, the alternating binomial
+sum), so their exact agreement is meaningful evidence of correctness
+rather than a tautology.
 The slow uniform-representation route is an oracle and is capped at small
 m by default. Closed forms for specific catalog laws round out the module.
 """
@@ -31,6 +33,7 @@ from math import factorial
 from .distributions import Constant, Distribution, moment, shifted_sum_moment
 from .exact_core import (
     Polynomial,
+    alternating_sum,
     binomial,
     double_factorial,
     multinomial,
@@ -105,11 +108,8 @@ def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     operator annihilates. The cancellation is exact, so no special case is
     needed (or wanted; it is tested as a theorem).
     """
-    total = Fraction(0)
-    for k in range(m + 1):
-        term = binomial(m, k) * shifted_sum_moment(dist, k, n, x)
-        total += -term if (m - k) % 2 else term
-    return total / factorial(m)
+    moments = [shifted_sum_moment(dist, k, n, x) for k in range(m + 1)]
+    return alternating_sum(m, moments) / factorial(m)
 
 
 def sy_poly(dist: Distribution, n: int, m: int) -> Polynomial:
@@ -167,18 +167,17 @@ def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) 
         s2 = stirling2(n, i)
         if s2 == 0:
             continue
-        inner = Fraction(0)
-        for k in range(m + 1):
-            falling_moment = sum(
+        falling_moments = [
+            sum(
                 (
                     stirling1(i, j) * shifted_sum_moment(dist, k, j, x)
                     for j in range(i + 1)
                 ),
                 Fraction(0),
             )
-            term = binomial(m, k) * falling_moment
-            inner += -term if (m - k) % 2 else term
-        total += s2 * inner
+            for k in range(m + 1)
+        ]
+        total += s2 * alternating_sum(m, falling_moments)
     return total / factorial(m)
 
 

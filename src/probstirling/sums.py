@@ -3,11 +3,13 @@
 The headline identity rewrites the sum over k = 0..N of E[(x + S_k)^n]
 two further ways: as a binomial-weighted sum of generalized Stirling
 polynomial values, and as a short weighted sum using the integer c table.
-This module evaluates all three expressions independently and packages
-exact comparisons as :class:`IdentityReport` records, together with the
-specialized rising-factorial, Bell-polynomial, and polylogarithm sum
-suites and the classical Bernoulli-polynomial formula as a baseline
-cross-check.
+One function, :func:`triple_identity`, builds every instance: the long and
+short members share the summands, computed once, and the binomial-weighted
+middle member is the independent one, evaluated by its own formula.
+Instances are packaged as exact :class:`IdentityReport` comparisons,
+together with the specialized rising-factorial, Bell-polynomial, and
+polylogarithm sum suites, the Appell-family sums, and the classical
+Bernoulli-polynomial formula as a baseline cross-check.
 
 Reports carry every member value, not just a flag, so a failure localizes
 which expression diverged.
@@ -18,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .appell import AppellSequence, appell_eval, bernoulli_seed
+from .appell import appell_eval, bernoulli_seed, family_seed, theorem12_check
 from .distributions import (
     Constant,
     Distribution,
@@ -29,6 +31,7 @@ from .distributions import (
 )
 from .exact_core import (
     Polynomial,
+    alternating_sum,
     bell_poly,
     binomial,
     cnn_table,
@@ -50,6 +53,7 @@ from .polylog import li_conv_direct
 __all__ = [
     "IdentityReport",
     "make_report",
+    "triple_identity",
     "sum_direct",
     "sum_via_stirling",
     "sum_via_cnn",
@@ -60,6 +64,7 @@ __all__ = [
     "verify_theorem9",
     "verify_theorem10",
     "verify_theorem11",
+    "verify_theorem12",
     "verify_gf",
     "verify_paths",
     "verify_bernoulli_classic",
@@ -93,6 +98,34 @@ def make_report(
     return IdentityReport(identity, params, lhs, middle, rhs, passed)
 
 
+def _binomial_weighted(n: int, N: int, middle_term: Callable[[int], Fraction]) -> Fraction:
+    """Sum over m = 0..min(n, N) of C(N+1, m+1) times middle_term(m)."""
+    weighted = (binomial(N + 1, m + 1) * middle_term(m) for m in range(min(n, N) + 1))
+    return sum(weighted, Fraction(0))
+
+
+def _cnn_weighted(n: int, N: int, terms: Sequence[Fraction]) -> Fraction:
+    """Integer c weights against the first min(n, N) + 1 summands."""
+    return sum((w * terms[k] for k, w in enumerate(cnn_table(n, N).values)), Fraction(0))
+
+
+def triple_identity(
+    identity: str,
+    params: dict,
+    n: int,
+    N: int,
+    term: Callable[[int], Fraction],
+    middle_term: Callable[[int], Fraction],
+) -> IdentityReport:
+    """One instance of the triple identity: the long sum of term(k) over
+    k = 0..N, the binomial-weighted sum of middle_term(m) over
+    m = 0..min(n, N), and the c-weighted short sum. The N + 1 summands are
+    computed once and shared by the long and short members."""
+    terms = [term(k) for k in range(N + 1)]
+    lhs, rhs = sum(terms, Fraction(0)), _cnn_weighted(n, N, terms)
+    return make_report(identity, params, lhs, _binomial_weighted(n, N, middle_term), rhs)
+
+
 def sum_direct(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
     """The long form: sum over k = 0..N of E[(x + S_k)^n]."""
     return sum(
@@ -103,23 +136,13 @@ def sum_direct(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fra
 def sum_via_stirling(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
     """The binomial-weighted form: sum over m = 0..min(n, N) of
     C(N+1, m+1) m! times the generalized Stirling polynomial value."""
-    return sum(
-        (
-            binomial(N + 1, m + 1) * factorial(m) * sy(dist, n, m, x)
-            for m in range(min(n, N) + 1)
-        ),
-        Fraction(0),
-    )
+    return _binomial_weighted(n, N, lambda m: factorial(m) * sy(dist, n, m, x))
 
 
 def sum_via_cnn(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
     """The short weighted form: integer c weights against the first
     min(n, N) + 1 summands of the long form."""
-    weights = cnn_table(n, N).values
-    return sum(
-        (w * shifted_sum_moment(dist, k, n, x) for k, w in enumerate(weights)),
-        Fraction(0),
-    )
+    return _cnn_weighted(n, N, [shifted_sum_moment(dist, k, n, x) for k in range(min(n, N) + 1)])
 
 
 def _poly_mean(p: Polynomial, dist: Distribution, k: int, x: Fraction) -> Fraction:
@@ -138,27 +161,18 @@ def sum_poly(p: Polynomial, dist: Distribution, N: int, x: Fraction | int = 0) -
     if not p:
         raise ValueError("requires a nonzero polynomial")
     x = Fraction(x)
-    n = p.degree
-    top = min(n, N)
-    lhs = sum((_poly_mean(p, dist, k, x) for k in range(N + 1)), Fraction(0))
-    middle = Fraction(0)
-    for m in range(top + 1):
-        # E of the m-fold iterated difference with random increments equals
-        # the alternating binomial sum over E[p(x + S_k)]
-        diff = Fraction(0)
-        for k in range(m + 1):
-            term = binomial(m, k) * _poly_mean(p, dist, k, x)
-            diff += -term if (m - k) % 2 else term
-        middle += binomial(N + 1, m + 1) * diff
-    weights = cnn_table(n, N).values
-    rhs = sum((w * _poly_mean(p, dist, k, x) for k, w in enumerate(weights)), Fraction(0))
+    means = [_poly_mean(p, dist, k, x) for k in range(N + 1)]
     params = {
         "poly": [str(c) for c in p.coeffs],
         "dist": format_distribution(dist),
         "N": N,
         "x": x,
     }
-    return make_report("poly-sum", params, lhs, middle, rhs)
+    # E of the m-fold iterated difference with random increments equals
+    # the alternating binomial sum over E[p(x + S_k)]
+    return triple_identity(
+        "poly-sum", params, p.degree, N, means.__getitem__, lambda m: alternating_sum(m, means)
+    )
 
 
 def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> IdentityReport:
@@ -175,20 +189,29 @@ def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> Identity
         ),
         Fraction(0),
     )
-    seq = AppellSequence(bernoulli_seed(n + 1))
-    rhs = (appell_eval(seq, n + 1, x + N + 1) - appell_eval(seq, n + 1, x)) / (n + 1)
+    seed = bernoulli_seed(n + 1)
+    rhs = (appell_eval(seed, n + 1, x + N + 1) - appell_eval(seed, n + 1, x)) / (n + 1)
     return make_report("bernoulli-classic", {"n": n, "N": N, "x": x}, lhs, middle, rhs)
 
 
-def _triple_report(identity: str, dist: Distribution, n: int, N: int, x: Fraction) -> IdentityReport:
-    params = {"dist": format_distribution(dist), "n": n, "N": N, "x": x}
-    return make_report(
-        identity,
-        params,
-        sum_direct(dist, n, N, x),
-        sum_via_stirling(dist, n, N, x),
-        sum_via_cnn(dist, n, N, x),
-    )
+def _moment_grid(
+    identity: str, dist: Distribution, n_max: int, N_max: int, xs: Sequence[Fraction | int]
+) -> list[IdentityReport]:
+    """The moment-driven triple identity over the full (n, N, x) grid."""
+    label = format_distribution(dist)
+    return [
+        triple_identity(
+            identity,
+            {"dist": label, "n": n, "N": N, "x": x},
+            n,
+            N,
+            lambda k: shifted_sum_moment(dist, k, n, x),
+            lambda m: factorial(m) * sy(dist, n, m, x),
+        )
+        for n in range(n_max + 1)
+        for N in range(N_max + 1)
+        for x in map(Fraction, xs)
+    ]
 
 
 def verify_corollary8(
@@ -198,23 +221,13 @@ def verify_corollary8(
     xs: Sequence[Fraction | int] = (0,),
 ) -> list[IdentityReport]:
     """Triple-identity sweep over the full (n, N, x) grid."""
-    return [
-        _triple_report("corollary8", dist, n, N, Fraction(x))
-        for n in range(n_max + 1)
-        for N in range(N_max + 1)
-        for x in xs
-    ]
+    return _moment_grid("corollary8", dist, n_max, N_max, xs)
 
 
 def verify_theorem1(n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)) -> list[IdentityReport]:
     """The classical specialization: the triple identity for the unit
     constant law, whose summands are plain shifted powers."""
-    return [
-        _triple_report("theorem1", Constant(1), n, N, Fraction(x))
-        for n in range(n_max + 1)
-        for N in range(N_max + 1)
-        for x in xs
-    ]
+    return _moment_grid("theorem1", Constant(1), n_max, N_max, xs)
 
 
 def verify_theorem9(n_max: int, N_max: int) -> list[IdentityReport]:
@@ -222,28 +235,18 @@ def verify_theorem9(n_max: int, N_max: int) -> list[IdentityReport]:
     binomial-weighted closed form and its c-weighted short form, computed
     from factorials alone (no moment engine). Requires N >= n, so the grid
     runs n <= N <= N_max."""
-    reports = []
-    for n in range(n_max + 1):
-        for N in range(n, N_max + 1):
-            lhs = sum((Fraction(rising_factorial(k, n)) for k in range(N + 1)), Fraction(0))
-            middle = sum(
-                (
-                    Fraction(
-                        binomial(N + 1, m + 1)
-                        * falling_factorial(n, m)
-                        * rising_factorial(m, n - m)
-                    )
-                    for m in range(n + 1)
-                ),
-                Fraction(0),
-            )
-            weights = cnn_table(n, N).values
-            rhs = sum(
-                (Fraction(w * rising_factorial(k, n)) for k, w in enumerate(weights)),
-                Fraction(0),
-            )
-            reports.append(make_report("theorem9", {"n": n, "N": N}, lhs, middle, rhs))
-    return reports
+    return [
+        triple_identity(
+            "theorem9",
+            {"n": n, "N": N},
+            n,
+            N,
+            lambda k: Fraction(rising_factorial(k, n)),
+            lambda m: falling_factorial(n, m) * rising_factorial(m, n - m),
+        )
+        for n in range(n_max + 1)
+        for N in range(n, N_max + 1)
+    ]
 
 
 def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
@@ -251,25 +254,18 @@ def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[Ident
     the binomial-weighted double-Stirling closed form and the c-weighted
     short form. Requires N >= n."""
     rate = Fraction(rate)
-    reports = []
-    for n in range(n_max + 1):
-        for N in range(n, N_max + 1):
-            lhs = sum((Fraction(bell_poly(n, k * rate)) for k in range(N + 1)), Fraction(0))
-            middle = sum(
-                (
-                    binomial(N + 1, m + 1) * factorial(m) * sy_closed_poisson(n, m, rate)
-                    for m in range(n + 1)
-                ),
-                Fraction(0),
-            )
-            weights = cnn_table(n, N).values
-            rhs = sum(
-                (w * bell_poly(n, k * rate) for k, w in enumerate(weights)), Fraction(0)
-            )
-            reports.append(
-                make_report("theorem10", {"rate": rate, "n": n, "N": N}, lhs, middle, rhs)
-            )
-    return reports
+    return [
+        triple_identity(
+            "theorem10",
+            {"rate": rate, "n": n, "N": N},
+            n,
+            N,
+            lambda k: Fraction(bell_poly(n, k * rate)),
+            lambda m: factorial(m) * sy_closed_poisson(n, m, rate),
+        )
+        for n in range(n_max + 1)
+        for N in range(n, N_max + 1)
+    ]
 
 
 def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
@@ -277,28 +273,33 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[Identity
     (p/q)^k Li*k at order -n against the binomial-weighted shifted-geometric
     closed form and the c-weighted short form. Requires N >= n."""
     q = Fraction(q)
-    p = 1 - q
-    ratio = p / q
-    reports = []
-    for n in range(n_max + 1):
-        for N in range(n, N_max + 1):
-            terms = [ratio**k * li_conv_direct(n, k, q) for k in range(N + 1)]
-            lhs = sum(terms, Fraction(0))
-            middle = sum(
-                (
-                    binomial(N + 1, m + 1)
-                    * factorial(m)
-                    * sy_closed_geometric_shifted(n, m, q)
-                    for m in range(n + 1)
-                ),
-                Fraction(0),
-            )
-            weights = cnn_table(n, N).values
-            rhs = sum((w * terms[k] for k, w in enumerate(weights)), Fraction(0))
-            reports.append(
-                make_report("theorem11", {"q": q, "n": n, "N": N}, lhs, middle, rhs)
-            )
-    return reports
+    ratio = (1 - q) / q
+    return [
+        triple_identity(
+            "theorem11",
+            {"q": q, "n": n, "N": N},
+            n,
+            N,
+            lambda k: ratio**k * li_conv_direct(n, k, q),
+            lambda m: factorial(m) * sy_closed_geometric_shifted(n, m, q),
+        )
+        for n in range(n_max + 1)
+        for N in range(n, N_max + 1)
+    ]
+
+
+def verify_theorem12(
+    family: str, n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)
+) -> list[IdentityReport]:
+    """Appell-family compression sums for one family string (see
+    :func:`family_seed`) over n <= N <= N_max and every x."""
+    seed = family_seed(family, n_max)
+    return [
+        theorem12_check(seed, n, N, x)
+        for n in range(n_max + 1)
+        for N in range(n, N_max + 1)
+        for x in xs
+    ]
 
 
 def verify_gf(

@@ -8,7 +8,6 @@ import pytest
 
 from probstirling.appell import (
     AppellSeed,
-    AppellSequence,
     appell_eval,
     appell_moment_link,
     appell_polynomial,
@@ -35,20 +34,20 @@ HALF = Fraction(1, 2)
 
 
 def test_bernoulli_seed_values():
-    seq = AppellSequence(bernoulli_seed(6))
+    seq = bernoulli_seed(6)
     values = [appell_eval(seq, n, 0) for n in range(7)]
     assert values == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42)]
     assert appell_polynomial(seq, 3) == Polynomial([0, HALF, Fraction(-3, 2), 1])
 
 
 def test_euler_seed_values():
-    seq = AppellSequence(euler_seed(5))
+    seq = euler_seed(5)
     values = [appell_eval(seq, n, 0) for n in range(6)]
     assert values == [1, Fraction(-1, 2), 0, Fraction(1, 4), 0, Fraction(-1, 2)]
 
 
 def test_hermite_seed_values():
-    seq = AppellSequence(hermite_seed(6))
+    seq = hermite_seed(6)
     for n in range(7):
         assert appell_eval(seq, n, 0) == hermite_at_zero(n)
     # classical cubic: H_3(x) = x^3 - 3x
@@ -61,7 +60,7 @@ def test_seed_requires_invertible_constant_term():
 
 
 def test_appell_eval_bounds():
-    seq = AppellSequence(bernoulli_seed(3))
+    seq = bernoulli_seed(3)
     assert seq.order == 3
     with pytest.raises(ValueError):
         appell_eval(seq, 4, 0)
@@ -69,7 +68,7 @@ def test_appell_eval_bounds():
 
 def test_derivative_property():
     for seed in (bernoulli_seed(8), euler_seed(8), hermite_seed(8)):
-        seq = AppellSequence(seed)
+        seq = seed
         for n in range(1, 9):
             assert appell_polynomial(seq, n).derivative() == n * appell_polynomial(seq, n - 1)
 
@@ -87,7 +86,7 @@ def test_binomial_convolve():
 def test_kfold():
     b = bernoulli_seed(5)
     assert kfold(b, 1).g0 == b.g0
-    zero_fold = AppellSequence(kfold(b, 0))
+    zero_fold = kfold(b, 0)
     for n in range(6):
         for x in (Fraction(0), Fraction(2), Fraction(-1, 3)):
             assert appell_eval(zero_fold, n, x) == x**n
@@ -99,7 +98,7 @@ def test_kfold():
 def test_hermite_kfold_initial_values():
     # the k-fold Hermite family scales the even initial values by k^h
     for k in range(5):
-        seq = AppellSequence(kfold(hermite_seed(8), k))
+        seq = kfold(hermite_seed(8), k)
         for h in range(4):
             sign = -1 if h % 2 else 1
             assert appell_eval(seq, 2 * h, 0) == sign * k**h * double_factorial(2 * h - 1)
@@ -131,13 +130,13 @@ def test_theorem12_check_trivial_and_errors():
 
 
 def test_moment_link():
-    exp_seq = AppellSequence(appell_moment_link(Exponential(), 6))
+    exp_seq = appell_moment_link(Exponential(), 6)
     for n in range(7):
         assert appell_eval(exp_seq, n, 0) == factorial(n)
-    uni_seq = AppellSequence(appell_moment_link(Uniform01(), 6))
+    uni_seq = appell_moment_link(Uniform01(), 6)
     for n in range(7):
         assert appell_eval(uni_seq, n, 0) == Fraction(1, n + 1)
-    const_seq = AppellSequence(appell_moment_link(Constant(Fraction(3, 2)), 5))
+    const_seq = appell_moment_link(Constant(Fraction(3, 2)), 5)
     for n in range(6):
         for x in (Fraction(0), Fraction(-2), HALF):
             assert appell_eval(const_seq, n, x) == (x + Fraction(3, 2)) ** n

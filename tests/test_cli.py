@@ -170,3 +170,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0,2", "1,-2", "2,4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "stirling2", "--n", "-1"],
+        ["table", "cnn", "--n", "2", "--N", "-2"],
+        ["table", "bell", "--n", "-1"],
+        ["table", "stirling2", "--n", "3", "--m", "-1"],
+        ["verify", "corollary8", "--dist", "exp", "--n-max", "-2"],
+        ["verify", "theorem11", "--N-max", "-1"],
+        ["mc-check", "--dist", "exp", "--k-max", "-1"],
+    ],
+)
+def test_negative_bounds_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err
+
+
+def test_mc_check_nonfinite_row_exits_2(capsys):
+    # 2000 exponential samples: at n = 159 the squared deviations overflow,
+    # so the stderr becomes inf while the exact moment is still finite
+    code, out, err = run_cli(
+        capsys,
+        "mc-check", "--dist", "exp", "--k-max", "1", "--n-max", "170",
+        "--samples", "2000",
+    )
+    assert code == 2
+    assert "error:" in err and "not finite" in err
+    for record in jsonl(out):
+        assert float("-inf") < record["estimate"] < float("inf")
+        assert 0 <= record["stderr"] < float("inf")
