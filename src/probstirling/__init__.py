@@ -70,6 +70,7 @@ from .gen_stirling import (
     sy_closed_uniform,
     sy_closed_ut,
     sy_poly,
+    sy_table,
     sy_via_factorial,
     sy_via_gf,
     sy_via_uniform_rep,

@@ -9,7 +9,8 @@ floats; only Monte Carlo estimates and standard errors are floating point.
 
 Exit codes: 0 when everything passes, 1 when a verified mathematical or
 statistical comparison fails, 2 on usage or parse errors, including
-negative bounds and Monte Carlo rows that are not finite in floating point.
+negative bounds, an option the table kind or verify suite does not read,
+and Monte Carlo rows that are not finite in floating point.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .distributions import (
     sum_moment,
 )
 from .exact_core import bell_poly, cnn_table, stirling1, stirling2
-from .gen_stirling import sy
+from .gen_stirling import sy_table
 from .montecarlo import estimate_sum_moment
 from .sums import (
     IdentityReport,
@@ -44,7 +45,15 @@ from .sums import (
 
 SCHEMA_VERSION = 1
 
-TABLE_KINDS = ("stirling2", "stirling1", "cnn", "sy", "bell")
+# table kind -> the options it reads, with their defaults
+TABLE_KINDS = {
+    "stirling2": {"n": None, "m": None},
+    "stirling1": {"n": None, "m": None},
+    "cnn": {"n": None, "N": None},
+    "sy": {"n": None, "m": None, "x": Fraction(0), "dist": None},
+    "bell": {"n": None, "x": Fraction(1)},
+}
+_TABLE_OPTIONS = ("n", "N", "m", "x", "dist")
 
 
 def _required(args, option: str):
@@ -54,27 +63,70 @@ def _required(args, option: str):
     return value
 
 
-# suite -> ((default n_max, default N_max or None where a suite takes no N),
-#           runner(args, n_max, N_max, xs)); runners look the verify_*
-# functions up at call time, so replacing one on this module takes effect
+# suite -> (the options it reads, with their defaults; runner(args));
+# runners look the verify_* functions up at call time, so replacing one on
+# this module takes effect
+_ORIGIN = (Fraction(0),)
 VERIFY_SUITES = {
-    "corollary8": ((5, 10), lambda a, n, N, xs: verify_corollary8(_required(a, "dist"), n, N, xs)),
-    "theorem1": ((5, 10), lambda a, n, N, xs: verify_theorem1(n, N, xs)),
-    "theorem9": ((6, 12), lambda a, n, N, xs: verify_theorem9(n, N)),
-    "theorem10": ((6, 12), lambda a, n, N, xs: verify_theorem10(a.rate, n, N)),
-    "theorem11": ((4, 12), lambda a, n, N, xs: verify_theorem11(a.q, n, N)),
-    "theorem12": ((6, 12), lambda a, n, N, xs: verify_theorem12(_required(a, "family"), n, N, xs)),
-    "gf": ((6, None), lambda a, n, N, xs: verify_gf(_required(a, "dist"), n, xs)),
-    "paths": ((6, None), lambda a, n, N, xs: verify_paths(_required(a, "dist"), n, xs)),
-    "bernoulli-classic": ((8, 15), lambda a, n, N, xs: verify_bernoulli_classic(n, N, xs)),
+    "corollary8": (
+        {"dist": None, "n_max": 5, "N_max": 10, "x": _ORIGIN},
+        lambda a: verify_corollary8(_required(a, "dist"), a.n_max, a.N_max, a.x),
+    ),
+    "theorem1": (
+        {"n_max": 5, "N_max": 10, "x": _ORIGIN},
+        lambda a: verify_theorem1(a.n_max, a.N_max, a.x),
+    ),
+    "theorem9": (
+        {"n_max": 6, "N_max": 12},
+        lambda a: verify_theorem9(a.n_max, a.N_max),
+    ),
+    "theorem10": (
+        {"n_max": 6, "N_max": 12, "rate": Fraction(1)},
+        lambda a: verify_theorem10(a.rate, a.n_max, a.N_max),
+    ),
+    "theorem11": (
+        {"n_max": 4, "N_max": 12, "q": Fraction(1, 2)},
+        lambda a: verify_theorem11(a.q, a.n_max, a.N_max),
+    ),
+    "theorem12": (
+        {"family": None, "n_max": 6, "N_max": 12, "x": _ORIGIN},
+        lambda a: verify_theorem12(_required(a, "family"), a.n_max, a.N_max, a.x),
+    ),
+    "gf": (
+        {"dist": None, "n_max": 6, "x": _ORIGIN},
+        lambda a: verify_gf(_required(a, "dist"), a.n_max, a.x),
+    ),
+    "paths": (
+        {"dist": None, "n_max": 6, "x": _ORIGIN},
+        lambda a: verify_paths(_required(a, "dist"), a.n_max, a.x),
+    ),
+    "bernoulli-classic": (
+        {"n_max": 8, "N_max": 15, "x": _ORIGIN},
+        lambda a: verify_bernoulli_classic(a.n_max, a.N_max, a.x),
+    ),
 }
+_VERIFY_OPTIONS = ("dist", "family", "n_max", "N_max", "q", "rate", "x")
+
+
+def _flag(dest: str) -> str:
+    return "--" + ("lambda" if dest == "rate" else dest.replace("_", "-"))
+
+
+def _read_options(args, name: str, reads: dict, options: Sequence[str]) -> None:
+    """Fill in the defaults of the options ``name`` reads, and refuse any
+    other option given; every option in ``options`` defaults to None."""
+    for dest in options:
+        if getattr(args, dest) is None:
+            setattr(args, dest, reads.get(dest))
+        elif dest not in reads:
+            raise ValueError(f"{_flag(dest)} is not used by {name}")
 
 
 def _check_bounds(**bounds) -> None:
     """Refuse a negative row or grid bound; None means the option was not given."""
     for option, value in bounds.items():
         if value is not None and value < 0:
-            raise ValueError(f"--{option.replace('_', '-')} must be nonnegative, got {value}")
+            raise ValueError(f"{_flag(option)} must be nonnegative, got {value}")
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -133,8 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--family", help="Appell family: bernoulli|euler|hermite|moment:<dist>")
     verify.add_argument("--n-max", type=int, dest="n_max")
     verify.add_argument("--N-max", type=int, dest="N_max")
-    verify.add_argument("--q", type=_rational_arg, default=Fraction(1, 2))
-    verify.add_argument("--lambda", type=_rational_arg, default=Fraction(1), dest="rate")
+    verify.add_argument("--q", type=_rational_arg, help="geometric q (default 1/2)")
+    verify.add_argument(
+        "--lambda", type=_rational_arg, dest="rate", help="Poisson rate (default 1)"
+    )
     verify.add_argument(
         "--x",
         type=_rational_arg,
@@ -156,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _table_rows(args) -> tuple[tuple[str, ...], list[tuple], dict]:
+    _read_options(args, args.kind, TABLE_KINDS[args.kind], _TABLE_OPTIONS)
     _check_bounds(n=args.n, N=args.N, m=args.m)
     kind = args.kind
     if kind == "cnn":
@@ -181,20 +236,17 @@ def _table_rows(args) -> tuple[tuple[str, ...], list[tuple], dict]:
     if kind == "sy":
         if args.dist is None:
             raise ValueError("sy table requires --dist")
-        x = args.x if args.x is not None else Fraction(0)
-        rows = []
-        for row_n in range(args.n + 1):
-            columns = [args.m] if args.m is not None else list(range(row_n + 1))
-            rows.extend(
-                (row_n, m, sy(args.dist, row_n, m, x)) for m in columns if m <= row_n
-            )
-        params = {"dist": format_distribution(args.dist), "n": args.n, "m": args.m, "x": x}
+        table = sy_table(args.dist, args.n, args.x, args.m)
+        if args.m is None:
+            rows = [(a, m, v) for a, row in enumerate(table) for m, v in enumerate(row)]
+        else:
+            rows = [(a, args.m, table[a][args.m]) for a in range(args.m, args.n + 1)]
+        params = {"dist": format_distribution(args.dist), "n": args.n, "m": args.m, "x": args.x}
         return ("n", "m", "value"), rows, params
 
     # bell
-    x = args.x if args.x is not None else Fraction(1)
-    rows = [(row_n, bell_poly(row_n, x)) for row_n in range(args.n + 1)]
-    return ("n", "value"), rows, {"n": args.n, "x": x}
+    rows = [(row_n, bell_poly(row_n, args.x)) for row_n in range(args.n + 1)]
+    return ("n", "value"), rows, {"n": args.n, "x": args.x}
 
 
 def _handle_table(args) -> int:
@@ -215,11 +267,10 @@ def _handle_table(args) -> int:
 
 
 def _handle_verify(args) -> int:
-    (default_n, default_N), run = VERIFY_SUITES[args.suite]
-    n_max = args.n_max if args.n_max is not None else default_n
-    N_max = args.N_max if args.N_max is not None else default_N
-    _check_bounds(n_max=n_max, N_max=N_max)
-    reports = run(args, n_max, N_max, args.x if args.x else [Fraction(0)])
+    reads, run = VERIFY_SUITES[args.suite]
+    _read_options(args, args.suite, reads, _VERIFY_OPTIONS)
+    _check_bounds(n_max=args.n_max, N_max=args.N_max)
+    reports = run(args)
     for report in reports:
         _emit_report(report)
     return 0 if all(r.passed for r in reports) else 1

@@ -1,26 +1,38 @@
 """Probabilistic Stirling polynomials attached to a catalog distribution.
 
-The central quantity is the degree-(n-m) polynomial obtained by applying
-an m-fold alternating binomial sum to the moments E[(x + S_k)^n] of the
-partial sums S_k of independent copies of Y. It reduces to the classical
-Stirling polynomial of the second kind when Y is the constant 1.
+The central quantity S_Y(n, m; x) is the degree-(n-m) polynomial obtained
+by applying an m-fold alternating binomial sum to the moments
+E[(x + S_k)^n] of the partial sums S_k of independent copies of Y. It
+reduces to the classical Stirling polynomial of the second kind when Y is
+the constant 1.
 
-Four structurally independent evaluation routes are provided:
+One production engine computes the values: :func:`sy_table` builds whole
+tables column by column from the generating function
+sum_a S_Y(a, m; x) z^a / a! = e^(xz) (M(z) - 1)^m / m!, with M the exact
+moment series of Y. Column m is column m - 1 times (M - 1) / m, so a
+table up to row n costs n series products of order n, O(n^3) rational
+multiplications against O(n^4) for evaluating the defining sum per cell.
+:func:`sy_via_gf` reads one cell of it, and :func:`sy_poly`, the CLI
+``table sy`` and the power-sum identities read its rows and columns.
 
-* :func:`sy`, the defining alternating moment sum;
-* :func:`sy_via_gf`, coefficient extraction from e^(xz) (M(z) - 1)^m / m!
-  where M is the exact moment series of Y;
-* :func:`sy_via_uniform_rep`, a product representation over auxiliary
-  independent uniform variables, expanded multinomially;
+Three oracle routes check the engine and never call it:
+
+* :func:`sy`, the defining alternating moment sum over E[(x + S_k)^n]
+  from the moment engine;
 * :func:`sy_via_factorial`, an expansion through classical Stirling
-  numbers and falling-factorial moments of the partial sums.
+  numbers and falling-factorial moments of the same shifted partial sums;
+* :func:`sy_via_uniform_rep`, a product representation over auxiliary
+  independent uniform variables, expanded multinomially over raw moments
+  of Y.
 
-The routes share nothing beyond the raw moment tables and the primitives
-of the exact kernel (binomials, Stirling numbers, the alternating binomial
-sum), so their exact agreement is meaningful evidence of correctness
-rather than a tautology.
-The slow uniform-representation route is an oracle and is capped at small
-m by default. Closed forms for specific catalog laws round out the module.
+The engine shares with the oracles only the raw moment table
+(:func:`~probstirling.distributions.moment`); ``sy`` and
+``sy_via_factorial`` share the partial-sum moments and the kernel's
+alternating binomial sum, ``sy_via_uniform_rep`` the kernel's
+multinomials. Their exact agreement is therefore evidence of correctness
+rather than a tautology. The slow uniform-representation route is capped
+at small m by default. Closed forms for specific catalog laws round out
+the module.
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ from .series import (
     series_from_moments,
     series_mul,
     series_one,
-    series_pow,
+    series_scale,
     series_sub,
 )
 
@@ -57,6 +69,7 @@ __all__ = [
     "GenStirlingResult",
     "UNIFORM_REP_DEFAULT_CAP",
     "sy",
+    "sy_table",
     "sy_poly",
     "sy_via_gf",
     "sy_via_uniform_rep",
@@ -112,20 +125,46 @@ def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     return alternating_sum(m, moments) / factorial(m)
 
 
+def sy_table(
+    dist: Distribution, n: int, x: Fraction | int = 0, m_max: int | None = None
+) -> list[list[Fraction]]:
+    """The production engine: ``rows[a][m]`` = S_Y(a, m; x) for every
+    a <= n and m <= min(a, m_max), with m_max = n when omitted; a negative
+    n gives no rows and a negative m_max no columns.
+
+    Column m is read off the series e^(xz) (M(z) - 1)^m / m!, built from
+    column m - 1 by one product with M - 1 and a division by m.
+    """
+    if n < 0:
+        return []
+    m_max = n if m_max is None else min(m_max, n)
+    f = series_sub(series_from_moments(dist, n), series_one(n))
+    column = series_exp(n, scale=x)
+    rows: list[list[Fraction]] = [[] for _ in range(n + 1)]
+    for m in range(m_max + 1):
+        if m:
+            column = series_scale(series_mul(column, f), Fraction(1, m))
+        for a in range(m, n + 1):
+            rows[a].append(egf_coefficient(column, a))
+    return rows
+
+
 def sy_poly(dist: Distribution, n: int, m: int) -> Polynomial:
     """The generalized Stirling polynomial in x, of exact degree n - m
     whenever E[Y] is nonzero; requires m <= n."""
     _require_m_le_n(n, m)
-    coeffs = [binomial(n, d) * sy(dist, n - d, m, 0) for d in range(n - m + 1)]
+    rows = sy_table(dist, n, 0, m)
+    coeffs = [binomial(n, d) * rows[n - d][m] for d in range(n - m + 1)]
     return Polynomial(coeffs)
 
 
 def sy_via_gf(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """Generating-function route: n! times the z^n coefficient of
-    e^(xz) (M(z) - 1)^m / m!, with M the exact moment series of Y."""
-    f = series_sub(series_from_moments(dist, n), series_one(n))
-    g = series_mul(series_pow(f, m), series_exp(n, scale=x))
-    return egf_coefficient(g, n) / factorial(m)
+    e^(xz) (M(z) - 1)^m / m!, read from the production table."""
+    # (M - 1)^m starts at z^m, so the coefficient vanishes for m > n
+    if m > n:
+        return Fraction(0)
+    return sy_table(dist, n, x, m)[n][m]
 
 
 def sy_via_uniform_rep(
@@ -162,19 +201,15 @@ def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) 
     falling-factorial moments E[(x + S_k)_i] back to power moments through
     signed Stirling numbers of the first kind, and apply the alternating
     binomial sum."""
+    # E[(x + S_k)^j] for k <= m and j <= n, read for every i below
+    shifted = [[shifted_sum_moment(dist, k, j, x) for j in range(n + 1)] for k in range(m + 1)]
     total = Fraction(0)
     for i in range(n + 1):
         s2 = stirling2(n, i)
         if s2 == 0:
             continue
         falling_moments = [
-            sum(
-                (
-                    stirling1(i, j) * shifted_sum_moment(dist, k, j, x)
-                    for j in range(i + 1)
-                ),
-                Fraction(0),
-            )
+            sum((stirling1(i, j) * shifted[k][j] for j in range(i + 1)), Fraction(0))
             for k in range(m + 1)
         ]
         total += s2 * alternating_sum(m, falling_moments)

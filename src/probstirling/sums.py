@@ -44,11 +44,12 @@ from .gen_stirling import (
     sy,
     sy_closed_geometric_shifted,
     sy_closed_poisson,
+    sy_table,
     sy_via_factorial,
     sy_via_gf,
     sy_via_uniform_rep,
 )
-from .polylog import li_conv_direct
+from .polylog import li_conv_prob
 
 __all__ = [
     "IdentityReport",
@@ -136,7 +137,8 @@ def sum_direct(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fra
 def sum_via_stirling(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
     """The binomial-weighted form: sum over m = 0..min(n, N) of
     C(N+1, m+1) m! times the generalized Stirling polynomial value."""
-    return _binomial_weighted(n, N, lambda m: factorial(m) * sy(dist, n, m, x))
+    rows = sy_table(dist, n, x, min(n, N))
+    return _binomial_weighted(n, N, lambda m: factorial(m) * rows[n][m])
 
 
 def sum_via_cnn(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
@@ -197,8 +199,10 @@ def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> Identity
 def _moment_grid(
     identity: str, dist: Distribution, n_max: int, N_max: int, xs: Sequence[Fraction | int]
 ) -> list[IdentityReport]:
-    """The moment-driven triple identity over the full (n, N, x) grid."""
+    """The moment-driven triple identity over the full (n, N, x) grid; the
+    middle member of every N reads one engine table per x."""
     label = format_distribution(dist)
+    tables = {x: sy_table(dist, n_max, x) for x in map(Fraction, xs)}
     return [
         triple_identity(
             identity,
@@ -206,7 +210,7 @@ def _moment_grid(
             n,
             N,
             lambda k: shifted_sum_moment(dist, k, n, x),
-            lambda m: factorial(m) * sy(dist, n, m, x),
+            lambda m: factorial(m) * tables[x][n][m],
         )
         for n in range(n_max + 1)
         for N in range(N_max + 1)
@@ -270,8 +274,10 @@ def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[Ident
 
 def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
     """Polylogarithm-convolution sums: the sum over k = 0..N of
-    (p/q)^k Li*k at order -n against the binomial-weighted shifted-geometric
-    closed form and the c-weighted short form. Requires N >= n."""
+    (p/q)^k Li*k at order -n, each convolution taken through the moment
+    engine (:func:`li_conv_prob`), against the binomial-weighted
+    shifted-geometric closed form and the c-weighted short form. Requires
+    N >= n."""
     q = Fraction(q)
     ratio = (1 - q) / q
     return [
@@ -280,7 +286,7 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[Identity
             {"q": q, "n": n, "N": N},
             n,
             N,
-            lambda k: ratio**k * li_conv_direct(n, k, q),
+            lambda k: ratio**k * li_conv_prob(n, k, q),
             lambda m: factorial(m) * sy_closed_geometric_shifted(n, m, q),
         )
         for n in range(n_max + 1)
@@ -305,7 +311,8 @@ def verify_theorem12(
 def verify_gf(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int] = (0,)
 ) -> list[IdentityReport]:
-    """Defining alternating sum against generating-function extraction."""
+    """The defining alternating sum against the production engine's
+    generating-function extraction."""
     reports = []
     for n in range(n_max + 1):
         for m in range(n + 1):
@@ -324,9 +331,9 @@ def verify_paths(
     xs: Sequence[Fraction | int] = (0,),
     uniform_cap: int = UNIFORM_REP_DEFAULT_CAP,
 ) -> list[IdentityReport]:
-    """All-route agreement: the alternating sum against the generating
-    function and factorial-moment routes, plus the uniform-representation
-    oracle where its cap allows."""
+    """All-route agreement: the alternating sum against the production
+    engine's generating function and the factorial-moment oracle, plus the
+    uniform-representation oracle where its cap allows."""
     reports = []
     for n in range(n_max + 1):
         for m in range(n + 1):

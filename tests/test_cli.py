@@ -204,3 +204,27 @@ def test_mc_check_nonfinite_row_exits_2(capsys):
     for record in jsonl(out):
         assert float("-inf") < record["estimate"] < float("inf")
         assert 0 <= record["stderr"] < float("inf")
+
+
+@pytest.mark.parametrize(
+    "argv, option, name",
+    [
+        (["verify", "theorem9", "--x", "1/2"], "--x", "theorem9"),
+        (["verify", "theorem9", "--dist", "exp"], "--dist", "theorem9"),
+        (["verify", "gf", "--dist", "exp", "--N-max", "3"], "--N-max", "gf"),
+        (["verify", "paths", "--dist", "exp", "--N-max", "3"], "--N-max", "paths"),
+        (["verify", "corollary8", "--dist", "exp", "--q", "1/3"], "--q", "corollary8"),
+        (["verify", "theorem10", "--q", "1/3"], "--q", "theorem10"),
+        (["verify", "theorem11", "--lambda", "2"], "--lambda", "theorem11"),
+        (["verify", "corollary8", "--dist", "exp", "--family", "euler"], "--family", "corollary8"),
+        (["table", "cnn", "--n", "2", "--N", "3", "--m", "1"], "--m", "cnn"),
+        (["table", "stirling2", "--n", "3", "--x", "1"], "--x", "stirling2"),
+        (["table", "bell", "--n", "3", "--dist", "exp"], "--dist", "bell"),
+        (["table", "sy", "--dist", "exp", "--n", "3", "--N", "2"], "--N", "sy"),
+    ],
+)
+def test_unused_option_exits_2(capsys, argv, option, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} is not used by {name}\n"

@@ -1,11 +1,14 @@
-"""Tests for probabilistic Stirling polynomials: path equivalence and the
+"""Tests for probabilistic Stirling polynomials: the production table
+engine against the defining sum and sympy, path equivalence, and the
 per-distribution closed forms."""
 
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from sympy.functions.combinatorial.numbers import stirling
 
+import probstirling.cli as cli
 from probstirling.distributions import (
     Bernoulli,
     Constant,
@@ -40,6 +43,7 @@ from probstirling.gen_stirling import (
     sy_closed_uniform,
     sy_closed_ut,
     sy_poly,
+    sy_table,
     sy_via_factorial,
     sy_via_gf,
     sy_via_uniform_rep,
@@ -89,6 +93,7 @@ def test_sy_vanishes_when_m_exceeds_n():
             for m in range(n + 1, n + 4):
                 for x in (Fraction(0), HALF):
                     assert sy(dist, n, m, x) == 0
+                    assert sy_via_gf(dist, n, m, x) == 0
 
 
 def test_sy_poly():
@@ -149,6 +154,51 @@ def test_four_paths_agree_across_catalog():
                     assert sy_via_factorial(dist, n, m, x) == base
                     if m <= 4:
                         assert sy_via_uniform_rep(dist, n, m, x) == base
+
+
+# ------------------------------------------------------- production engine
+
+ENGINE_X = [Fraction(0), HALF, Fraction(-7, 3)]
+
+
+@pytest.mark.parametrize("dist", CATALOG + [Shifted(Poisson(Fraction(1, 3)), HALF)], ids=repr)
+def test_sy_table_matches_defining_sum(dist):
+    for x in ENGINE_X:
+        rows = sy_table(dist, 12, x)
+        assert [len(row) for row in rows] == list(range(1, 14))
+        for a, row in enumerate(rows):
+            assert row == [sy(dist, a, m, x) for m in range(a + 1)]
+
+
+def test_sy_table_m_max_is_column_prefix():
+    for dist in (Poisson(Fraction(1, 3)), Geometric(HALF), CATALOG[-2]):
+        for x in ENGINE_X:
+            full = sy_table(dist, 9, x)
+            for m_max in range(12):
+                assert sy_table(dist, 9, x, m_max) == [row[: m_max + 1] for row in full]
+    assert sy_table(Exponential(), 0) == [[1]]
+    assert sy_table(Exponential(), -1) == []
+    assert sy_table(Exponential(), 2, 0, -1) == [[], [], []]
+
+
+def test_sy_table_poisson_against_sympy_double_stirling():
+    rate = Fraction(1, 3)
+    rows = sy_table(Poisson(rate), 20)
+    for n, row in enumerate(rows):
+        for m, value in enumerate(row):
+            expected = sum(int(stirling(n, r) * stirling(r, m)) * rate**r for r in range(m, n + 1))
+            assert value == expected, (n, m)
+
+
+@pytest.mark.parametrize("dist, x", [("poisson:1/3", "-1/2"), ("exp", "0"), ("normal", "7/3")])
+def test_table_sy_column_matches_full_table(capsys, dist, x):
+    argv = ["table", "sy", "--dist", dist, "--n", "8", f"--x={x}"]
+    assert cli.main(argv) == 0
+    full = capsys.readouterr().out.splitlines()
+    for m in range(9):
+        assert cli.main(argv + ["--m", str(m)]) == 0
+        column = capsys.readouterr().out.splitlines()
+        assert column == [line for line in full if line.split(",")[1] == str(m)]
 
 
 def test_all_paths_report():
