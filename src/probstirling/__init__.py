@@ -76,7 +76,6 @@ from .gen_stirling import (
     sy_via_uniform_rep,
     whitney,
 )
-from .montecarlo import SampleEstimate, check_moment, estimate_sum_moment
 from .polylog import li_conv_direct, li_conv_prob, li_neg
 from .series import (
     EGFSeries,
@@ -109,3 +108,14 @@ from .sums import (
 )
 
 __version__ = "0.1.0"
+
+# the Monte Carlo names load numpy, so they are imported on first use
+_MONTECARLO_NAMES = ("SampleEstimate", "check_moment", "estimate_sum_moment")
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

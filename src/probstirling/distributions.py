@@ -7,8 +7,13 @@ forms plus binomial convolution. Every catalog member has a finite moment
 generating function near 0 (checked analytically per kind, not at
 runtime), so all moments used here are finite.
 
-Moment lookups are memoized module-wide; the caches are idempotent, so
-concurrent readers at worst recompute an identical value.
+Moment lookups are memoized module-wide in three tables: raw moments
+E[Y^n] (:func:`moment`), partial-sum moments E[S_k^n] (:func:`sum_moment`,
+filled bottom-up over k, so no k is too deep for a cold lookup) and
+shifted partial-sum moments E[(x + S_k)^n] (:func:`shifted_sum_moment`,
+keyed on the value of x, so an int x and an equal Fraction share an
+entry). The caches are idempotent, so concurrent readers at worst
+recompute an identical value.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact_core import bell_poly, binomial, double_factorial
+from .exact_core import bell_poly, binomial, double_factorial, memo_recurrence
 from .polylog import li_neg
 
 __all__ = [
@@ -192,12 +197,19 @@ def moment(dist: Distribution, n: int) -> Fraction:
     raise TypeError(f"unknown distribution kind: {dist!r}")
 
 
-@lru_cache(maxsize=None)
+def _sum_moment_below(dist: Distribution, k: int, n: int) -> tuple[tuple, ...]:
+    """The entries of row k - 1 that E[S_k^n] reads."""
+    return tuple((dist, k - 1, j) for j in range(n + 1)) if k > 0 else ()
+
+
+@memo_recurrence(_sum_moment_below)
 def sum_moment(dist: Distribution, k: int, n: int) -> Fraction:
     """Exact E[S_k^n] for S_k the sum of k independent copies; S_0 = 0.
 
     Uses the binomial convolution E[S_k^n] = sum_j C(n, j) E[S_{k-1}^j] E[Y^{n-j}].
     """
+    if k < 0:
+        raise ValueError(f"number of summands must be >= 0, got {k}")
     if k == 0:
         return Fraction(1 if n == 0 else 0)
     return sum(
@@ -209,6 +221,7 @@ def sum_moment(dist: Distribution, k: int, n: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) -> Fraction:
     """Exact E[(x + S_k)^n], expanded binomially over powers of x."""
     x = Fraction(x)

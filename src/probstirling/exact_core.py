@@ -9,15 +9,21 @@ Every scalar is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds. All values are immutable and all functions pure, so concurrent use
 needs no coordination (the memoized Stirling triangles are idempotent
 caches and may at worst be recomputed).
+
+The Stirling triangles are memoized by :func:`memo_recurrence`, which
+fills deep rows bottom-up, so a lookup from a cold cache at any row stays
+within a fixed recursion depth.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -31,6 +37,7 @@ __all__ = [
     "double_factorial",
     "multinomial",
     "weak_compositions",
+    "memo_recurrence",
     "stirling2",
     "stirling1",
     "stirling2_poly",
@@ -100,7 +107,90 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+# nested misses a memo_recurrence lookup follows by recursion before it
+# switches to filling the entries below bottom-up
+_NESTED_MISSES = 32
+
+
+def memo_recurrence(below: Callable[..., Iterable[tuple]]) -> Callable[[Callable], Callable]:
+    """Decorator: memoize a recursively defined function of positional
+    arguments, where ``below(*args)`` lists the argument tuples the function
+    reads through itself at ``args`` (none at a base case).
+
+    A miss evaluates the function, whose own lookups may miss in turn, as
+    with ``functools.lru_cache``. Once misses nest 32 deep in one thread,
+    the lookup that would nest further instead computes the entries it
+    depends on first, bottom-up from an explicit stack, so every
+    evaluation finds what it reads already stored: no lookup recurses
+    deeper than that bound, and the memo holds the same entries a
+    recursive memo would hold.
+    ``cache_info`` and ``cache_clear`` behave as on ``functools.lru_cache``;
+    entries are idempotent, so concurrent readers at worst compute one twice.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        table: dict[tuple, object] = {}
+        counts = [0, 0]  # hits, misses
+        nested = threading.local()  # this thread's misses in progress
+
+        def fill(args: tuple) -> None:
+            stack = [args]
+            while stack:
+                top = stack[-1]
+                if top in table:
+                    stack.pop()
+                    continue
+                missing = [entry for entry in below(*top) if entry not in table]
+                if missing:
+                    stack.extend(missing)
+                else:
+                    table[top] = fn(*top)
+                    counts[1] += 1
+                    stack.pop()
+
+        @wraps(fn)
+        def memo(*args):
+            try:
+                value = table[args]
+            except KeyError:
+                pass
+            else:
+                counts[0] += 1
+                return value
+            depth = getattr(nested, "depth", 0)
+            if depth >= _NESTED_MISSES:
+                fill(args)
+                return table[args]
+            nested.depth = depth + 1
+            try:
+                value = fn(*args)
+            finally:
+                nested.depth = depth
+            table[args] = value
+            counts[1] += 1
+            return value
+
+        def cache_clear() -> None:
+            table.clear()
+            counts[:] = [0, 0]
+
+        memo.cache_info = lambda: _CacheInfo(counts[0], counts[1], None, len(table))
+        memo.cache_clear = cache_clear
+        return memo
+
+    return decorate
+
+
+def _triangle_below(n: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The two entries of row n - 1 that a Stirling triangle entry reads."""
+    if 0 <= m <= n and n > 0:
+        return ((n - 1, m), (n - 1, m - 1))
+    return ()
+
+
+@memo_recurrence(_triangle_below)
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind, by the triangular recurrence
     S(n, m) = m S(n-1, m) + S(n-1, m-1); 0 outside 0 <= m <= n."""
@@ -111,7 +201,7 @@ def stirling2(n: int, m: int) -> int:
     return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
 
 
-@lru_cache(maxsize=None)
+@memo_recurrence(_triangle_below)
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k), by the recurrence
     s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k); 0 outside 0 <= k <= n."""

@@ -15,19 +15,22 @@ multiplications against O(n^4) for evaluating the defining sum per cell.
 :func:`sy_via_gf` reads one cell of it, and :func:`sy_poly`, the CLI
 ``table sy`` and the power-sum identities read its rows and columns.
 
-Three oracle routes check the engine and never call it:
+Three oracle routes check the engine and never call it, or the series
+module:
 
-* :func:`sy`, the defining alternating moment sum over E[(x + S_k)^n]
-  from the moment engine;
+* :func:`sy`, the defining alternating moment sum, reads E[(x + S_k)^n]
+  from the shifted partial-sum memo
+  (:func:`~probstirling.distributions.shifted_sum_moment`);
 * :func:`sy_via_factorial`, an expansion through classical Stirling
-  numbers and falling-factorial moments of the same shifted partial sums;
+  numbers, reads the falling-factorial moments E[(x + S_k)_i] from its
+  own memo keyed on (dist, k, i, x), each entry built once from the
+  shifted memo and Stirling numbers of the first kind;
 * :func:`sy_via_uniform_rep`, a product representation over auxiliary
-  independent uniform variables, expanded multinomially over raw moments
-  of Y.
+  independent uniform variables, expands multinomially over the raw
+  moment table (:func:`~probstirling.distributions.moment`).
 
-The engine shares with the oracles only the raw moment table
-(:func:`~probstirling.distributions.moment`); ``sy`` and
-``sy_via_factorial`` share the partial-sum moments and the kernel's
+The engine shares with the oracles only the raw moment table; ``sy`` and
+``sy_via_factorial`` share the shifted partial-sum memo and the kernel's
 alternating binomial sum, ``sy_via_uniform_rep`` the kernel's
 multinomials. Their exact agreement is therefore evidence of correctness
 rather than a tautology. The slow uniform-representation route is capped
@@ -40,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .distributions import Constant, Distribution, moment, shifted_sum_moment
@@ -195,23 +199,27 @@ def sy_via_uniform_rep(
     return binomial(n, m) * total
 
 
+@lru_cache(maxsize=None)
+def _falling_moment(dist: Distribution, k: int, i: int, x: Fraction | int) -> Fraction:
+    """E[(x + S_k)_i], the falling-factorial moment, from the shifted power
+    moments through signed Stirling numbers of the first kind."""
+    return sum(
+        (stirling1(i, j) * shifted_sum_moment(dist, k, j, x) for j in range(i + 1)),
+        Fraction(0),
+    )
+
+
 def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """Factorial-moment route: expand t^n over falling factorials with
-    classical Stirling numbers of the second kind, convert the resulting
-    falling-factorial moments E[(x + S_k)_i] back to power moments through
-    signed Stirling numbers of the first kind, and apply the alternating
-    binomial sum."""
-    # E[(x + S_k)^j] for k <= m and j <= n, read for every i below
-    shifted = [[shifted_sum_moment(dist, k, j, x) for j in range(n + 1)] for k in range(m + 1)]
+    classical Stirling numbers of the second kind, take the falling-factorial
+    moments E[(x + S_k)_i] of the shifted partial sums, and apply the
+    alternating binomial sum."""
     total = Fraction(0)
     for i in range(n + 1):
         s2 = stirling2(n, i)
         if s2 == 0:
             continue
-        falling_moments = [
-            sum((stirling1(i, j) * shifted[k][j] for j in range(i + 1)), Fraction(0))
-            for k in range(m + 1)
-        ]
+        falling_moments = [_falling_moment(dist, k, i, x) for k in range(m + 1)]
         total += s2 * alternating_sum(m, falling_moments)
     return total / factorial(m)
 

@@ -138,12 +138,18 @@ def _sample(dist: Distribution, count: int, stream: SplitMixStream) -> np.ndarra
 
 @dataclass(frozen=True)
 class SampleEstimate:
-    """Empirical mean of S_k^n with its standard error."""
+    """Empirical mean of S_k^n with its standard error; floating-point
+    overflow can make either infinite or nan, which :attr:`finite` reports."""
 
     mean: float
     stderr: float
     samples: int
     seed: int
+
+    @property
+    def finite(self) -> bool:
+        """True iff the mean and the standard error are both finite."""
+        return math.isfinite(self.mean) and math.isfinite(self.stderr)
 
 
 def estimate_sum_moment(

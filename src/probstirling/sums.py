@@ -46,7 +46,6 @@ from .gen_stirling import (
     sy_closed_poisson,
     sy_table,
     sy_via_factorial,
-    sy_via_gf,
     sy_via_uniform_rep,
 )
 from .polylog import li_conv_prob
@@ -196,13 +195,20 @@ def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> Identity
     return make_report("bernoulli-classic", {"n": n, "N": N, "x": x}, lhs, middle, rhs)
 
 
+def _sy_tables(
+    dist: Distribution, n_max: int, xs: Sequence[Fraction | int]
+) -> dict[Fraction, list[list[Fraction]]]:
+    """One production table up to row n_max per evaluation point."""
+    return {x: sy_table(dist, n_max, x) for x in map(Fraction, xs)}
+
+
 def _moment_grid(
     identity: str, dist: Distribution, n_max: int, N_max: int, xs: Sequence[Fraction | int]
 ) -> list[IdentityReport]:
     """The moment-driven triple identity over the full (n, N, x) grid; the
     middle member of every N reads one engine table per x."""
     label = format_distribution(dist)
-    tables = {x: sy_table(dist, n_max, x) for x in map(Fraction, xs)}
+    tables = _sy_tables(dist, n_max, xs)
     return [
         triple_identity(
             identity,
@@ -312,17 +318,21 @@ def verify_gf(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int] = (0,)
 ) -> list[IdentityReport]:
     """The defining alternating sum against the production engine's
-    generating-function extraction."""
-    reports = []
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            for x in xs:
-                x = Fraction(x)
-                params = {"dist": format_distribution(dist), "n": n, "m": m, "x": x}
-                reports.append(
-                    make_report("gf", params, sy(dist, n, m, x), None, sy_via_gf(dist, n, m, x))
-                )
-    return reports
+    generating-function extraction, read from one table per x."""
+    label = format_distribution(dist)
+    tables = _sy_tables(dist, n_max, xs)
+    return [
+        make_report(
+            "gf",
+            {"dist": label, "n": n, "m": m, "x": x},
+            sy(dist, n, m, x),
+            None,
+            tables[x][n][m],
+        )
+        for n in range(n_max + 1)
+        for m in range(n + 1)
+        for x in map(Fraction, xs)
+    ]
 
 
 def verify_paths(
@@ -332,21 +342,22 @@ def verify_paths(
     uniform_cap: int = UNIFORM_REP_DEFAULT_CAP,
 ) -> list[IdentityReport]:
     """All-route agreement: the alternating sum against the production
-    engine's generating function and the factorial-moment oracle, plus the
-    uniform-representation oracle where its cap allows."""
+    engine's generating function (one table per x) and the factorial-moment
+    oracle, plus the uniform-representation oracle where its cap allows."""
+    label = format_distribution(dist)
+    tables = _sy_tables(dist, n_max, xs)
     reports = []
     for n in range(n_max + 1):
         for m in range(n + 1):
-            for x in xs:
-                x = Fraction(x)
-                params = {"dist": format_distribution(dist), "n": n, "m": m, "x": x}
+            for x in map(Fraction, xs):
+                params = {"dist": label, "n": n, "m": m, "x": x}
                 base = sy(dist, n, m, x)
                 reports.append(
                     make_report(
                         "paths",
                         params,
                         base,
-                        sy_via_gf(dist, n, m, x),
+                        tables[x][n][m],
                         sy_via_factorial(dist, n, m, x),
                     )
                 )

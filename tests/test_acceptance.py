@@ -43,6 +43,7 @@ from probstirling.gen_stirling import (
     sy_closed_poisson,
     sy_closed_uniform,
     sy_closed_ut,
+    sy_table,
     sy_via_factorial,
     sy_via_gf,
     sy_via_uniform_rep,
@@ -82,7 +83,10 @@ MC_SEED = 42
 
 
 def _finish(num: int, label: str, started: float, limit: float) -> None:
-    elapsed = time.perf_counter() - started
+    _check_elapsed(num, label, time.perf_counter() - started, limit)
+
+
+def _check_elapsed(num: int, label: str, elapsed: float, limit: float) -> None:
     verdict = "PASS" if elapsed < limit else "FAIL"
     print(f"criterion {num:2d} ({label}): {verdict} [{elapsed:.2f}s, limit {limit:g}s]")
     assert elapsed < limit, f"criterion {num} exceeded runtime bound: {elapsed:.2f}s"
@@ -245,3 +249,22 @@ def test_criterion_11_finite_support_fuzz():
         assert sum_via_stirling(dist, n, N, x) == direct
         assert sum_via_cnn(dist, n, N, x) == direct
     _finish(11, "finite-support fuzz", started, 30.0)
+
+
+def test_criterion_12_factorial_route_table(fresh_python):
+    # timed in a fresh interpreter, so every memo table starts empty
+    out = fresh_python(
+        "import time\n"
+        "from fractions import Fraction\n"
+        "from probstirling.distributions import Exponential\n"
+        "from probstirling.gen_stirling import sy_via_factorial\n"
+        "started = time.perf_counter()\n"
+        "rows = [[sy_via_factorial(Exponential(), n, m, Fraction(1, 2)) for m in range(n + 1)]"
+        " for n in range(21)]\n"
+        "elapsed = time.perf_counter() - started\n"
+        "print(rows)\n"
+        "print(elapsed)"
+    )
+    rows, elapsed = out.splitlines()
+    assert rows == str(sy_table(Exponential(), 20, HALF))
+    _check_elapsed(12, "factorial route, n <= 20 table", float(elapsed), 2.0)

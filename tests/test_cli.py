@@ -172,6 +172,17 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["0,2", "1,-2", "2,4"]
 
 
+def test_exact_paths_do_not_load_numpy(fresh_python):
+    out = fresh_python(
+        "import sys\n"
+        "import probstirling, probstirling.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "from probstirling import SampleEstimate, check_moment, estimate_sum_moment\n"
+        "print(estimate_sum_moment.__module__, 'numpy' in sys.modules)"
+    )
+    assert out.split() == ["False", "probstirling.montecarlo", "True"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

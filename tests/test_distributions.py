@@ -179,6 +179,42 @@ def test_shifted_sum_moment():
     assert shifted_sum_moment(d, 2, 3, 0) == sum_moment(d, 2, 3)
 
 
+@pytest.mark.parametrize("dist", CATALOG, ids=format_distribution)
+def test_shifted_sum_moment_memo_matches_expansion(dist):
+    expand = shifted_sum_moment.__wrapped__
+    for k in range(4):
+        for n in range(6):
+            for x in (0, 1, -2, HALF, Fraction(-7, 3)):
+                value = shifted_sum_moment(dist, k, n, x)
+                assert type(value) is Fraction
+                assert value == expand(dist, k, n, x) == expand(dist, k, n, Fraction(x))
+
+
+def test_shifted_sum_moment_int_and_fraction_x_share_an_entry():
+    dist = Poisson(Fraction(5, 7))  # used by no other test
+    value = shifted_sum_moment(dist, 3, 4, 2)
+    before = shifted_sum_moment.cache_info()
+    again = shifted_sum_moment(dist, 3, 4, Fraction(2))
+    after = shifted_sum_moment.cache_info()
+    assert type(value) is type(again) is Fraction and again == value
+    assert after.hits == before.hits + 1 and after.currsize == before.currsize
+
+
+def test_sum_moment_rejects_negative_summand_count():
+    with pytest.raises(ValueError, match="summands"):
+        sum_moment(Exponential(), -1, 2)
+
+
+def test_deep_sum_moment_from_cold_cache(fresh_python):
+    # E[S_k^2] = k + k^2 for the unit exponential; k = 800 exceeds the
+    # recursion limit of a row-by-row recursive memo
+    out = fresh_python(
+        "from probstirling.distributions import Exponential, sum_moment\n"
+        "print(sum_moment(Exponential(), 800, 2))"
+    )
+    assert out.split() == ["640800"]
+
+
 # -------------------------------------------------------------------- syntax
 
 

@@ -2,15 +2,19 @@
 
 Expected values are either forced by definitions or computed here by
 independent brute-force oracles: restricted-growth partition counting,
-product-form polynomial expansion, and subset enumeration.
+product-form polynomial expansion, and subset enumeration; deep Stirling
+values are checked against sympy.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.exact_core import (
     Polynomial,
@@ -22,6 +26,7 @@ from probstirling.exact_core import (
     falling_factorial,
     forward_diff,
     iterated_diff,
+    memo_recurrence,
     multinomial,
     rising_factorial,
     stirling1,
@@ -335,3 +340,67 @@ def test_multinomial():
     assert multinomial(()) == 1
     assert multinomial((0, 0)) == 1
     assert multinomial((3,)) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, n, m",
+    [("stirling2", 1500, 700), ("stirling1", 1500, 1490)],
+)
+def test_deep_stirling_from_cold_cache_matches_sympy(fresh_python, kind, n, m):
+    # both lookups recurse deeper than the interpreter allows when a row
+    # is computed from the row above it recursively
+    out = fresh_python(
+        f"from probstirling.exact_core import {kind}\n"
+        f"print({kind}({n}, {m}))"
+    )
+    if kind == "stirling2":
+        expected = stirling(n, m)
+    else:
+        expected = stirling(n, m, kind=1, signed=True)
+    assert int(out) == int(expected)
+
+
+def test_memo_recurrence_counts_like_lru_cache():
+    calls = []
+
+    @memo_recurrence(lambda n: ((n - 1,),) if n > 0 else ())
+    def triangular(n):
+        calls.append(n)
+        return n + triangular(n - 1) if n > 0 else 0
+
+    assert triangular(5000) == 5000 * 5001 // 2
+    assert sorted(calls) == list(range(5001))
+    info = triangular.cache_info()
+    assert (info.misses, info.currsize) == (5001, 5001)
+    assert triangular(4000) == 4000 * 4001 // 2
+    assert triangular.cache_info().hits == info.hits + 1
+    triangular.cache_clear()
+    assert triangular.cache_info() == (0, 0, None, 0)
+
+
+def test_memo_recurrence_concurrent_cold_lookups():
+    @memo_recurrence(lambda n: ((n - 1,),) if n > 0 else ())
+    def triangular(n):
+        return n + triangular(n - 1) if n > 0 else 0
+
+    tops = [3000 + 7 * i for i in range(6)]
+    results = {}
+
+    def work(top):
+        results[top] = [triangular(n) for n in range(top, 0, -97)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(top,)) for top in tops]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == tops
+    for top, values in results.items():
+        assert values == [n * (n + 1) // 2 for n in range(top, 0, -97)]
+    assert triangular.cache_info().currsize == max(tops) + 1

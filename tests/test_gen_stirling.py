@@ -9,6 +9,7 @@ import pytest
 from sympy.functions.combinatorial.numbers import stirling
 
 import probstirling.cli as cli
+from probstirling import gen_stirling, series
 from probstirling.distributions import (
     Bernoulli,
     Constant,
@@ -154,6 +155,27 @@ def test_four_paths_agree_across_catalog():
                     assert sy_via_factorial(dist, n, m, x) == base
                     if m <= 4:
                         assert sy_via_uniform_rep(dist, n, m, x) == base
+
+
+@pytest.mark.parametrize("dist", CATALOG, ids=repr)
+def test_oracles_agree_without_engine_or_series(dist, monkeypatch):
+    # the oracles must not lean on the production engine or on series
+    # products; make every one of them raise, wherever it is bound
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle route reached the engine or the series module")
+
+    monkeypatch.setattr(gen_stirling, "sy_table", forbidden)
+    for name in series.__all__:
+        monkeypatch.setattr(series, name, forbidden)
+        if hasattr(gen_stirling, name):
+            monkeypatch.setattr(gen_stirling, name, forbidden)
+    for n in range(9):
+        for m in range(n + 1):
+            for x in (Fraction(0), HALF, Fraction(-7, 3)):
+                base = sy(dist, n, m, x)
+                assert sy_via_factorial(dist, n, m, x) == base
+                if m <= 4:
+                    assert sy_via_uniform_rep(dist, n, m, x) == base
 
 
 # ------------------------------------------------------- production engine

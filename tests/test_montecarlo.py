@@ -99,6 +99,14 @@ def test_uniform_sum_second_moment_near_exact():
     assert est.stderr < 0.01
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowed_estimate_reports_not_finite():
+    # 2000 exponential samples: at n = 159 the squared deviations overflow
+    est = estimate_sum_moment(Exponential(), 1, 159, 2000, 0)
+    assert est.stderr == float("inf") and not est.finite
+    assert estimate_sum_moment(Exponential(), 1, 3, 2000, 0).finite
+
+
 def test_rejects_degenerate_sample_count():
     with pytest.raises(ValueError):
         estimate_sum_moment(Exponential(), 1, 1, 1, seed=0)

@@ -123,3 +123,13 @@ def test_geometric_moments_link():
     for q in QS:
         for n in range(1, 7):
             assert moment(Geometric(q), n) == (1 - q) * li_neg(n, q)
+
+
+def test_deep_convolution_from_cold_cache(fresh_python):
+    # at q = 1/2 the k-fold convolution at order -2 is 2k + 4k^2
+    out = fresh_python(
+        "from fractions import Fraction\n"
+        "from probstirling.polylog import li_conv_prob\n"
+        "print(li_conv_prob(2, 1500, Fraction(1, 2)))"
+    )
+    assert out.split() == ["9003000"]

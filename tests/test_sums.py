@@ -19,6 +19,7 @@ from probstirling.distributions import (
     UniformTimesExponential,
 )
 from probstirling.exact_core import Polynomial, rising_factorial
+from probstirling.gen_stirling import sy_via_gf
 from probstirling.sums import (
     classical_bernoulli_check,
     sum_direct,
@@ -239,6 +240,19 @@ def test_verify_gf_and_paths():
         reports = verify_paths(dist, 5, [Fraction(0), Fraction(1)])
         assert all(r.passed for r in reports)
         assert {r.identity for r in reports} == {"paths", "paths-uniform"}
+
+
+@pytest.mark.parametrize("dist", [Geometric(HALF), Shifted(Poisson(Fraction(1, 3)), HALF)], ids=repr)
+def test_verify_gf_and_paths_read_the_one_cell_gf_values(dist):
+    xs = [0, HALF, Fraction(-7, 3)]
+    gf = verify_gf(dist, 6, xs)
+    paths = [r for r in verify_paths(dist, 6, xs) if r.identity == "paths"]
+    assert len(gf) == len(paths) == 28 * 3
+    for gf_report, paths_report in zip(gf, paths):
+        p = gf_report.params
+        assert paths_report.params == p
+        cell = sy_via_gf(dist, p["n"], p["m"], p["x"])
+        assert gf_report.rhs == paths_report.middle == cell
 
 
 def test_verify_bernoulli_classic_suite():
