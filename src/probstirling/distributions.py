@@ -7,13 +7,14 @@ forms plus binomial convolution. Every catalog member has a finite moment
 generating function near 0 (checked analytically per kind, not at
 runtime), so all moments used here are finite.
 
-Moment lookups are memoized module-wide in three tables: raw moments
-E[Y^n] (:func:`moment`), partial-sum moments E[S_k^n] (:func:`sum_moment`,
-filled bottom-up over k, so no k is too deep for a cold lookup) and
-shifted partial-sum moments E[(x + S_k)^n] (:func:`shifted_sum_moment`,
-keyed on the value of x, so an int x and an equal Fraction share an
-entry). The caches are idempotent, so concurrent readers at worst
-recompute an identical value.
+Moment lookups are memoized module-wide: raw moments E[Y^n]
+(:func:`moment`), partial-sum moments E[S_k^n] (:func:`sum_moment`, read
+from one row table per law, row k over n, grown in place by the
+convolution below without recursion, so no k is too deep for a cold
+lookup) and shifted partial-sum moments E[(x + S_k)^n]
+(:func:`shifted_sum_moment`, keyed on the value of x, so an int x and an
+equal Fraction share an entry). The caches are idempotent, and the row
+tables take a lock only while they grow.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact_core import bell_poly, binomial, double_factorial, memo_recurrence
+from .exact_core import _grow_rows, bell_poly, binomial, double_factorial
 from .polylog import li_neg
 
 __all__ = [
@@ -197,38 +198,48 @@ def moment(dist: Distribution, n: int) -> Fraction:
     raise TypeError(f"unknown distribution kind: {dist!r}")
 
 
-def _sum_moment_below(dist: Distribution, k: int, n: int) -> tuple[tuple, ...]:
-    """The entries of row k - 1 that E[S_k^n] reads."""
-    return tuple((dist, k - 1, j) for j in range(n + 1)) if k > 0 else ()
+# law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0, 0, ...
+_SUM_MOMENT_ROWS: dict[Distribution, list[list[Fraction]]] = {}
 
 
-@memo_recurrence(_sum_moment_below)
+def _sum_moment_row(dist: Distribution, k: int, width: int) -> list[Fraction]:
+    """Row k of the E[S_k^n] table of `dist`, at least `width` entries long."""
+    if k < 0:
+        raise ValueError(f"number of summands must be >= 0, got {k}")
+    rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
+    if k < len(rows) and len(rows[k]) >= width:
+        return rows[k]
+    # fetched before growing, so the table's lock is never held across a
+    # moment lookup (Poisson moments read the Stirling table)
+    moments = [moment(dist, j) for j in range(width)]
+
+    def convolve(i: int, row: list[Fraction], prev: list[Fraction]) -> Fraction:
+        # E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}]
+        n = len(row)
+        return sum(
+            (binomial(n, j) * prev[j] * moments[n - j] for j in range(n + 1)), Fraction(0)
+        )
+
+    return _grow_rows(rows, k, width, convolve)
+
+
+@lru_cache(maxsize=None)
 def sum_moment(dist: Distribution, k: int, n: int) -> Fraction:
     """Exact E[S_k^n] for S_k the sum of k independent copies; S_0 = 0.
 
     Uses the binomial convolution E[S_k^n] = sum_j C(n, j) E[S_{k-1}^j] E[Y^{n-j}].
     """
-    if k < 0:
-        raise ValueError(f"number of summands must be >= 0, got {k}")
-    if k == 0:
-        return Fraction(1 if n == 0 else 0)
-    return sum(
-        (
-            binomial(n, j) * sum_moment(dist, k - 1, j) * moment(dist, n - j)
-            for j in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    row = _sum_moment_row(dist, k, n + 1)
+    # an order n < 0 is the empty convolution
+    return Fraction(row[n] if n >= 0 else 0)
 
 
 @lru_cache(maxsize=None)
 def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) -> Fraction:
     """Exact E[(x + S_k)^n], expanded binomially over powers of x."""
     x = Fraction(x)
-    return sum(
-        (binomial(n, j) * x ** (n - j) * sum_moment(dist, k, j) for j in range(n + 1)),
-        Fraction(0),
-    )
+    row = _sum_moment_row(dist, k, n + 1)
+    return sum((binomial(n, j) * x ** (n - j) * row[j] for j in range(n + 1)), Fraction(0))
 
 
 _SIMPLE_KINDS = {

@@ -6,23 +6,25 @@ integer weight family that compresses power sums over arithmetic
 progressions.
 
 Every scalar is an ``int`` or a ``fractions.Fraction``; nothing here ever
-rounds. All values are immutable and all functions pure, so concurrent use
-needs no coordination (the memoized Stirling triangles are idempotent
-caches and may at worst be recomputed).
+rounds. All values are immutable and all functions pure.
 
-The Stirling triangles are memoized by :func:`memo_recurrence`, which
-fills deep rows bottom-up, so a lookup from a cold cache at any row stays
-within a fixed recursion depth.
+The Stirling triangles are stored sheared, by rows: row j holds the
+entries (j + d, j) for d = 0, 1, ..., and each entry reads the one before
+it and the one above it. A lookup grows the rows below it in place, under
+a lock, with no recursion, so a cold lookup at any depth costs one pass
+over that rectangle. The public functions are ``lru_cache`` memos over
+those tables.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -37,7 +39,6 @@ __all__ = [
     "double_factorial",
     "multinomial",
     "weak_compositions",
-    "memo_recurrence",
     "stirling2",
     "stirling1",
     "stirling2_poly",
@@ -99,117 +100,74 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # stars and bars: the parts are the gaps between parts - 1 nondecreasing
+    # cut points in 0..total, whose lexicographic order is that of the parts
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-# nested misses a memo_recurrence lookup follows by recursion before it
-# switches to filling the entries below bottom-up
-_NESTED_MISSES = 32
+_GROW_LOCK = threading.RLock()
 
 
-def memo_recurrence(below: Callable[..., Iterable[tuple]]) -> Callable[[Callable], Callable]:
-    """Decorator: memoize a recursively defined function of positional
-    arguments, where ``below(*args)`` lists the argument tuples the function
-    reads through itself at ``args`` (none at a base case).
+def _grow_rows(rows: list[list], k: int, width: int, entry: Callable) -> list:
+    """Row k of a recurrence table stored by rows, grown in place first, if
+    need be, to hold at least `width` entries.
 
-    A miss evaluates the function, whose own lookups may miss in turn, as
-    with ``functools.lru_cache``. Once misses nest 32 deep in one thread,
-    the lookup that would nest further instead computes the entries it
-    depends on first, bottom-up from an explicit stack, so every
-    evaluation finds what it reads already stored: no lookup recurses
-    deeper than that bound, and the memo holds the same entries a
-    recursive memo would hold.
-    ``cache_info`` and ``cache_clear`` behave as on ``functools.lru_cache``;
-    entries are idempotent, so concurrent readers at worst compute one twice.
+    Row 0 is 1, 0, 0, ...; for i > 0, ``entry(i, row, prev)`` is the next
+    entry of row i given its entries so far and row i - 1, which is already
+    at least that long. Row lengths never increase with the row index, so
+    only the rows from the first one shorter than `width` through row k
+    grow: the table holds the rectangle below every lookup made so far, and
+    each new entry costs one `entry` call. Growth holds a module-wide
+    reentrant lock; stored entries never change, so reading them takes none.
     """
-
-    def decorate(fn: Callable) -> Callable:
-        table: dict[tuple, object] = {}
-        counts = [0, 0]  # hits, misses
-        nested = threading.local()  # this thread's misses in progress
-
-        def fill(args: tuple) -> None:
-            stack = [args]
-            while stack:
-                top = stack[-1]
-                if top in table:
-                    stack.pop()
-                    continue
-                missing = [entry for entry in below(*top) if entry not in table]
-                if missing:
-                    stack.extend(missing)
-                else:
-                    table[top] = fn(*top)
-                    counts[1] += 1
-                    stack.pop()
-
-        @wraps(fn)
-        def memo(*args):
-            try:
-                value = table[args]
-            except KeyError:
-                pass
-            else:
-                counts[0] += 1
-                return value
-            depth = getattr(nested, "depth", 0)
-            if depth >= _NESTED_MISSES:
-                fill(args)
-                return table[args]
-            nested.depth = depth + 1
-            try:
-                value = fn(*args)
-            finally:
-                nested.depth = depth
-            table[args] = value
-            counts[1] += 1
-            return value
-
-        def cache_clear() -> None:
-            table.clear()
-            counts[:] = [0, 0]
-
-        memo.cache_info = lambda: _CacheInfo(counts[0], counts[1], None, len(table))
-        memo.cache_clear = cache_clear
-        return memo
-
-    return decorate
+    if k < len(rows) and len(rows[k]) >= width:
+        return rows[k]
+    with _GROW_LOCK:
+        while len(rows) <= k:
+            rows.append([])
+        low = k
+        while low > 0 and len(rows[low - 1]) < width:
+            low -= 1
+        for i in range(low, k + 1):
+            row = rows[i]
+            while len(row) < width:
+                row.append(entry(i, row, rows[i - 1]) if i else int(not row))
+    return rows[k]
 
 
-def _triangle_below(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """The two entries of row n - 1 that a Stirling triangle entry reads."""
-    if 0 <= m <= n and n > 0:
-        return ((n - 1, m), (n - 1, m - 1))
-    return ()
+# row j holds S(j + d, j) for d = 0, 1, ..., and likewise s(j + d, j)
+_STIRLING2_ROWS: list[list[int]] = []
+_STIRLING1_ROWS: list[list[int]] = []
 
 
-@memo_recurrence(_triangle_below)
+def _stirling2_entry(j: int, row: list[int], prev: list[int]) -> int:
+    # S(j + d, j) = j S(j + d - 1, j) + S(j + d - 1, j - 1)
+    return j * row[-1] + prev[len(row)] if row else prev[0]
+
+
+def _stirling1_entry(j: int, row: list[int], prev: list[int]) -> int:
+    # s(j + d, j) = s(j + d - 1, j - 1) - (j + d - 1) s(j + d - 1, j)
+    d = len(row)
+    return prev[d] - (j + d - 1) * row[-1] if row else prev[0]
+
+
+@lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind, by the triangular recurrence
     S(n, m) = m S(n-1, m) + S(n-1, m-1); 0 outside 0 <= m <= n."""
     if m < 0 or m > n:
         return 0
-    if n == 0:
-        return 1
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+    return _grow_rows(_STIRLING2_ROWS, m, n - m + 1, _stirling2_entry)[n - m]
 
 
-@memo_recurrence(_triangle_below)
+@lru_cache(maxsize=None)
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k), by the recurrence
     s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k); 0 outside 0 <= k <= n."""
     if k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1
-    return stirling1(n - 1, k - 1) - (n - 1) * stirling1(n - 1, k)
+    return _grow_rows(_STIRLING1_ROWS, k, n - k + 1, _stirling1_entry)[n - k]
 
 
 def stirling2_poly(n: int, m: int, x: Fraction | int) -> Fraction:

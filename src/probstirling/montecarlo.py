@@ -168,9 +168,11 @@ def estimate_sum_moment(
     total = np.zeros(samples)
     for _ in range(k):
         total += _sample(dist, samples, stream)
-    powered = total**n
-    mean = float(powered.mean())
-    stderr = float(powered.std(ddof=1) / math.sqrt(samples))
+    # an overflow shows as an inf or nan that `finite` reports, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = total**n
+        mean = float(powered.mean())
+        stderr = float(powered.std(ddof=1) / math.sqrt(samples))
     return SampleEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 

@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+from sympy.functions.combinatorial.numbers import stirling
+
 from probstirling.appell import bernoulli_seed, euler_seed, hermite_seed, theorem12_check
 from probstirling.distributions import (
     Bernoulli,
@@ -268,3 +270,20 @@ def test_criterion_12_factorial_route_table(fresh_python):
     rows, elapsed = out.splitlines()
     assert rows == str(sy_table(Exponential(), 20, HALF))
     _check_elapsed(12, "factorial route, n <= 20 table", float(elapsed), 2.0)
+
+
+def test_criterion_13_deep_stirling_rows(fresh_python):
+    # timed in a fresh interpreter, so both Stirling tables start empty
+    out = fresh_python(
+        "import time\n"
+        "from probstirling.exact_core import stirling1, stirling2\n"
+        "started = time.perf_counter()\n"
+        "values = (stirling2(1500, 700), stirling1(1500, 700))\n"
+        "elapsed = time.perf_counter() - started\n"
+        "print(*values)\n"
+        "print(elapsed)"
+    )
+    values, elapsed = out.splitlines()
+    expected = (stirling(1500, 700), stirling(1500, 700, kind=1, signed=True))
+    assert values.split() == [str(value) for value in expected]
+    _check_elapsed(13, "cold Stirling rows at (1500, 700)", float(elapsed), 4.0)

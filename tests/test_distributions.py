@@ -1,5 +1,6 @@
 """Tests for the distribution catalog and its exact moment engine."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,43 @@ def test_shifted_sum_moment_int_and_fraction_x_share_an_entry():
 def test_sum_moment_rejects_negative_summand_count():
     with pytest.raises(ValueError, match="summands"):
         sum_moment(Exponential(), -1, 2)
+
+
+@functools.cache
+def _sum_moment_reference(dist, k, n):
+    # plain recursion on k, independent of the row tables
+    if k == 0:
+        return Fraction(1 if n == 0 else 0)
+    return sum(
+        (
+            binomial(n, j) * _sum_moment_reference(dist, k - 1, j) * moment(dist, n - j)
+            for j in range(n + 1)
+        ),
+        Fraction(0),
+    )
+
+
+# lookup orders over the cells (law, k, n): "deep" is a large k, "wide" a large n
+SUM_MOMENT_ORDERS = {
+    "deep-then-wide": "sorted(cells, key=lambda c: (c[2], -c[1]))",
+    "wide-then-deep": "sorted(cells, key=lambda c: (c[1], -c[2]))",
+    "shuffled": "random.Random(5).sample(cells, len(cells))",
+}
+
+
+@pytest.mark.parametrize("order", SUM_MOMENT_ORDERS)
+def test_sum_moment_row_tables_match_recursive_reference(fresh_python, order):
+    cells = [(format_distribution(d), k, n) for d in CATALOG for k in range(7) for n in range(9)]
+    out = fresh_python(
+        "import random\n"
+        "from probstirling.distributions import parse_distribution, sum_moment\n"
+        f"cells = {cells!r}\n"
+        f"for law, k, n in {SUM_MOMENT_ORDERS[order]}:\n"
+        "    sum_moment(parse_distribution(law), k, n)\n"
+        "print([sum_moment(parse_distribution(law), k, n) for law, k, n in cells])"
+    )
+    expected = [_sum_moment_reference(parse_distribution(law), k, n) for law, k, n in cells]
+    assert out.strip() == repr(expected)
 
 
 def test_deep_sum_moment_from_cold_cache(fresh_python):

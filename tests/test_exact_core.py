@@ -6,10 +6,9 @@ product-form polynomial expansion, and subset enumeration; deep Stirling
 values are checked against sympy.
 """
 
-import sys
-import threading
+import functools
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import hypothesis.strategies as st
 import pytest
@@ -26,7 +25,6 @@ from probstirling.exact_core import (
     falling_factorial,
     forward_diff,
     iterated_diff,
-    memo_recurrence,
     multinomial,
     rising_factorial,
     stirling1,
@@ -335,6 +333,13 @@ def test_weak_compositions_count():
                 assert len(got) == (1 if total == 0 else 0)
 
 
+def test_weak_compositions_in_lexicographic_order():
+    for total in range(7):
+        for parts in range(1, 6):
+            expected = [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert list(weak_compositions(total, parts)) == expected
+
+
 def test_multinomial():
     assert multinomial((2, 1, 1)) == 12
     assert multinomial(()) == 1
@@ -360,47 +365,126 @@ def test_deep_stirling_from_cold_cache_matches_sympy(fresh_python, kind, n, m):
     assert int(out) == int(expected)
 
 
-def test_memo_recurrence_counts_like_lru_cache():
-    calls = []
-
-    @memo_recurrence(lambda n: ((n - 1,),) if n > 0 else ())
-    def triangular(n):
-        calls.append(n)
-        return n + triangular(n - 1) if n > 0 else 0
-
-    assert triangular(5000) == 5000 * 5001 // 2
-    assert sorted(calls) == list(range(5001))
-    info = triangular.cache_info()
-    assert (info.misses, info.currsize) == (5001, 5001)
-    assert triangular(4000) == 4000 * 4001 // 2
-    assert triangular.cache_info().hits == info.hits + 1
-    triangular.cache_clear()
-    assert triangular.cache_info() == (0, 0, None, 0)
+@functools.cache
+def _stirling_reference(kind, n, m):
+    # plain recursion on n, independent of the row tables
+    if m < 0 or m > n:
+        return 0
+    if n == 0:
+        return 1
+    up, up_left = _stirling_reference(kind, n - 1, m), _stirling_reference(kind, n - 1, m - 1)
+    return m * up + up_left if kind == "stirling2" else up_left - (n - 1) * up
 
 
-def test_memo_recurrence_concurrent_cold_lookups():
-    @memo_recurrence(lambda n: ((n - 1,),) if n > 0 else ())
-    def triangular(n):
-        return n + triangular(n - 1) if n > 0 else 0
+# lookup orders over the cells (n, m); row m of a sheared table holds the
+# cells (m + d, m), so "deep" is a large m and "wide" a large n - m
+STIRLING_ORDERS = {
+    "deep-then-wide": "sorted(cells, key=lambda c: (c[0] - c[1], -c[1]))",
+    "wide-then-deep": "sorted(cells, key=lambda c: (c[1], c[1] - c[0]))",
+    "shuffled": "random.Random(5).sample(cells, len(cells))",
+}
 
-    tops = [3000 + 7 * i for i in range(6)]
-    results = {}
 
-    def work(top):
-        results[top] = [triangular(n) for n in range(top, 0, -97)]
+@pytest.mark.parametrize("order", STIRLING_ORDERS)
+def test_stirling_row_tables_match_recursive_reference(fresh_python, order):
+    cells = [(n, m) for n in range(41) for m in range(-1, n + 2)]
+    out = fresh_python(
+        "import random\n"
+        "from probstirling.exact_core import stirling1, stirling2\n"
+        f"cells = {cells!r}\n"
+        f"for n, m in {STIRLING_ORDERS[order]}:\n"
+        "    stirling2(n, m), stirling1(n, m)\n"
+        "print([(stirling2(n, m), stirling1(n, m)) for n, m in cells])"
+    )
+    expected = [
+        (_stirling_reference("stirling2", n, m), _stirling_reference("stirling1", n, m))
+        for n, m in cells
+    ]
+    assert out.strip() == repr(expected)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(top,)) for top in tops]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == tops
-    for top, values in results.items():
-        assert values == [n * (n + 1) // 2 for n in range(top, 0, -97)]
-    assert triangular.cache_info().currsize == max(tops) + 1
+
+def test_memo_counters_count_public_lookups(fresh_python):
+    out = fresh_python(
+        "from probstirling.distributions import Exponential, sum_moment\n"
+        "from probstirling.exact_core import stirling1, stirling2\n"
+        "for fn, args in ((stirling2, (60, 30)), (stirling1, (60, 30)),"
+        " (sum_moment, (Exponential(), 40, 3))):\n"
+        "    fn(*args), fn(*args)\n"
+        "    print(tuple(fn.cache_info()))\n"
+        "    fn.cache_clear()\n"
+        "    print(tuple(fn.cache_info()))"
+    )
+    # one miss and one hit each: entries the row tables compute on the
+    # way are not lookups
+    assert out.splitlines() == ["(1, 1, None, 1)", "(0, 0, None, 0)"] * 3
+
+
+def test_row_tables_concurrent_cold_lookups(fresh_python):
+    # six threads grow the Stirling tables and one law's E[S_k^n] table
+    # (whose Poisson moments read the Stirling table) from cold, with
+    # thread switches forced as often as possible
+    snippet = (
+        "import sys, threading\n"
+        "from fractions import Fraction\n"
+        "from probstirling.distributions import Poisson, sum_moment\n"
+        "from probstirling.exact_core import stirling1, stirling2\n"
+        "law = Poisson(Fraction(1, 3))\n"
+        "results = {}\n"
+        "def work(t):\n"
+        "    results[t] = [\n"
+        "        (stirling2(n, n // 2 + t), stirling1(n, n // 3 + t), sum_moment(law, n // 4, 6 + t))\n"
+        "        for n in range(260 - 9 * t, 0, -23)\n"
+        "    ]\n"
+        "THREADED\n"
+        "print(sorted(results.items()))"
+    )
+    threaded = fresh_python(
+        snippet.replace(
+            "THREADED",
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=120)\n"
+            "assert not any(thread.is_alive() for thread in threads)",
+        )
+    )
+    sequential = fresh_python(snippet.replace("THREADED", "for t in range(6):\n    work(t)"))
+    assert threaded == sequential
+    # one sum_moment value, so one Fraction, per lookup
+    assert threaded.count("Fraction") == sum(len(range(260 - 9 * t, 0, -23)) for t in range(6))
+
+
+def test_cold_lookups_need_no_recursion(fresh_python):
+    # every lookup runs with only 40 frames of headroom
+    out = fresh_python(
+        "import inspect, sys\n"
+        "from fractions import Fraction\n"
+        "from probstirling.distributions import Exponential, Poisson, shifted_sum_moment, sum_moment\n"
+        "from probstirling.exact_core import stirling1, stirling2, weak_compositions\n"
+        "from probstirling.polylog import li_conv_direct\n"
+        "sys.setrecursionlimit(len(inspect.stack()) + 40)\n"
+        "print(sum_moment(Poisson(Fraction(1, 3)), 400, 6))\n"
+        "print(shifted_sum_moment(Exponential(), 300, 4, Fraction(1, 2)))\n"
+        "print(stirling2(300, 150))\n"
+        "print(stirling1(300, 290))\n"
+        "print(next(weak_compositions(2, 600)) == (0,) * 599 + (2,))\n"
+        "print(sum(1 for _ in weak_compositions(1, 600)))\n"
+        "print(li_conv_direct(1, 300, Fraction(1, 2)))"
+    )
+    # S_400 is Poisson(400/3), whose 6th moment is the Bell polynomial
+    # B_6(400/3); S_300 is Gamma(300), E[S^j] the rising factorial (300)_j;
+    # the convolution of k copies of Li_{-1}(1/2) = 2 at n = 1 is 2k
+    rate = Fraction(400, 3)
+    half = Fraction(1, 2)
+    expected = [
+        sum(int(stirling(6, j)) * rate**j for j in range(7)),
+        sum(binomial(4, j) * half ** (4 - j) * rising_factorial(300, j) for j in range(5)),
+        int(stirling(300, 150)),
+        int(stirling(300, 290, kind=1, signed=True)),
+        True,
+        600,
+        600,
+    ]
+    assert out.split() == [str(value) for value in expected]

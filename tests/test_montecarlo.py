@@ -2,6 +2,7 @@
 agreement with the exact moment engine at modest sample counts (the full
 million-sample sweep lives in the acceptance suite)."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -99,11 +100,14 @@ def test_uniform_sum_second_moment_near_exact():
     assert est.stderr < 0.01
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowed_estimate_reports_not_finite():
-    # 2000 exponential samples: at n = 159 the squared deviations overflow
-    est = estimate_sum_moment(Exponential(), 1, 159, 2000, 0)
-    assert est.stderr == float("inf") and not est.finite
+    # 2000 exponential samples: at n = 159 the squared deviations overflow,
+    # at n = 400 the powers too; `finite` reports it, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_sum_moment(Exponential(), 1, 159, 2000, 0)
+        assert est.stderr == float("inf") and not est.finite
+        assert not estimate_sum_moment(Exponential(), 1, 400, 2000, 0).finite
     assert estimate_sum_moment(Exponential(), 1, 3, 2000, 0).finite
 
 
