@@ -81,13 +81,11 @@ from .series import (
     EGFSeries,
     egf_coefficient,
     series_div,
-    series_exp,
     series_from_moments,
     series_mul,
     series_one,
     series_pow,
     series_scale,
-    series_sub,
 )
 from .sums import (
     IdentityReport,

@@ -128,11 +128,20 @@ def _check_bounds(**bounds) -> None:
             raise ValueError(f"{_flag(option)} must be nonnegative, got {value}")
 
 
+# argparse names the option in front of an ArgumentTypeError's message; for
+# any other error it prints the converter's function name
 def _rational_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:  # argparse only converts ValueError
-        raise ValueError(str(exc)) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _distribution_arg(text: str):
+    try:
+        return parse_distribution(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _render(value):
@@ -174,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--N", type=int, help="progression length parameter")
     table.add_argument("--m", type=int, help="restrict to one column")
     table.add_argument("--x", type=_rational_arg, help="evaluation point (rational)")
-    table.add_argument("--dist", type=parse_distribution, help="distribution syntax")
+    table.add_argument("--dist", type=_distribution_arg, help="distribution syntax")
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.set_defaults(handler=_handle_table)
 
     verify = sub.add_parser("verify", help="run an identity verification suite")
     verify.add_argument("suite", choices=VERIFY_SUITES)
-    verify.add_argument("--dist", type=parse_distribution, help="distribution syntax")
+    verify.add_argument("--dist", type=_distribution_arg, help="distribution syntax")
     verify.add_argument("--family", help="Appell family: bernoulli|euler|hermite|moment:<dist>")
     verify.add_argument("--n-max", type=int, dest="n_max")
     verify.add_argument("--N-max", type=int, dest="N_max")
@@ -197,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_handle_verify)
 
     mc = sub.add_parser("mc-check", help="Monte Carlo cross-check of exact moments")
-    mc.add_argument("--dist", type=parse_distribution, required=True)
+    mc.add_argument("--dist", type=_distribution_arg, required=True)
     mc.add_argument("--k-max", type=int, default=3, dest="k_max")
     mc.add_argument("--n-max", type=int, default=5, dest="n_max")
     mc.add_argument("--samples", type=int, default=1_000_000)

@@ -15,6 +15,13 @@ lookup) and shifted partial-sum moments E[(x + S_k)^n]
 (:func:`shifted_sum_moment`, keyed on the value of x, so an int x and an
 equal Fraction share an entry). The caches are idempotent, and the row
 tables take a lock only while they grow.
+
+Both binomial convolutions run in integers: a new E[S_k^n] entry sums
+C(n, j) times the numerators of E[S_{k-1}^j] and E[Y^{n-j}] over the lcm
+of the entries it reads and of the law's moments, and E[(x + S_k)^n] with
+x = a/b sums over the same numerators scaled by a^(n-j) b^j. Each result
+is one Fraction, so the only gcd is the one that stores it. The law's
+moments are looked up once per widening of its table, not per entry.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .exact_core import _grow_rows, bell_poly, binomial, double_factorial
+from .exact_core import _common_denominator, _grow_rows, bell_poly, binomial, double_factorial
 from .polylog import li_neg
 
 __all__ = [
@@ -200,6 +207,20 @@ def moment(dist: Distribution, n: int) -> Fraction:
 
 # law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0, 0, ...
 _SUM_MOMENT_ROWS: dict[Distribution, list[list[Fraction]]] = {}
+# law -> (E[Y^j] for j < len, the same as integers over one common
+# denominator, that denominator); replaced whole, never changed in place
+_LAW_MOMENTS: dict[Distribution, tuple[list[Fraction], list[int], int]] = {}
+
+
+def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
+    """E[Y^j] for j < at least `width`, as integers over one denominator."""
+    moments, nums, den = _LAW_MOMENTS.get(dist, ([], [], 1))
+    if len(moments) < width:
+        # only the new orders are looked up: each lookup hashes the law
+        moments = moments + [moment(dist, j) for j in range(len(moments), width)]
+        nums, den = _common_denominator(moments)
+        _LAW_MOMENTS[dist] = moments, nums, den
+    return nums, den
 
 
 def _sum_moment_row(dist: Distribution, k: int, width: int) -> list[Fraction]:
@@ -211,14 +232,17 @@ def _sum_moment_row(dist: Distribution, k: int, width: int) -> list[Fraction]:
         return rows[k]
     # fetched before growing, so the table's lock is never held across a
     # moment lookup (Poisson moments read the Stirling table)
-    moments = [moment(dist, j) for j in range(width)]
+    mu, mu_den = _law_moments(dist, width)
 
     def convolve(i: int, row: list[Fraction], prev: list[Fraction]) -> Fraction:
-        # E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}]
+        # E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers
+        # over the lcm of the entries it reads; the table stores the entry as
+        # a Fraction, not as a numerator over a row-wide denominator, which a
+        # later widening of the row would change
         n = len(row)
-        return sum(
-            (binomial(n, j) * prev[j] * moments[n - j] for j in range(n + 1)), Fraction(0)
-        )
+        p, p_den = _common_denominator(prev[: n + 1])
+        acc = sum(comb(n, j) * p[j] * mu[n - j] for j in range(n + 1))
+        return Fraction(acc, p_den * mu_den)
 
     return _grow_rows(rows, k, width, convolve)
 
@@ -239,7 +263,13 @@ def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) ->
     """Exact E[(x + S_k)^n], expanded binomially over powers of x."""
     x = Fraction(x)
     row = _sum_moment_row(dist, k, n + 1)
-    return sum((binomial(n, j) * x ** (n - j) * row[j] for j in range(n + 1)), Fraction(0))
+    if n < 0:
+        return Fraction(0)
+    # x = a/b, so x^(n-j) = a^(n-j) b^j / b^n
+    p, p_den = _common_denominator(row[: n + 1])
+    a, b = x.numerator, x.denominator
+    acc = sum(comb(n, j) * a ** (n - j) * b**j * p[j] for j in range(n + 1))
+    return Fraction(acc, p_den * b**n)
 
 
 _SIMPLE_KINDS = {

@@ -9,11 +9,17 @@ the constant 1.
 One production engine computes the values: :func:`sy_table` builds whole
 tables column by column from the generating function
 sum_a S_Y(a, m; x) z^a / a! = e^(xz) (M(z) - 1)^m / m!, with M the exact
-moment series of Y. Column m is column m - 1 times (M - 1) / m, so a
-table up to row n costs n series products of order n, O(n^3) rational
-multiplications against O(n^4) for evaluating the defining sum per cell.
-:func:`sy_via_gf` reads one cell of it, and :func:`sy_poly`, the CLI
-``table sy`` and the power-sum identities read its rows and columns.
+moment series of Y. Since column m is column m - 1 times (M - 1) / m, its
+coefficients obey
+S_Y(a, m; x) = (1/m) sum_{j>=1} C(a, j) E[Y^j] S_Y(a - j, m - 1; x),
+with column 0 equal to x^a. The engine keeps each column as Python ints
+over one common denominator, puts the moments over their lcm once, and
+cancels with one gcd pass per column, so a table up to row n costs
+O(n^3) integer multiplications (against O(n^4) rational ones for the
+defining sum per cell) and no gcd per operation. It reads only the raw
+moment table and does not use the series module. :func:`sy_via_gf` reads
+one cell of it, and :func:`sy_poly`, the CLI ``table sy`` and the
+power-sum identities read its rows and columns.
 
 Three oracle routes check the engine and never call it, or the series
 module:
@@ -29,10 +35,11 @@ module:
   independent uniform variables, expands multinomially over the raw
   moment table (:func:`~probstirling.distributions.moment`).
 
-The engine shares with the oracles only the raw moment table; ``sy`` and
-``sy_via_factorial`` share the shifted partial-sum memo and the kernel's
-alternating binomial sum, ``sy_via_uniform_rep`` the kernel's
-multinomials. Their exact agreement is therefore evidence of correctness
+The engine shares with the oracles only the raw moment table and the
+kernel's step that puts a list of rationals over its lcm, which the
+shifted partial-sum memo also takes; ``sy`` and ``sy_via_factorial``
+share that memo and the kernel's alternating binomial sum,
+``sy_via_uniform_rep`` the kernel's multinomials. Their exact agreement is therefore evidence of correctness
 rather than a tautology. The slow uniform-representation route is capped
 at small m by default. Closed forms for specific catalog laws round out
 the module.
@@ -44,11 +51,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, gcd
 
 from .distributions import Constant, Distribution, moment, shifted_sum_moment
 from .exact_core import (
     Polynomial,
+    _common_denominator,
     alternating_sum,
     binomial,
     double_factorial,
@@ -57,15 +65,6 @@ from .exact_core import (
     stirling1,
     stirling2,
     weak_compositions,
-)
-from .series import (
-    egf_coefficient,
-    series_exp,
-    series_from_moments,
-    series_mul,
-    series_one,
-    series_scale,
-    series_sub,
 )
 
 __all__ = [
@@ -136,20 +135,36 @@ def sy_table(
     a <= n and m <= min(a, m_max), with m_max = n when omitted; a negative
     n gives no rows and a negative m_max no columns.
 
-    Column m is read off the series e^(xz) (M(z) - 1)^m / m!, built from
-    column m - 1 by one product with M - 1 and a division by m.
+    Column 0 is x^a; column m is read off column m - 1 by the coefficient
+    recurrence S_Y(a, m; x) = (1/m) sum_{j>=1} C(a, j) E[Y^j] S_Y(a - j, m - 1; x).
     """
     if n < 0:
         return []
     m_max = n if m_max is None else min(m_max, n)
-    f = series_sub(series_from_moments(dist, n), series_one(n))
-    column = series_exp(n, scale=x)
+    mu, mu_den = _common_denominator([moment(dist, j) for j in range(n + 1)])
+    # each column is held as integers over one denominator: x = u/v gives
+    # x^a = u^a v^(n-a) / v^n
+    x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    column = [u**a * v ** (n - a) for a in range(n + 1)]
+    den = v**n
     rows: list[list[Fraction]] = [[] for _ in range(n + 1)]
     for m in range(m_max + 1):
         if m:
-            column = series_scale(series_mul(column, f), Fraction(1, m))
+            # S_Y(i, m - 1; x) vanishes for i < m - 1, and zero entries (all
+            # of column 0 past a = 0 when x = 0) are skipped; the weights
+            # C(a, i) E[Y^(a-i)] are not kept between columns, which would
+            # hold O(n^2) big integers however few columns are asked for
+            column = [0] * m + [
+                sum(comb(a, i) * mu[a - i] * c for i, c in enumerate(column[m - 1 : a], m - 1) if c)
+                for a in range(m, n + 1)
+            ]
+            den *= m * mu_den
+            g = gcd(den, *column)
+            column = [c // g for c in column]
+            den //= g
         for a in range(m, n + 1):
-            rows[a].append(egf_coefficient(column, a))
+            rows[a].append(Fraction(column[a], den))
     return rows
 
 

@@ -52,11 +52,13 @@ def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
     q = _validated_q(q)
     if k == 0:
         return Fraction(1 if n == 0 else 0)
+    # read once per call: each memo lookup hashes q
+    values = [li_neg(j, q) for j in range(n + 1)]
     total = Fraction(0)
     for parts in weak_compositions(n, k):
         term = Fraction(multinomial(parts))
         for part in parts:
-            term *= li_neg(part, q)
+            term *= values[part]
         total += term
     return total
 

@@ -8,6 +8,10 @@ avoids rescaling by factorials inside every convolution.
 Truncation order is always an explicit caller choice and is never widened
 implicitly; binary operations insist that both operands carry the same
 order.
+
+The Cauchy product puts each operand over the lcm of its denominators and
+convolves the integer numerators, so the only gcd per output coefficient
+is the one that stores it as a Fraction.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .distributions import Distribution, moment
+from .exact_core import _common_denominator
 
 __all__ = [
     "EGFSeries",
     "series_one",
-    "series_exp",
-    "series_sub",
     "series_scale",
     "series_mul",
     "series_pow",
@@ -54,25 +58,9 @@ def series_one(order: int) -> EGFSeries:
     return EGFSeries((1,) + (0,) * order)
 
 
-def series_exp(order: int, scale: Fraction | int = 1) -> EGFSeries:
-    """The series of e^(scale z): coefficients scale^j / j!."""
-    scale = Fraction(scale)
-    coeffs = []
-    power = Fraction(1)
-    for j in range(order + 1):
-        coeffs.append(power / factorial(j))
-        power *= scale
-    return EGFSeries(tuple(coeffs))
-
-
 def _check_orders(f: EGFSeries, g: EGFSeries) -> None:
     if f.order != g.order:
         raise ValueError(f"truncation orders differ: {f.order} != {g.order}")
-
-
-def series_sub(f: EGFSeries, g: EGFSeries) -> EGFSeries:
-    _check_orders(f, g)
-    return EGFSeries(tuple(a - b for a, b in zip(f.coeffs, g.coeffs)))
 
 
 def series_scale(f: EGFSeries, c: Fraction | int) -> EGFSeries:
@@ -82,16 +70,12 @@ def series_scale(f: EGFSeries, c: Fraction | int) -> EGFSeries:
 def series_mul(f: EGFSeries, g: EGFSeries) -> EGFSeries:
     """Cauchy product, truncated at the common order."""
     _check_orders(f, g)
-    n = f.order
-    out = [Fraction(0)] * (n + 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j in range(n + 1 - i):
-            b = g.coeffs[j]
-            if b:
-                out[i + j] += a * b
-    return EGFSeries(tuple(out))
+    a, a_den = _common_denominator(f.coeffs)
+    b, b_den = _common_denominator(g.coeffs)
+    den = a_den * b_den
+    return EGFSeries(
+        tuple(Fraction(sum(map(mul, a[: i + 1], b[i::-1])), den) for i in range(f.order + 1))
+    )
 
 
 def series_pow(f: EGFSeries, m: int) -> EGFSeries:

@@ -287,3 +287,31 @@ def test_criterion_13_deep_stirling_rows(fresh_python):
     expected = (stirling(1500, 700), stirling(1500, 700, kind=1, signed=True))
     assert values.split() == [str(value) for value in expected]
     _check_elapsed(13, "cold Stirling rows at (1500, 700)", float(elapsed), 4.0)
+
+
+# stdout sha256 of the command below, recorded before the integer engine
+# replaced the Fraction series products
+SY_TABLE_100_SHA256 = "568bd64deb6831ace806b92c54509eaa4d369e165e1e6fd9fe5c2015e821d56b"
+
+
+def test_criterion_14_sy_table_n100(fresh_python):
+    # timed in a fresh interpreter, imports included, so nothing is cached
+    out = fresh_python(
+        "import contextlib, hashlib, io, time\n"
+        "started = time.perf_counter()\n"
+        "from probstirling import cli\n"
+        "buffer = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buffer):\n"
+        "    status = cli.main(['table', 'sy', '--dist', 'poisson:1/3', '--n', '100', '--x=1/2'])\n"
+        "elapsed = time.perf_counter() - started\n"
+        "text = buffer.getvalue()\n"
+        "print(status, hashlib.sha256(text.encode()).hexdigest(), elapsed)\n"
+        "print(text, end='')"
+    )
+    summary, *lines = out.splitlines()
+    status, digest, elapsed = summary.split()
+    assert status == "0" and digest == SY_TABLE_100_SHA256
+    row = {int(m): Fraction(value) for a, m, value in (line.split(",") for line in lines) if a == "100"}
+    for m in range(5):
+        assert row[m] == sy(Poisson(Fraction(1, 3)), 100, m, HALF), m
+    _check_elapsed(14, "sy table, poisson:1/3, n = 100", float(elapsed), 1.0)

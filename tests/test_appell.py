@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 
 from probstirling.appell import (
     AppellSeed,
@@ -44,6 +45,17 @@ def test_euler_seed_values():
     seq = euler_seed(5)
     values = [appell_eval(seq, n, 0) for n in range(6)]
     assert values == [1, Fraction(-1, 2), 0, Fraction(1, 4), 0, Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("seed_fn, sympy_fn", [(bernoulli_seed, sympy.bernoulli), (euler_seed, sympy.euler)])
+def test_seed_polynomials_match_sympy(seed_fn, sympy_fn):
+    t = sympy.Symbol("t")
+    seed = seed_fn(14)
+    for n in range(15):
+        expected = sympy.Poly(sympy_fn(n, t), t).all_coeffs()[::-1]
+        assert appell_polynomial(seed, n).coeffs == tuple(
+            Fraction(int(c.p), int(c.q)) for c in expected
+        ), n
 
 
 def test_hermite_seed_values():

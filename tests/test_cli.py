@@ -239,3 +239,29 @@ def test_unused_option_exits_2(capsys, argv, option, name):
     assert code == 2
     assert out == ""
     assert err == f"error: {option} is not used by {name}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "sy", "--dist", "exp", "--n", "3", "--x", "1/0"], "argument --x: not a rational number: '1/0'"),
+        (["table", "bell", "--n", "3", "--x", "abc"], "argument --x: not a rational number: 'abc'"),
+        (["verify", "theorem11", "--q", "1/0"], "argument --q: not a rational number: '1/0'"),
+        (["verify", "theorem10", "--lambda", "1/0"], "argument --lambda: not a rational number: '1/0'"),
+        (["verify", "gf", "--dist", "exp", "--x=2/0"], "argument --x: not a rational number: '2/0'"),
+        (
+            ["table", "sy", "--dist", "poisson:1/0", "--n", "3"],
+            "argument --dist: poisson parameter must be rational, got '1/0'",
+        ),
+        (["verify", "paths", "--dist", "geom:2"], "argument --dist: Geometric requires 0 < q < 1, got 2"),
+        (["mc-check", "--dist", "bogus:1"], "argument --dist: unknown distribution syntax: 'bogus:1'"),
+    ],
+)
+def test_bad_option_value_names_the_problem(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert "_rational_arg" not in captured.err and "parse_distribution" not in captured.err

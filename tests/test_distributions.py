@@ -180,15 +180,24 @@ def test_shifted_sum_moment():
     assert shifted_sum_moment(d, 2, 3, 0) == sum_moment(d, 2, 3)
 
 
+def _shifted_reference(dist, k, n, x):
+    # the Fraction expansion sum_j C(n, j) x^(n-j) E[S_k^j]
+    return sum(
+        (binomial(n, j) * Fraction(x) ** (n - j) * sum_moment(dist, k, j) for j in range(n + 1)),
+        Fraction(0),
+    )
+
+
 @pytest.mark.parametrize("dist", CATALOG, ids=format_distribution)
 def test_shifted_sum_moment_memo_matches_expansion(dist):
     expand = shifted_sum_moment.__wrapped__
     for k in range(4):
-        for n in range(6):
+        for n in range(-1, 6):
             for x in (0, 1, -2, HALF, Fraction(-7, 3)):
                 value = shifted_sum_moment(dist, k, n, x)
                 assert type(value) is Fraction
                 assert value == expand(dist, k, n, x) == expand(dist, k, n, Fraction(x))
+                assert value == _shifted_reference(dist, k, n, x)
 
 
 def test_shifted_sum_moment_int_and_fraction_x_share_an_entry():

@@ -12,6 +12,7 @@ from itertools import combinations, permutations, product
 
 import hypothesis.strategies as st
 import pytest
+import sympy
 from hypothesis import given, settings
 from sympy.functions.combinatorial.numbers import stirling
 
@@ -179,6 +180,15 @@ def test_bell_poly_values():
     assert bell_poly(4, Fraction(1, 2)) == sum(
         stirling2(4, j) * Fraction(1, 2) ** j for j in range(5)
     )
+
+
+def test_bell_poly_matches_sympy():
+    t = sympy.Symbol("t")
+    for n in range(13):
+        expected = sympy.Poly(sympy.bell(n, t), t)
+        for x in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(1, 2)):
+            value = expected.eval(sympy.Rational(x.numerator, x.denominator))
+            assert bell_poly(n, x) == Fraction(int(value.p), int(value.q)), (n, x)
 
 
 # -------------------------------------------------------------- polynomials
@@ -420,19 +430,22 @@ def test_memo_counters_count_public_lookups(fresh_python):
 
 
 def test_row_tables_concurrent_cold_lookups(fresh_python):
-    # six threads grow the Stirling tables and one law's E[S_k^n] table
-    # (whose Poisson moments read the Stirling table) from cold, with
-    # thread switches forced as often as possible
+    # six threads grow the Stirling tables and the E[S_k^n] tables of two
+    # laws from cold, with thread switches forced as often as possible: the
+    # Poisson moments read the Stirling table, and the shifted law's moments
+    # are Fractions, so its moment list is raced too
     snippet = (
         "import sys, threading\n"
         "from fractions import Fraction\n"
-        "from probstirling.distributions import Poisson, sum_moment\n"
+        "from probstirling.distributions import Exponential, Poisson, Shifted, sum_moment\n"
         "from probstirling.exact_core import stirling1, stirling2\n"
         "law = Poisson(Fraction(1, 3))\n"
+        "shifted = Shifted(Exponential(), Fraction(2, 5))\n"
         "results = {}\n"
         "def work(t):\n"
         "    results[t] = [\n"
-        "        (stirling2(n, n // 2 + t), stirling1(n, n // 3 + t), sum_moment(law, n // 4, 6 + t))\n"
+        "        (stirling2(n, n // 2 + t), stirling1(n, n // 3 + t), sum_moment(law, n // 4, 6 + t),\n"
+        "         sum_moment(shifted, n // 5, 3 + n // 20 + t))\n"
         "        for n in range(260 - 9 * t, 0, -23)\n"
         "    ]\n"
         "THREADED\n"
@@ -452,8 +465,8 @@ def test_row_tables_concurrent_cold_lookups(fresh_python):
     )
     sequential = fresh_python(snippet.replace("THREADED", "for t in range(6):\n    work(t)"))
     assert threaded == sequential
-    # one sum_moment value, so one Fraction, per lookup
-    assert threaded.count("Fraction") == sum(len(range(260 - 9 * t, 0, -23)) for t in range(6))
+    # two sum_moment values, so two Fractions, per lookup
+    assert threaded.count("Fraction") == 2 * sum(len(range(260 - 9 * t, 0, -23)) for t in range(6))
 
 
 def test_cold_lookups_need_no_recursion(fresh_python):

@@ -2,6 +2,7 @@
 engine against the defining sum and sympy, path equivalence, and the
 per-distribution closed forms."""
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -50,7 +51,7 @@ from probstirling.gen_stirling import (
     sy_via_uniform_rep,
     whitney,
 )
-from probstirling.series import EGFSeries, egf_coefficient, series_one, series_pow, series_sub
+from probstirling.series import EGFSeries, egf_coefficient, series_pow
 
 HALF = Fraction(1, 2)
 X = [Fraction(0), Fraction(1), Fraction(-1), HALF]
@@ -192,6 +193,60 @@ def test_sy_table_matches_defining_sum(dist):
             assert row == [sy(dist, a, m, x) for m in range(a + 1)]
 
 
+def _sy_table_reference(dist, n, x):
+    """The Fraction series-product column build: column m holds the
+    ordinary coefficients of e^(xz) (M(z) - 1)^m / m!, each column the one
+    before times M - 1, divided by m."""
+    f = [Fraction(0)] + [moment(dist, j) / factorial(j) for j in range(1, n + 1)]
+    column = [Fraction(x) ** j / factorial(j) for j in range(n + 1)]
+    rows = [[] for _ in range(n + 1)]
+    for m in range(n + 1):
+        if m:
+            product = [Fraction(0)] * (n + 1)
+            for i, c in enumerate(column):
+                for j in range(n + 1 - i):
+                    product[i + j] += c * f[j]
+            column = [c / m for c in product]
+        for a in range(m, n + 1):
+            rows[a].append(factorial(a) * column[a])
+    return rows
+
+
+ENGINE_LAWS = CATALOG + [
+    Shifted(Poisson(Fraction(1, 3)), HALF),
+    Shifted(Exponential(), Fraction(2, 5)),
+    FiniteSupport(((Fraction(-3, 2), Fraction(1, 3)), (Fraction(5, 7), Fraction(2, 3)))),
+]
+
+
+@pytest.mark.parametrize("dist", ENGINE_LAWS, ids=repr)
+def test_sy_table_matches_series_product_reference(dist):
+    n = 24
+    for x in ENGINE_X:
+        expected = _sy_table_reference(dist, n, x)
+        for m_max in range(-1, n + 2):
+            rows = sy_table(dist, n, x, m_max)
+            assert rows == [row[: max(m_max + 1, 0)] for row in expected], (x, m_max)
+            assert all(type(v) is Fraction for row in rows for v in row)
+
+
+def test_sy_table_few_columns_keep_little_memory():
+    # a deep table with one or two columns holds O(n) integers at a time,
+    # not a weight for every pair of rows
+    law, n = Exponential(), 250
+    for j in range(n + 1):
+        moment(law, j)
+    for x, m_max in ((HALF, 1), (0, 2)):
+        tracemalloc.start()
+        try:
+            rows = sy_table(law, n, x, m_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (x, peak)
+        assert rows[n][1:] == [sy(law, n, m, x) for m in range(1, m_max + 1)]
+
+
 def test_sy_table_m_max_is_column_prefix():
     for dist in (Poisson(Fraction(1, 3)), Geometric(HALF), CATALOG[-2]):
         for x in ENGINE_X:
@@ -271,9 +326,10 @@ def test_closed_poisson_extends_to_negative_rate():
     # probabilistic range
     for lam in (Fraction(-3, 2), Fraction(-1)):
         order = 6
-        f = EGFSeries(tuple(Fraction(bell_poly(j, lam)) / factorial(j) for j in range(order + 1)))
+        # the moment series minus its constant term 1
+        f = EGFSeries((0,) + tuple(Fraction(bell_poly(j, lam)) / factorial(j) for j in range(1, order + 1)))
         for m in range(order + 1):
-            powered = series_pow(series_sub(f, series_one(order)), m)
+            powered = series_pow(f, m)
             for n in range(m, order + 1):
                 extracted = egf_coefficient(powered, n) / factorial(m)
                 assert extracted == sy_closed_poisson(n, m, lam)

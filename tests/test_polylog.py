@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 
 from probstirling.distributions import Geometric, moment
 from probstirling.exact_core import stirling2
@@ -83,6 +84,26 @@ def test_li_neg_matches_truncated_series():
         partial = sum(Fraction(j**n) * q**j for j in range(1, 80))
         tail = Fraction(80**n) * q**79 * 4  # crude geometric domination
         assert abs(li_neg(n, q) - partial) <= tail
+
+
+def test_li_neg_matches_sympy_polylog():
+    z = sympy.Symbol("z")
+    for n in range(9):
+        closed = sympy.expand_func(sympy.polylog(-n, z))
+        for q in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)):
+            value = closed.subs(z, sympy.Rational(q.numerator, q.denominator))
+            assert value.is_Rational
+            assert li_neg(n, q) == Fraction(int(value.p), int(value.q)), (n, q)
+
+
+def test_li_conv_direct_reads_each_order_once():
+    # one li_neg lookup per order j <= n, however many compositions use it
+    q = Fraction(2, 9)
+    before = li_neg.cache_info()
+    value = li_conv_direct(6, 4, q)
+    after = li_neg.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 7
+    assert value == li_conv_prob(6, 4, q)
 
 
 def test_derivative_recurrence():

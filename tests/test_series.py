@@ -13,20 +13,23 @@ from probstirling.series import (
     EGFSeries,
     egf_coefficient,
     series_div,
-    series_exp,
     series_from_moments,
     series_mul,
     series_one,
     series_pow,
     series_scale,
-    series_sub,
 )
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
+def series_exp(order: int, scale: Fraction | int = 1) -> EGFSeries:
+    """The series of e^(scale z), as the moment series of the constant law."""
+    return series_from_moments(Constant(scale), order)
+
+
 def exp_minus_one(order: int) -> EGFSeries:
-    return series_sub(series_exp(order), series_one(order))
+    return EGFSeries((0,) + tuple(Fraction(1, factorial(j)) for j in range(1, order + 1)))
 
 
 def test_series_exp_coefficients():
@@ -34,6 +37,7 @@ def test_series_exp_coefficients():
     assert series_exp(0).coeffs == (1,)
     assert series_exp(4).coeffs[4] == Fraction(1, 24)
     assert series_exp(3, scale=2).coeffs == (1, 2, 2, Fraction(4, 3))
+    assert exp_minus_one(3).coeffs == (0,) + series_exp(3).coeffs[1:]
 
 
 def test_series_mul():
@@ -49,6 +53,30 @@ def test_series_mul():
 def test_series_mul_order_mismatch():
     with pytest.raises(ValueError):
         series_mul(series_exp(2), series_exp(3))
+    with pytest.raises(ValueError, match="orders differ"):
+        series_mul(EGFSeries((0, 0, 0)), EGFSeries((1,)))
+
+
+def _cauchy_reference(f: EGFSeries, g: EGFSeries) -> tuple[Fraction, ...]:
+    # the naive Fraction Cauchy product
+    n = f.order
+    return tuple(sum((f.coeffs[i] * g.coeffs[j - i] for i in range(j + 1)), Fraction(0)) for j in range(n + 1))
+
+
+@given(
+    order=st.integers(min_value=0, max_value=9),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_series_mul_matches_naive_cauchy_product(order, data):
+    # zeros are drawn often, so zero and sparse coefficients are covered
+    coeff = st.one_of(st.just(Fraction(0)), small_rationals, st.fractions(max_denominator=10**6))
+    f = EGFSeries(tuple(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))))
+    g = EGFSeries(tuple(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))))
+    product = series_mul(f, g)
+    assert product.coeffs == _cauchy_reference(f, g)
+    assert all(type(c) is Fraction for c in product.coeffs)
+    assert series_mul(EGFSeries((0,) * (order + 1)), g).coeffs == (0,) * (order + 1)
 
 
 def test_series_pow():
@@ -78,7 +106,7 @@ def test_series_div_identity_and_errors():
 
 
 def test_series_from_moments():
-    assert series_from_moments(Constant(1), 3) == series_exp(3)
+    assert series_from_moments(Constant(1), 3).coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6))
     assert series_from_moments(Exponential(), 3).coeffs == (1, 1, 1, 1)
     assert series_from_moments(Uniform01(), 2).coeffs == (1, Fraction(1, 2), Fraction(1, 6))
 
