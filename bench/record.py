@@ -1,6 +1,6 @@
 """Record one point of the benchmark trajectory as BENCH_<pr>.json.
 
-    python3 bench/record.py --pr 6
+    python3 bench/record.py --pr N
 
 Run it from the root of a checkout; it measures the library in that
 checkout's ``src`` directory and writes ``BENCH_<pr>.json`` there. The
