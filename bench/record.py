@@ -4,10 +4,12 @@
 
 Run it from the root of a checkout; it measures the library in that
 checkout's ``src`` directory and writes ``BENCH_<pr>.json`` there. The
-file holds the commit, a digest of the sources, and two row sets:
+file holds the commit, a digest of the sources, the Python version and
+the CPU count, all copied from perfbench's run record, and two row sets:
 
 * ``end_to_end``: the ``wall_s``, ``setup_s`` and ``peak_rss_mb`` medians
-  of ``perfbench/run.py --trace 0`` at seed 0, one row per workload;
+  of ``perfbench/run.py --trace 0`` at seed 0, 3 s per workload, one row
+  per workload;
 * ``in_process``: timings of single library calls at sizes where the
   computation, not interpreter start-up, dominates. Every repeat runs in a
   fresh interpreter, so every memo and row table starts empty, and only
@@ -15,14 +17,15 @@ file holds the commit, a digest of the sources, and two row sets:
   per-query latency of the seed-0 identity stream, run by
   ``perfbench/child.py sweep``.
 
-Each row gives the median, the repeat count and every value. The whole
+Each in-process row gives the median, the repeat count (5) and every
+value. Run length and repeat count are fixed, so every point is comparable
+with the one before it. The whole
 recording takes under two minutes on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -32,6 +35,11 @@ from pathlib import Path
 
 WORKLOADS = ("sy-table", "verify-routes", "identity-sweep", "mc-check")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+# fixed, so that every recorded point is comparable with the one before it
+REPEATS = 5  # fresh interpreters per in-process row
+SECONDS = 3  # perfbench run length per workload
+# facts about the checkout and interpreter, copied from perfbench's run record
+PROVENANCE = ("commit", "source_sha256", "python", "nproc")
 
 # name -> (setup code, timed expression); each runs in a fresh interpreter
 CALLS = {
@@ -75,64 +83,44 @@ def _row(name: str, values: list[float]) -> dict:
     }
 
 
-def in_process_rows(root: Path, repeats: int) -> list[dict]:
+def in_process_rows(root: Path) -> list[dict]:
     rows = []
     for name, (setup, call) in CALLS.items():
         code = _TIMER.format(setup=setup, call=call)
-        rows.append(_row(name, [float(_run([sys.executable, "-c", code], root)) for _ in range(repeats)]))
+        rows.append(_row(name, [float(_run([sys.executable, "-c", code], root)) for _ in range(REPEATS)]))
     sweep = [sys.executable, "perfbench/child.py", "sweep", "identity-sweep", "0", "full"]
     totals = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         last = _run(sweep, root).rstrip("\n").rpartition("\n")[2]
         totals.append(sum(json.loads(last)["latencies_ns"]) / 1e9)
     rows.append(_row("identity-sweep stream, seed 0", totals))
     return rows
 
 
-def end_to_end_rows(root: Path, seconds: float) -> list[dict]:
+def end_to_end_rows(root: Path) -> tuple[dict, list[dict]]:
+    """The checkout's provenance, as perfbench records it, and one row per workload."""
     rows = []
     for workload in WORKLOADS:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0"]
-        lines = _run([*cmd, "--seconds", str(seconds), "--trace", "0"], root).splitlines()
+        lines = _run([*cmd, "--seconds", str(SECONDS), "--trace", "0"], root).splitlines()
         record, result = json.loads(lines[-2])["record"], json.loads(lines[-1])
         metrics = {name: round(result["metrics"][name]["value"], 4) for name in END_TO_END}
         rows.append(
             {"workload": workload, **metrics, "invocations": record["invocations"], "failed": result["failed"]}
         )
-    return rows
-
-
-def _commit(root: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
-    return proc.stdout.strip() or None
-
-
-def _source_sha256(root: Path) -> str:
-    digest = hashlib.sha256()
-    for path in sorted((root / "src" / "probstirling").rglob("*.py")):
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
+    return {key: record[key] for key in PROVENANCE}, rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per in-process row")
-    parser.add_argument("--seconds", type=float, default=3, help="perfbench run length per workload")
     args = parser.parse_args(argv)
     root = Path.cwd()
     if not (root / "src" / "probstirling" / "__init__.py").is_file():
         print(f"error: no probstirling sources under {root / 'src'}; run from a checkout root", file=sys.stderr)
         return 2
-    bench = {
-        "pr": args.pr,
-        "commit": _commit(root),
-        "source_sha256": _source_sha256(root),
-        "python": sys.version.split()[0],
-        "nproc": os.cpu_count(),
-        "end_to_end": end_to_end_rows(root, args.seconds),
-        "in_process": in_process_rows(root, args.repeats),
-    }
+    provenance, end_to_end = end_to_end_rows(root)
+    bench = {"pr": args.pr, **provenance, "end_to_end": end_to_end, "in_process": in_process_rows(root)}
     out = root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)

@@ -207,20 +207,18 @@ def moment(dist: Distribution, n: int) -> Fraction:
 
 # law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0, 0, ...
 _SUM_MOMENT_ROWS: dict[Distribution, list[list[Fraction]]] = {}
-# law -> (E[Y^j] for j < len, the same as integers over one common
-# denominator, that denominator); replaced whole, never changed in place
-_LAW_MOMENTS: dict[Distribution, tuple[list[Fraction], list[int], int]] = {}
+# law -> E[Y^j] for j < len; replaced whole, never extended in place
+_LAW_MOMENTS: dict[Distribution, list[Fraction]] = {}
 
 
 def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
-    """E[Y^j] for j < at least `width`, as integers over one denominator."""
-    moments, nums, den = _LAW_MOMENTS.get(dist, ([], [], 1))
+    """E[Y^j] for j < `width`, as integers over one denominator."""
+    moments = _LAW_MOMENTS.get(dist, [])
     if len(moments) < width:
         # only the new orders are looked up: each lookup hashes the law
         moments = moments + [moment(dist, j) for j in range(len(moments), width)]
-        nums, den = _common_denominator(moments)
-        _LAW_MOMENTS[dist] = moments, nums, den
-    return nums, den
+        _LAW_MOMENTS[dist] = moments
+    return _common_denominator(moments[:width])
 
 
 def _sum_moment_row(dist: Distribution, k: int, width: int) -> list[Fraction]:
