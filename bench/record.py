@@ -11,7 +11,9 @@ the CPU count, all copied from perfbench's run record, and two row sets:
   of ``perfbench/run.py --trace 0`` at seed 0, 3 s per workload, one row
   per workload;
 * ``in_process``: timings of single library calls at sizes where the
-  computation, not interpreter start-up, dominates. Every repeat runs in a
+  computation, not interpreter start-up, dominates: ``sy_table``, a cold
+  ``sum_moment`` and the theorem12 and bernoulli-classic verify grids at
+  n <= 10, N <= 60. Every repeat runs in a
   fresh interpreter, so every memo and row table starts empty, and only
   the call itself is timed. The identity-sweep row is the summed
   per-query latency of the seed-0 identity stream, run by
@@ -57,6 +59,14 @@ CALLS["cold sum_moment poisson:1/3 k=60 n=60"] = (
     "from fractions import Fraction\n"
     "from probstirling.distributions import Poisson, sum_moment\n",
     "sum_moment(Poisson(Fraction(1, 3)), 60, 60)",
+)
+CALLS["verify_theorem12 moment:exp n<=10 N<=60"] = (
+    "from probstirling.sums import verify_theorem12\n",
+    'verify_theorem12("moment:exp", 10, 60)',
+)
+CALLS["verify_bernoulli_classic n<=10 N<=60"] = (
+    "from probstirling.sums import verify_bernoulli_classic\n",
+    "verify_bernoulli_classic(10, 60)",
 )
 
 _TIMER = "import time\n{setup}started = time.perf_counter()\n{call}\nprint(time.perf_counter() - started)\n"

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .distributions import Distribution, format_distribution, parse_distribution
-from .exact_core import Polynomial, binomial, cnn_table
+from .exact_core import Polynomial, binomial
 from .series import (
     EGFSeries,
     egf_coefficient,
@@ -101,25 +101,15 @@ def kfold(a: AppellSeed, k: int) -> AppellSeed:
 
 def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
     """Compare the full sum over k = 0..N of A_n(k; x) with the weighted
-    short sum over k = 0..n; requires N >= n.
-
-    Returns an IdentityReport; the identity is two-sided, so the report's
-    middle member is None.
-    """
-    from .sums import make_report  # sums sits above this module in the layering
-
+    short sum over k = 0..n; requires N >= n. Returns a two-sided
+    IdentityReport (middle None) from a one-cell grid of the driver in
+    :mod:`probstirling.sums`. The check stays in this module for its callers;
+    sums imports this module, so the driver is imported on call."""
     if N < n:
         raise ValueError(f"requires N >= n, got n={n}, N={N}")
-    values = []
-    power = series_one(seed.g0.order)
-    for _ in range(N + 1):
-        values.append(appell_eval(AppellSeed(seed.name, power), n, x))
-        power = series_mul(power, seed.g0)
-    lhs = sum(values, Fraction(0))
-    weights = cnn_table(n, N).values
-    rhs = sum((weights[k] * values[k] for k in range(n + 1)), Fraction(0))
-    params = {"family": seed.name, "n": n, "N": N, "x": Fraction(x)}
-    return make_report("theorem12", params, lhs, None, rhs)
+    from .sums import _theorem12
+
+    return _theorem12(seed, [(n, [N])], [x])[0]
 
 
 @lru_cache(maxsize=None)

@@ -323,29 +323,29 @@ def sy_closed_normal(n_power: int, m: int) -> Fraction:
     return Fraction(sign) * hermite_at_zero(n_power) * stirling2(half, m)
 
 
+def _uniform_closed(n: int, m: int, stirling) -> Fraction:
+    """n!/(n+m)! times the sum over k = 0..m of (-1)^(m-k) C(n+m, n+k) stirling(n+k, k)."""
+    _require_m_le_n(n, m)
+    total = 0
+    for k in range(m + 1):
+        term = binomial(n + m, n + k) * stirling(n + k, k)
+        total += -term if (m - k) % 2 else term
+    return Fraction(factorial(n), factorial(n + m)) * total
+
+
 def sy_closed_uniform(n: int, m: int) -> Fraction:
     """Uniform law on [0, 1]: n!/(n+m)! times an alternating binomial sum of
     classical Stirling numbers S(n+k, k). The k = 0 term vanishes for
     n >= 1 but is kept as stated."""
-    _require_m_le_n(n, m)
-    total = 0
-    for k in range(m + 1):
-        term = binomial(n + m, n + k) * stirling2(n + k, k)
-        total += -term if (m - k) % 2 else term
-    return Fraction(factorial(n), factorial(n + m)) * total
+    return _uniform_closed(n, m, stirling2)
 
 
 def sy_closed_ut(n: int, m: int) -> Fraction:
     """Product of independent uniform and exponential factors: the uniform
     closed form with S(n+k, k) replaced by signed Stirling numbers of the
     first kind and an overall sign (-1)^n."""
-    _require_m_le_n(n, m)
-    total = 0
-    for k in range(m + 1):
-        term = binomial(n + m, n + k) * stirling1(n + k, k)
-        total += -term if (m - k) % 2 else term
-    sign = -1 if n % 2 else 1
-    return Fraction(sign) * Fraction(factorial(n), factorial(n + m)) * total
+    value = _uniform_closed(n, m, stirling1)
+    return -value if n % 2 else value
 
 
 def whitney(alpha: Fraction | int, n: int, m: int, x: Fraction | int = 0) -> Fraction:

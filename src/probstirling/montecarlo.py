@@ -166,8 +166,11 @@ def estimate_sum_moment(
         raise ValueError(f"distribution is not samplable: {dist!r}")
     stream = SplitMixStream(_stream_seed(seed, dist, k, n))
     total = np.zeros(samples)
-    for _ in range(k):
-        total += _sample(dist, samples, stream)
+    try:
+        for _ in range(k):
+            total += _sample(dist, samples, stream)
+    except OverflowError as exc:  # a rational parameter beyond the float range
+        raise ValueError("distribution parameter too large to sample in floating point") from exc
     # an overflow shows as an inf or nan that `finite` reports, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         powered = total**n

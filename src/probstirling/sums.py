@@ -3,26 +3,25 @@
 The headline identity rewrites the sum over k = 0..N of E[(x + S_k)^n]
 two further ways: as a binomial-weighted sum of generalized Stirling
 polynomial values, and as a short weighted sum using the integer c table.
-One function, :func:`triple_identity`, builds every instance: the long and
-short members share the summands, computed once, and the binomial-weighted
-middle member is the independent one, evaluated by its own formula.
-Instances are packaged as exact :class:`IdentityReport` comparisons,
-together with the specialized rising-factorial, Bell-polynomial, and
-polylogarithm sum suites, the Appell-family sums, and the classical
-Bernoulli-polynomial formula as a baseline cross-check.
-
-Reports carry every member value, not just a flag, so a failure localizes
-which expression diverged.
+One driver, :func:`triple_identity`, builds every instance of it and of its
+relatives (corollary8, theorem1, the polynomial version, the rising-factorial,
+Bell, polylogarithm and Appell-family sums, and the classical Bernoulli
+baseline); a one-instance check is a one-cell grid. It evaluates each summand
+and middle term once per (n, x) and reads the long member off a running sum,
+so a grid costs O(N_max) evaluations per (n, x); the middle member keeps its
+own formula. Reports carry every member value, not just a flag, so a failure
+localizes which expression diverged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .appell import appell_eval, bernoulli_seed, family_seed, theorem12_check
+from .appell import AppellSeed, appell_eval, bernoulli_seed, family_seed
 from .distributions import (
     Constant,
     Distribution,
@@ -48,7 +47,11 @@ from .gen_stirling import (
     sy_via_factorial,
     sy_via_uniform_rep,
 )
-from .polylog import li_conv_prob
+from .polylog import _validated_q, li_conv_prob
+from .series import series_mul, series_one
+
+# (n, the N values reported for that n) pairs, in report order
+Grid = Iterable[tuple[int, Sequence[int]]]
 
 __all__ = [
     "IdentityReport",
@@ -111,19 +114,35 @@ def _cnn_weighted(n: int, N: int, terms: Sequence[Fraction]) -> Fraction:
 
 def triple_identity(
     identity: str,
-    params: dict,
-    n: int,
-    N: int,
-    term: Callable[[int], Fraction],
-    middle_term: Callable[[int], Fraction],
-) -> IdentityReport:
-    """One instance of the triple identity: the long sum of term(k) over
-    k = 0..N, the binomial-weighted sum of middle_term(m) over
-    m = 0..min(n, N), and the c-weighted short sum. The N + 1 summands are
-    computed once and shared by the long and short members."""
-    terms = [term(k) for k in range(N + 1)]
-    lhs, rhs = sum(terms, Fraction(0)), _cnn_weighted(n, N, terms)
-    return make_report(identity, params, lhs, _binomial_weighted(n, N, middle_term), rhs)
+    label: Callable[[int, int, Fraction], dict],
+    grid: Grid,
+    term: Callable[[int, Fraction, int], Fraction],
+    middle_term: Callable[[int, Fraction, int], Fraction] | None,
+    xs: Sequence[Fraction | int] = (0,),
+    short: Callable[[int, int, Fraction], Fraction] | None = None,
+) -> list[IdentityReport]:
+    """One report per (n, N, x) of the grid and xs, in that order, labelled
+    label(n, N, x): the long sum of term(n, x, k) over k = 0..N, the
+    binomial-weighted sum of middle_term(n, x, m) over m = 0..min(n, N) (None
+    if two-sided) and short(n, N, x), by default the c-weighted sum of the
+    first min(n, N) + 1 summands. Summands and middle terms are evaluated once
+    per (n, x) up to the largest N, and the long member is a running sum. A
+    suite without an evaluation point keeps the default x and leaves it out
+    of its labels."""
+    xs = [Fraction(x) for x in xs]
+    reports = []
+    for n, Ns in grid:
+        top = max(Ns, default=-1)  # an empty N range evaluates nothing
+        terms = {x: [term(n, x, k) for k in range(top + 1)] for x in dict.fromkeys(xs)}
+        partial = {x: list(accumulate(terms[x], initial=Fraction(0))) for x in terms}
+        if middle_term is not None:
+            mids = {x: [middle_term(n, x, m) for m in range(min(n, top) + 1)] for x in terms}
+        for N, x in product(Ns, xs):
+            middle = None if middle_term is None else _binomial_weighted(n, N, mids[x].__getitem__)
+            rhs = _cnn_weighted(n, N, terms[x]) if short is None else short(n, N, x)
+            lhs = partial[x][max(N + 1, 0)]  # a negative N sums no summand
+            reports.append(make_report(identity, label(n, N, x), lhs, middle, rhs))
+    return reports
 
 
 def sum_direct(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
@@ -163,16 +182,34 @@ def sum_poly(p: Polynomial, dist: Distribution, N: int, x: Fraction | int = 0) -
         raise ValueError("requires a nonzero polynomial")
     x = Fraction(x)
     means = [_poly_mean(p, dist, k, x) for k in range(N + 1)]
-    params = {
-        "poly": [str(c) for c in p.coeffs],
-        "dist": format_distribution(dist),
-        "N": N,
-        "x": x,
-    }
+    poly, law = [str(c) for c in p.coeffs], format_distribution(dist)
     # E of the m-fold iterated difference with random increments equals
     # the alternating binomial sum over E[p(x + S_k)]
     return triple_identity(
-        "poly-sum", params, p.degree, N, means.__getitem__, lambda m: alternating_sum(m, means)
+        "poly-sum",
+        lambda n, N, x: {"poly": poly, "dist": law, "N": N, "x": x},
+        [(p.degree, [N])],
+        lambda n, x, k: means[k],
+        lambda n, x, m: alternating_sum(m, means),
+        [x],
+    )[0]
+
+
+def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[IdentityReport]:
+    """The classical baseline over a grid (see :func:`classical_bernoulli_check`)."""
+
+    def short(n: int, N: int, x: Fraction) -> Fraction:
+        seed = bernoulli_seed(n + 1)
+        return (appell_eval(seed, n + 1, x + N + 1) - appell_eval(seed, n + 1, x)) / (n + 1)
+
+    return triple_identity(
+        "bernoulli-classic",
+        lambda n, N, x: {"n": n, "N": N, "x": x},
+        grid,
+        lambda n, x, k: (x + k) ** n,
+        lambda n, x, m: forward_diff(Polynomial.monomial(n), m)(x),
+        xs,
+        short,
     )
 
 
@@ -180,48 +217,31 @@ def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> Identity
     """The classical baseline: the power sum over an arithmetic progression
     against its forward-difference form and the Bernoulli-polynomial
     difference divided by n + 1."""
-    x = Fraction(x)
-    lhs = sum(((x + k) ** n for k in range(N + 1)), Fraction(0))
-    mono = Polynomial.monomial(n)
-    middle = sum(
-        (
-            binomial(N + 1, m + 1) * forward_diff(mono, m)(x)
-            for m in range(min(n, N) + 1)
-        ),
-        Fraction(0),
-    )
-    seed = bernoulli_seed(n + 1)
-    rhs = (appell_eval(seed, n + 1, x + N + 1) - appell_eval(seed, n + 1, x)) / (n + 1)
-    return make_report("bernoulli-classic", {"n": n, "N": N, "x": x}, lhs, middle, rhs)
+    return _bernoulli_classic([(n, [N])], [x])[0]
 
 
 def _sy_tables(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int]
 ) -> dict[Fraction, list[list[Fraction]]]:
-    """One production table up to row n_max per evaluation point."""
-    return {x: sy_table(dist, n_max, x) for x in map(Fraction, xs)}
+    """One production table up to row n_max per distinct evaluation point."""
+    return {x: sy_table(dist, n_max, x) for x in dict.fromkeys(map(Fraction, xs))}
 
 
 def _moment_grid(
     identity: str, dist: Distribution, n_max: int, N_max: int, xs: Sequence[Fraction | int]
 ) -> list[IdentityReport]:
     """The moment-driven triple identity over the full (n, N, x) grid; the
-    middle member of every N reads one engine table per x."""
+    middle member reads one engine table per x."""
     label = format_distribution(dist)
     tables = _sy_tables(dist, n_max, xs)
-    return [
-        triple_identity(
-            identity,
-            {"dist": label, "n": n, "N": N, "x": x},
-            n,
-            N,
-            lambda k: shifted_sum_moment(dist, k, n, x),
-            lambda m: factorial(m) * tables[x][n][m],
-        )
-        for n in range(n_max + 1)
-        for N in range(N_max + 1)
-        for x in map(Fraction, xs)
-    ]
+    return triple_identity(
+        identity,
+        lambda n, N, x: {"dist": label, "n": n, "N": N, "x": x},
+        [(n, range(N_max + 1)) for n in range(n_max + 1)],
+        lambda n, x, k: shifted_sum_moment(dist, k, n, x),
+        lambda n, x, m: factorial(m) * tables[x][n][m],
+        xs,
+    )
 
 
 def verify_corollary8(
@@ -245,18 +265,13 @@ def verify_theorem9(n_max: int, N_max: int) -> list[IdentityReport]:
     binomial-weighted closed form and its c-weighted short form, computed
     from factorials alone (no moment engine). Requires N >= n, so the grid
     runs n <= N <= N_max."""
-    return [
-        triple_identity(
-            "theorem9",
-            {"n": n, "N": N},
-            n,
-            N,
-            lambda k: Fraction(rising_factorial(k, n)),
-            lambda m: falling_factorial(n, m) * rising_factorial(m, n - m),
-        )
-        for n in range(n_max + 1)
-        for N in range(n, N_max + 1)
-    ]
+    return triple_identity(
+        "theorem9",
+        lambda n, N, x: {"n": n, "N": N},
+        [(n, range(n, N_max + 1)) for n in range(n_max + 1)],
+        lambda n, x, k: Fraction(rising_factorial(k, n)),
+        lambda n, x, m: falling_factorial(n, m) * rising_factorial(m, n - m),
+    )
 
 
 def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
@@ -264,18 +279,13 @@ def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[Ident
     the binomial-weighted double-Stirling closed form and the c-weighted
     short form. Requires N >= n."""
     rate = Fraction(rate)
-    return [
-        triple_identity(
-            "theorem10",
-            {"rate": rate, "n": n, "N": N},
-            n,
-            N,
-            lambda k: Fraction(bell_poly(n, k * rate)),
-            lambda m: factorial(m) * sy_closed_poisson(n, m, rate),
-        )
-        for n in range(n_max + 1)
-        for N in range(n, N_max + 1)
-    ]
+    return triple_identity(
+        "theorem10",
+        lambda n, N, x: {"rate": rate, "n": n, "N": N},
+        [(n, range(n, N_max + 1)) for n in range(n_max + 1)],
+        lambda n, x, k: Fraction(bell_poly(n, k * rate)),
+        lambda n, x, m: factorial(m) * sy_closed_poisson(n, m, rate),
+    )
 
 
 def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
@@ -283,21 +293,31 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[Identity
     (p/q)^k Li*k at order -n, each convolution taken through the moment
     engine (:func:`li_conv_prob`), against the binomial-weighted
     shifted-geometric closed form and the c-weighted short form. Requires
-    N >= n."""
-    q = Fraction(q)
+    N >= n and 0 < q < 1."""
+    q = _validated_q(q)
     ratio = (1 - q) / q
-    return [
-        triple_identity(
-            "theorem11",
-            {"q": q, "n": n, "N": N},
-            n,
-            N,
-            lambda k: ratio**k * li_conv_prob(n, k, q),
-            lambda m: factorial(m) * sy_closed_geometric_shifted(n, m, q),
-        )
-        for n in range(n_max + 1)
-        for N in range(n, N_max + 1)
-    ]
+    return triple_identity(
+        "theorem11",
+        lambda n, N, x: {"q": q, "n": n, "N": N},
+        [(n, range(n, N_max + 1)) for n in range(n_max + 1)],
+        lambda n, x, k: ratio**k * li_conv_prob(n, k, q),
+        lambda n, x, m: factorial(m) * sy_closed_geometric_shifted(n, m, q),
+    )
+
+
+def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> list[IdentityReport]:
+    """Two-sided Appell-family compression sums for one seed over a grid: the
+    k-th summand is A_n(k; x), read from the seed's k-th power, each power one
+    series product from the previous one and built once per grid."""
+    powers = [series_one(seed.order)]
+
+    def term(n: int, x: Fraction, k: int) -> Fraction:
+        while len(powers) <= k:
+            powers.append(series_mul(powers[-1], seed.g0))
+        return appell_eval(AppellSeed(seed.name, powers[k]), n, x)
+
+    label = lambda n, N, x: {"family": seed.name, "n": n, "N": N, "x": x}
+    return triple_identity("theorem12", label, grid, term, None, xs)
 
 
 def verify_theorem12(
@@ -305,13 +325,8 @@ def verify_theorem12(
 ) -> list[IdentityReport]:
     """Appell-family compression sums for one family string (see
     :func:`family_seed`) over n <= N <= N_max and every x."""
-    seed = family_seed(family, n_max)
-    return [
-        theorem12_check(seed, n, N, x)
-        for n in range(n_max + 1)
-        for N in range(n, N_max + 1)
-        for x in xs
-    ]
+    grid = [(n, range(n, N_max + 1)) for n in range(n_max + 1)]
+    return _theorem12(family_seed(family, n_max), grid, xs)
 
 
 def verify_gf(
@@ -378,9 +393,4 @@ def verify_bernoulli_classic(
     n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)
 ) -> list[IdentityReport]:
     """Classical power-sum baseline over the full grid."""
-    return [
-        classical_bernoulli_check(n, N, Fraction(x))
-        for n in range(n_max + 1)
-        for N in range(N_max + 1)
-        for x in xs
-    ]
+    return _bernoulli_classic([(n, range(N_max + 1)) for n in range(n_max + 1)], xs)

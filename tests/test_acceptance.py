@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.appell import bernoulli_seed, euler_seed, hermite_seed, theorem12_check
@@ -315,3 +316,43 @@ def test_criterion_14_sy_table_n100(fresh_python):
     for m in range(5):
         assert row[m] == sy(Poisson(Fraction(1, 3)), 100, m, HALF), m
     _check_elapsed(14, "sy table, poisson:1/3, n = 100", float(elapsed), 1.0)
+
+
+# stdout sha256 of each command, recorded before the verify grids shared
+# their summands across N
+GRID_RUNS = {
+    15: (
+        ["verify", "theorem12", "--family", "moment:exp", "--n-max", "10", "--N-max", "200"],
+        "32b5632d71284d3b8fad4b4dc790da945cf7dd3bfaafe124f952d319ddbbfb77",
+        3.0,
+    ),
+    16: (
+        ["verify", "bernoulli-classic", "--n-max", "10", "--N-max", "200"],
+        "4d8f00918d086a920680b522ea3bc96df0f6434abbbea72621dd3514c15baae5",
+        2.0,
+    ),
+    17: (
+        ["verify", "theorem11", "--n-max", "1", "--N-max", "1200"],
+        "88416b6c21fa262f6524c15a35afaa29dcaf91c610623619dab04a0541ae3f91",
+        10.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("num", sorted(GRID_RUNS))
+def test_criteria_15_to_17_verify_grids(fresh_python, num):
+    # timed in a fresh interpreter, imports included, so nothing is cached
+    argv, expected, limit = GRID_RUNS[num]
+    out = fresh_python(
+        "import contextlib, hashlib, io, time\n"
+        "started = time.perf_counter()\n"
+        "from probstirling import cli\n"
+        "buffer = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buffer):\n"
+        f"    status = cli.main({argv!r})\n"
+        "elapsed = time.perf_counter() - started\n"
+        "print(status, hashlib.sha256(buffer.getvalue().encode()).hexdigest(), elapsed)"
+    )
+    status, digest, elapsed = out.split()
+    assert status == "0" and digest == expected
+    _check_elapsed(num, " ".join(argv), float(elapsed), limit)

@@ -1,12 +1,17 @@
 """CLI contract tests: output formats, determinism, and exit codes
 (0 = pass, 1 = mathematical/statistical mismatch, 2 = usage error)."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 import probstirling.cli as cli
 from probstirling.exact_core import binomial, rising_factorial
@@ -265,3 +270,143 @@ def test_bad_option_value_names_the_problem(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.endswith(f"error: {message}\n")
     assert "_rational_arg" not in captured.err and "parse_distribution" not in captured.err
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """Run the block under another int <-> str digit limit (0 lifts it)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_exact_values_beyond_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "table", "bell", "--n", "1", "--x", "1e5000")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0,1", "1,1" + "0" * 5000]
+
+    digits = "7" * 4400
+    code, out, err = run_cli(capsys, "table", "bell", "--n", "1", "--x", digits)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0,1", "1," + digits]
+
+    # S_Y(a, 1; 0) = a! for the exponential law; 1700! has 4700 digits
+    code, out, err = run_cli(capsys, "table", "sy", "--dist", "exp", "--n", "1700", "--m", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1700
+    with digit_limit(0):
+        assert lines[-1] == f"1700,1,{factorial(1700)}"
+
+
+def test_digit_limit_is_restored_after_main(capsys):
+    with digit_limit(5000):
+        assert run_cli(capsys, "table", "bell", "--n", "1", "--x", "1e6000")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run_cli(capsys, "table", "cnn", "--n", "2")[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            cli.main(["table", "bell", "--n", "x"])
+        assert sys.get_int_max_str_digits() == 5000
+
+
+def test_theorem11_q_zero_exits_2(capsys):
+    for argv in (["verify", "theorem11", "--q", "0"], ["verify", "theorem11", "--q=-0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: polylogarithm argument must satisfy 0 < q < 1, got 0\n"
+
+
+# --- grammar fuzz: every argv exits 0, 1 or 2, and 1 only with a failing record ---
+
+_RATIONALS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).map(str),
+    st.sampled_from(["0", "-0", "1/0", "1e5000", "-1e5000", "abc", "", "0.25", "3/1"]),
+)
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=5).map(str)
+_SIMPLE_LAWS = st.one_of(
+    st.sampled_from(["exp", "uniform", "normal", "ut"]),
+    st.builds("{}:{}".format, st.sampled_from(["const", "bernoulli", "poisson", "geom"]), _UNIT),
+    st.builds("{}:{}".format, st.sampled_from(["const", "bernoulli", "poisson", "geom"]), _RATIONALS),
+    st.lists(st.tuples(_RATIONALS, _UNIT), min_size=1, max_size=3).map(
+        lambda atoms: "finite:" + ",".join(f"{v}:{p}" for v, p in atoms)
+    ),
+    st.sampled_from(["bogus:1", "exp:1", "poisson", "finite:", "shift:1"]),
+)
+_LAWS = st.one_of(_SIMPLE_LAWS, st.builds("shift:{}:{}".format, _RATIONALS, _SIMPLE_LAWS))
+_FAMILIES = st.one_of(
+    st.sampled_from(["bernoulli", "euler", "hermite", "bogus"]), _LAWS.map("moment:{}".format)
+)
+_MOSTLY = st.sampled_from([True, True, True, True, False])
+_SELDOM = _MOSTLY.map(lambda given: not given)
+# option -> (its destination, its values); --n-max and --N-max are bounded
+# here, because a suite's default grid is larger than n <= 5, N <= 6
+_OPTIONS = {
+    "table": {
+        "--n": ("n", st.integers(-1, 5)),
+        "--N": ("N", st.integers(-1, 6)),
+        "--m": ("m", st.integers(-1, 5)),
+        "--x": ("x", _RATIONALS),
+        "--dist": ("dist", _LAWS),
+        "--format": ("format", st.sampled_from(["csv", "json"])),
+    },
+    "verify": {
+        "--dist": ("dist", _LAWS),
+        "--family": ("family", _FAMILIES),
+        "--q": ("q", _RATIONALS),
+        "--lambda": ("rate", _RATIONALS),
+    },
+    "mc-check": {
+        "--dist": ("dist", _LAWS),
+        "--k-max": ("k_max", st.integers(-1, 3)),
+        "--n-max": ("n_max", st.integers(-1, 5)),
+        "--seed": ("seed", st.integers(0, 3)),
+        "--z": ("z", st.sampled_from(["6", "0", "-1", "nan", "inf", "1e5000", "x"])),
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    """One command line: a kind, a table kind or suite, and options. An
+    option the command reads is mostly given, any other one seldom, with
+    values inside and outside its grammar."""
+    kind = draw(st.sampled_from(list(_OPTIONS)))
+    reads = {"format", "dist", "k_max", "n_max", "seed", "z"}
+    argv = [kind]
+    if kind == "table":
+        argv.append(draw(st.sampled_from(list(cli.TABLE_KINDS))))
+        reads = {"format", *cli.TABLE_KINDS[argv[1]]}
+    elif kind == "verify":
+        argv.append(draw(st.sampled_from(list(cli.VERIFY_SUITES))))
+        reads = cli.VERIFY_SUITES[argv[1]][0]
+        argv.append(f"--n-max={draw(st.integers(-1, 5))}")
+        if draw(_MOSTLY if "N_max" in reads else _SELDOM):
+            argv.append(f"--N-max={draw(st.integers(-1, 6))}")
+        if draw(_MOSTLY if "x" in reads else _SELDOM):
+            argv += [f"--x={x}" for x in draw(st.lists(_RATIONALS, min_size=1, max_size=2))]
+    else:
+        argv.append(f"--samples={draw(st.integers(0, 200))}")
+    for flag, (dest, values) in _OPTIONS[kind].items():
+        if draw(_MOSTLY if dest in reads else _SELDOM):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@given(argv=_argv())
+@example(argv=["verify", "theorem11", "--q=0"])
+@settings(max_examples=200, deadline=None)
+def test_cli_grammar_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 1:
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert any(record["pass"] is False for record in records), argv

@@ -122,3 +122,13 @@ def test_unsamplable_kind_raises():
 
     with pytest.raises(ValueError):
         estimate_sum_moment(Weird(), 1, 1, 100, seed=0)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Shifted(StdNormal(), 10**400), Constant(-(10**400)), Poisson(Fraction(10**400, 3))],
+    ids=["shift", "const", "poisson"],
+)
+def test_parameter_beyond_float_range_raises_value_error(dist):
+    with pytest.raises(ValueError, match="too large to sample"):
+        estimate_sum_moment(dist, 1, 1, 10, seed=0)

@@ -1,11 +1,22 @@
 """Tests for the power-sum identity engine."""
 
 from fractions import Fraction
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from probstirling import sums
+from probstirling.appell import (
+    AppellSeed,
+    appell_eval,
+    bernoulli_seed,
+    euler_seed,
+    family_seed,
+    hermite_seed,
+    theorem12_check,
+)
 from probstirling.distributions import (
     Bernoulli,
     Constant,
@@ -17,11 +28,31 @@ from probstirling.distributions import (
     StdNormal,
     Uniform01,
     UniformTimesExponential,
+    format_distribution,
+    shifted_sum_moment,
 )
-from probstirling.exact_core import Polynomial, rising_factorial
-from probstirling.gen_stirling import sy_via_gf
+from probstirling.exact_core import (
+    Polynomial,
+    alternating_sum,
+    bell_poly,
+    binomial,
+    cnn_table,
+    falling_factorial,
+    forward_diff,
+    rising_factorial,
+)
+from probstirling.gen_stirling import (
+    sy_closed_geometric_shifted,
+    sy_closed_poisson,
+    sy_table,
+    sy_via_gf,
+)
+from probstirling.polylog import li_conv_prob
+from probstirling.series import series_mul, series_one
 from probstirling.sums import (
+    _poly_mean,
     classical_bernoulli_check,
+    make_report,
     sum_direct,
     sum_poly,
     sum_via_cnn,
@@ -34,6 +65,7 @@ from probstirling.sums import (
     verify_theorem9,
     verify_theorem10,
     verify_theorem11,
+    verify_theorem12,
 )
 
 HALF = Fraction(1, 2)
@@ -264,3 +296,180 @@ def test_report_fields():
     assert report.identity == "corollary8"
     assert report.middle is not None
     assert isinstance(report.params, dict)
+
+
+# --- the per-instance formulas the grid driver replaced, kept as references ---
+
+
+def _reference_triple(identity, params, n, N, term, middle_term):
+    terms = [term(k) for k in range(N + 1)]
+    lhs = sum(terms, Fraction(0))
+    rhs = sum((w * terms[k] for k, w in enumerate(cnn_table(n, N).values)), Fraction(0))
+    middle = sum(
+        (binomial(N + 1, m + 1) * middle_term(m) for m in range(min(n, N) + 1)), Fraction(0)
+    )
+    return make_report(identity, params, lhs, middle, rhs)
+
+
+def _reference_theorem12(seed, n, N, x):
+    values = []
+    power = series_one(seed.g0.order)
+    for _ in range(N + 1):
+        values.append(appell_eval(AppellSeed(seed.name, power), n, x))
+        power = series_mul(power, seed.g0)
+    lhs = sum(values, Fraction(0))
+    weights = cnn_table(n, N).values
+    rhs = sum((weights[k] * values[k] for k in range(n + 1)), Fraction(0))
+    params = {"family": seed.name, "n": n, "N": N, "x": Fraction(x)}
+    return make_report("theorem12", params, lhs, None, rhs)
+
+
+def _reference_bernoulli(n, N, x):
+    x = Fraction(x)
+    lhs = sum(((x + k) ** n for k in range(N + 1)), Fraction(0))
+    mono = Polynomial.monomial(n)
+    middle = sum(
+        (binomial(N + 1, m + 1) * forward_diff(mono, m)(x) for m in range(min(n, N) + 1)),
+        Fraction(0),
+    )
+    seed = bernoulli_seed(n + 1)
+    rhs = (appell_eval(seed, n + 1, x + N + 1) - appell_eval(seed, n + 1, x)) / (n + 1)
+    return make_report("bernoulli-classic", {"n": n, "N": N, "x": x}, lhs, middle, rhs)
+
+
+def _reference_moment_grid(identity, dist, n_max, N_max, xs):
+    label = format_distribution(dist)
+    tables = {Fraction(x): sy_table(dist, n_max, x) for x in xs}
+    return [
+        _reference_triple(
+            identity,
+            {"dist": label, "n": n, "N": N, "x": x},
+            n,
+            N,
+            lambda k: shifted_sum_moment(dist, k, n, x),
+            lambda m: factorial(m) * tables[x][n][m],
+        )
+        for n in range(n_max + 1)
+        for N in range(N_max + 1)
+        for x in map(Fraction, xs)
+    ]
+
+
+GRID_XS = [[0], [2, HALF, HALF, Fraction(-1, 3)], []]
+GRID_SIZES = [(3, 5), (4, 2), (0, 0)]
+
+
+@pytest.mark.parametrize("n_max, N_max", GRID_SIZES)
+@pytest.mark.parametrize("xs", GRID_XS, ids=repr)
+def test_moment_grids_match_the_per_instance_formula(n_max, N_max, xs):
+    for dist in (Poisson(HALF), Shifted(Geometric(Fraction(1, 3)), HALF)):
+        got = verify_corollary8(dist, n_max, N_max, xs)
+        assert repr(got) == repr(_reference_moment_grid("corollary8", dist, n_max, N_max, xs))
+    got = verify_theorem1(n_max, N_max, xs)
+    assert repr(got) == repr(_reference_moment_grid("theorem1", Constant(1), n_max, N_max, xs))
+
+
+@pytest.mark.parametrize("n_max, N_max", GRID_SIZES)
+def test_closed_form_grids_match_the_per_instance_formula(n_max, N_max):
+    upper = [(n, N) for n in range(n_max + 1) for N in range(n, N_max + 1)]
+    t9 = [
+        _reference_triple(
+            "theorem9",
+            {"n": n, "N": N},
+            n,
+            N,
+            lambda k: Fraction(rising_factorial(k, n)),
+            lambda m: falling_factorial(n, m) * rising_factorial(m, n - m),
+        )
+        for n, N in upper
+    ]
+    assert repr(verify_theorem9(n_max, N_max)) == repr(t9)
+    rate = Fraction(2, 3)
+    t10 = [
+        _reference_triple(
+            "theorem10",
+            {"rate": rate, "n": n, "N": N},
+            n,
+            N,
+            lambda k: Fraction(bell_poly(n, k * rate)),
+            lambda m: factorial(m) * sy_closed_poisson(n, m, rate),
+        )
+        for n, N in upper
+    ]
+    assert repr(verify_theorem10(rate, n_max, N_max)) == repr(t10)
+    q = Fraction(1, 3)
+    t11 = [
+        _reference_triple(
+            "theorem11",
+            {"q": q, "n": n, "N": N},
+            n,
+            N,
+            lambda k: ((1 - q) / q) ** k * li_conv_prob(n, k, q),
+            lambda m: factorial(m) * sy_closed_geometric_shifted(n, m, q),
+        )
+        for n, N in upper
+    ]
+    assert repr(verify_theorem11(q, n_max, N_max)) == repr(t11)
+
+
+@pytest.mark.parametrize("n_max, N_max", GRID_SIZES)
+@pytest.mark.parametrize("xs", GRID_XS, ids=repr)
+def test_theorem12_and_bernoulli_grids_match_the_per_instance_formula(n_max, N_max, xs):
+    for family in ("bernoulli", "euler", "hermite", "moment:exp"):
+        seed = family_seed(family, n_max)
+        expected = [
+            _reference_theorem12(seed, n, N, x)
+            for n in range(n_max + 1)
+            for N in range(n, N_max + 1)
+            for x in xs
+        ]
+        assert repr(verify_theorem12(family, n_max, N_max, xs)) == repr(expected)
+    expected = [
+        _reference_bernoulli(n, N, x)
+        for n in range(n_max + 1)
+        for N in range(N_max + 1)
+        for x in xs
+    ]
+    assert repr(verify_bernoulli_classic(n_max, N_max, xs)) == repr(expected)
+
+
+@pytest.mark.parametrize("N", [-3, -1, 0, 1, 3, 6])
+def test_one_instance_checks_match_the_per_instance_formula(N):
+    for n in range(4):
+        for x in (0, HALF, 3):
+            got = classical_bernoulli_check(n, N, x)
+            assert repr(got) == repr(_reference_bernoulli(n, N, x))
+            if N >= n:
+                got = theorem12_check(euler_seed(4), n, N, x)
+                assert repr(got) == repr(_reference_theorem12(euler_seed(4), n, N, x))
+    dist = Poisson(1)
+    for p in (Polynomial([1, 2, 3]), Polynomial([Fraction(5, 3)]), Polynomial.rising(4)):
+        x = Fraction(-1, 2)
+        means = [_poly_mean(p, dist, k, x) for k in range(N + 1)]
+        params = {"poly": [str(c) for c in p.coeffs], "dist": "poisson:1", "N": N, "x": x}
+        expected = _reference_triple(
+            "poly-sum", params, p.degree, N, means.__getitem__, lambda m: alternating_sum(m, means)
+        )
+        assert repr(sum_poly(p, dist, N, x)) == repr(expected)
+
+
+def test_theorem12_grid_builds_each_seed_power_once(monkeypatch):
+    calls = []
+
+    def counting_mul(f, g):
+        calls.append(None)
+        return series_mul(f, g)
+
+    monkeypatch.setattr(sums, "series_mul", counting_mul)
+    reports = verify_theorem12("moment:exp", 4, 9, [0, HALF, HALF])
+    assert len(reports) == 3 * sum(10 - n for n in range(5))
+    assert len(calls) == 9
+    calls.clear()
+    theorem12_check(hermite_seed(4), 2, 5, 1)
+    assert len(calls) == 5
+
+
+def test_theorem11_refuses_q_outside_the_unit_interval():
+    for q in (0, 1, Fraction(3, 2), -1):
+        with pytest.raises(ValueError, match="0 < q < 1"):
+            verify_theorem11(q, 2, 3)
