@@ -63,25 +63,19 @@ class AppellSeed:
         return self.g0.order
 
 
-def appell_eval(seed: AppellSeed, n: int, x: Fraction | int) -> Fraction:
-    """A_n(x) = sum_k C(n, k) A_k(0) x^(n-k); n must not exceed the seed's
-    truncation order."""
-    if n > seed.order:
-        raise ValueError(f"family truncated at order {seed.order}, got n={n}")
-    x = Fraction(x)
-    return sum(
-        (binomial(n, k) * egf_coefficient(seed.g0, k) * x ** (n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
-
-
 def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
-    """A_n as a polynomial in x."""
+    """A_n as a polynomial in x: A_n(x) = sum_k C(n, k) A_k(0) x^(n-k); n
+    must not exceed the seed's truncation order."""
     if n > seed.order:
         raise ValueError(f"family truncated at order {seed.order}, got n={n}")
     return Polynomial(
         [binomial(n, d) * egf_coefficient(seed.g0, n - d) for d in range(n + 1)]
     )
+
+
+def appell_eval(seed: AppellSeed, n: int, x: Fraction | int) -> Fraction:
+    """A_n(x), by Horner's rule on :func:`appell_polynomial`."""
+    return appell_polynomial(seed, n)(x)
 
 
 def binomial_convolve(a: AppellSeed, c: AppellSeed) -> AppellSeed:

@@ -9,8 +9,9 @@ floats; only Monte Carlo estimates and standard errors are floating point.
 
 Exit codes: 0 when everything passes, 1 when a verified mathematical or
 statistical comparison fails, 2 on usage or parse errors, including
-negative bounds, an option the table kind or verify suite does not read,
-and Monte Carlo rows that are not finite in floating point.
+negative bounds, an option the table kind or verify suite requires but
+is not given or does not read, and Monte Carlo rows that are not finite
+in floating point.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .distributions import (
+    Distribution,
     format_distribution,
     parse_distribution,
     sum_moment,
@@ -44,32 +46,48 @@ from .sums import (
 
 SCHEMA_VERSION = 1
 
-# table kind -> the options it reads, with their defaults
-TABLE_KINDS = {
-    "stirling2": {"n": None, "m": None},
-    "stirling1": {"n": None, "m": None},
-    "cnn": {"n": None, "N": None},
-    "sy": {"n": None, "m": None, "x": Fraction(0), "dist": None},
-    "bell": {"n": None, "x": Fraction(1)},
-}
-_TABLE_OPTIONS = ("n", "N", "m", "x", "dist")
-
-
-def _required(args, option: str):
-    value = getattr(args, option)
-    if not value:
-        raise ValueError(f"suite {args.suite!r} requires --{option}")
-    return value
-
-
-# suite -> (the options it reads, with their defaults; runner(args));
-# runners look the verify_* functions up at call time, so replacing one on
-# this module takes effect
+# marks an option that a table kind or suite cannot run without
+_REQUIRED = object()
 _ORIGIN = (Fraction(0),)
+
+
+def _triangle(args, entry) -> tuple[tuple[str, ...], list[tuple]]:
+    """The triangle entry(n, m), 0 <= m <= n <= --n, or its column --m."""
+    rows = [
+        (n, m, entry(n, m))
+        for n in range(args.n + 1)
+        for m in ([args.m] if args.m is not None else range(n + 1))
+        if m <= n
+    ]
+    return ("n", "m", "value"), rows
+
+
+def _sy_rows(args) -> tuple[tuple[str, ...], list[tuple]]:
+    table = sy_table(args.dist, args.n, args.x, args.m)
+    return _triangle(args, lambda n, m: table[n][m])
+
+
+# kind -> (the options it reads, with their defaults; rows(args) as field
+# names and rows), and suite -> (the options it reads, with their defaults;
+# runner(args)); the builders and runners look the exact functions up at
+# call time, so replacing one on this module takes effect
+TABLE_KINDS = {
+    "stirling2": ({"n": _REQUIRED, "m": None}, lambda a: _triangle(a, stirling2)),
+    "stirling1": ({"n": _REQUIRED, "m": None}, lambda a: _triangle(a, stirling1)),
+    "cnn": (
+        {"n": _REQUIRED, "N": _REQUIRED},
+        lambda a: (("k", "value"), list(enumerate(cnn_table(a.n, a.N).values))),
+    ),
+    "sy": ({"n": _REQUIRED, "m": None, "x": Fraction(0), "dist": _REQUIRED}, _sy_rows),
+    "bell": (
+        {"n": _REQUIRED, "x": Fraction(1)},
+        lambda a: (("n", "value"), [(n, bell_poly(n, a.x)) for n in range(a.n + 1)]),
+    ),
+}
 VERIFY_SUITES = {
     "corollary8": (
-        {"dist": None, "n_max": 5, "N_max": 10, "x": _ORIGIN},
-        lambda a: verify_corollary8(_required(a, "dist"), a.n_max, a.N_max, a.x),
+        {"dist": _REQUIRED, "n_max": 5, "N_max": 10, "x": _ORIGIN},
+        lambda a: verify_corollary8(a.dist, a.n_max, a.N_max, a.x),
     ),
     "theorem1": (
         {"n_max": 5, "N_max": 10, "x": _ORIGIN},
@@ -88,37 +106,44 @@ VERIFY_SUITES = {
         lambda a: verify_theorem11(a.q, a.n_max, a.N_max),
     ),
     "theorem12": (
-        {"family": None, "n_max": 6, "N_max": 12, "x": _ORIGIN},
-        lambda a: verify_theorem12(_required(a, "family"), a.n_max, a.N_max, a.x),
+        {"family": _REQUIRED, "n_max": 6, "N_max": 12, "x": _ORIGIN},
+        lambda a: verify_theorem12(a.family, a.n_max, a.N_max, a.x),
     ),
     "gf": (
-        {"dist": None, "n_max": 6, "x": _ORIGIN},
-        lambda a: verify_gf(_required(a, "dist"), a.n_max, a.x),
+        {"dist": _REQUIRED, "n_max": 6, "x": _ORIGIN},
+        lambda a: verify_gf(a.dist, a.n_max, a.x),
     ),
     "paths": (
-        {"dist": None, "n_max": 6, "x": _ORIGIN},
-        lambda a: verify_paths(_required(a, "dist"), a.n_max, a.x),
+        {"dist": _REQUIRED, "n_max": 6, "x": _ORIGIN},
+        lambda a: verify_paths(a.dist, a.n_max, a.x),
     ),
     "bernoulli-classic": (
         {"n_max": 8, "N_max": 15, "x": _ORIGIN},
         lambda a: verify_bernoulli_classic(a.n_max, a.N_max, a.x),
     ),
 }
-_VERIFY_OPTIONS = ("dist", "family", "n_max", "N_max", "q", "rate", "x")
 
 
 def _flag(dest: str) -> str:
     return "--" + ("lambda" if dest == "rate" else dest.replace("_", "-"))
 
 
-def _read_options(args, name: str, reads: dict, options: Sequence[str]) -> None:
-    """Fill in the defaults of the options ``name`` reads, and refuse any
-    other option given; every option in ``options`` defaults to None."""
-    for dest in options:
+def _read_options(args, name: str, registry: dict):
+    """Fill in the defaults of the options ``name`` reads, refuse any other
+    option of the registry that is given and any required one that is not,
+    and return the runner of ``name``. An option not given is None."""
+    reads, run = registry[name]
+    options = {dest for entry_reads, _ in registry.values() for dest in entry_reads}
+    # in the parser's order, so the first refusal names the first option
+    for dest in [dest for dest in vars(args) if dest in options]:
         if getattr(args, dest) is None:
             setattr(args, dest, reads.get(dest))
         elif dest not in reads:
             raise ValueError(f"{_flag(dest)} is not used by {name}")
+    for dest in reads:
+        if getattr(args, dest) is _REQUIRED:
+            raise ValueError(f"{name} requires {_flag(dest)}")
+    return run
 
 
 def _check_bounds(**bounds) -> None:
@@ -147,6 +172,8 @@ def _distribution_arg(text: str):
 def _render(value):
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, Distribution):
+        return format_distribution(value)
     if isinstance(value, (list, tuple)):
         return [_render(v) for v in value]
     return value
@@ -217,48 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table_rows(args) -> tuple[tuple[str, ...], list[tuple], dict]:
-    _read_options(args, args.kind, TABLE_KINDS[args.kind], _TABLE_OPTIONS)
+def _handle_table(args) -> int:
+    rows_of = _read_options(args, args.kind, TABLE_KINDS)
     _check_bounds(n=args.n, N=args.N, m=args.m)
-    kind = args.kind
-    if kind == "cnn":
-        if args.n is None or args.N is None:
-            raise ValueError("cnn table requires --n and --N")
-        table = cnn_table(args.n, args.N)
-        rows = [(k, v) for k, v in enumerate(table.values)]
-        return ("k", "value"), rows, {"n": args.n, "N": args.N}
-
-    if args.n is None:
-        raise ValueError(f"{kind} table requires --n")
     if args.m is not None and args.m > args.n:
         raise ValueError(f"--m must not exceed --n, got m={args.m}, n={args.n}")
-
-    if kind in ("stirling2", "stirling1"):
-        fn = stirling2 if kind == "stirling2" else stirling1
-        rows = []
-        for row_n in range(args.n + 1):
-            columns = [args.m] if args.m is not None else list(range(row_n + 1))
-            rows.extend((row_n, m, fn(row_n, m)) for m in columns if m <= row_n)
-        return ("n", "m", "value"), rows, {"n": args.n, "m": args.m}
-
-    if kind == "sy":
-        if args.dist is None:
-            raise ValueError("sy table requires --dist")
-        table = sy_table(args.dist, args.n, args.x, args.m)
-        if args.m is None:
-            rows = [(a, m, v) for a, row in enumerate(table) for m, v in enumerate(row)]
-        else:
-            rows = [(a, args.m, table[a][args.m]) for a in range(args.m, args.n + 1)]
-        params = {"dist": format_distribution(args.dist), "n": args.n, "m": args.m, "x": args.x}
-        return ("n", "m", "value"), rows, params
-
-    # bell
-    rows = [(row_n, bell_poly(row_n, args.x)) for row_n in range(args.n + 1)]
-    return ("n", "value"), rows, {"n": args.n, "x": args.x}
-
-
-def _handle_table(args) -> int:
-    fields, rows, params = _table_rows(args)
+    fields, rows = rows_of(args)
     if args.format == "csv":
         for row in rows:
             print(",".join(str(_render(v)) for v in row))
@@ -267,7 +258,7 @@ def _handle_table(args) -> int:
             {
                 "schema": SCHEMA_VERSION,
                 "table": args.kind,
-                "params": {k: _render(v) for k, v in params.items()},
+                "params": {k: _render(getattr(args, k)) for k in TABLE_KINDS[args.kind][0]},
                 "rows": [dict(zip(fields, map(_render, row))) for row in rows],
             }
         )
@@ -275,8 +266,7 @@ def _handle_table(args) -> int:
 
 
 def _handle_verify(args) -> int:
-    reads, run = VERIFY_SUITES[args.suite]
-    _read_options(args, args.suite, reads, _VERIFY_OPTIONS)
+    run = _read_options(args, args.suite, VERIFY_SUITES)
     _check_bounds(n_max=args.n_max, N_max=args.N_max)
     reports = run(args)
     for report in reports:
@@ -286,9 +276,10 @@ def _handle_verify(args) -> int:
 
 def _handle_mc(args) -> int:
     # the sampler loads numpy, which no other command needs
-    from .montecarlo import estimate_sum_moment
+    from .montecarlo import _check_z, estimate_sum_moment
 
     _check_bounds(k_max=args.k_max, n_max=args.n_max)
+    _check_z(args.z)
     all_pass = True
     for k in range(args.k_max + 1):
         for n in range(args.n_max + 1):

@@ -26,7 +26,7 @@ moments are looked up once per widening of its table, not per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -270,18 +270,17 @@ def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) ->
     return Fraction(acc, p_den * b**n)
 
 
-_SIMPLE_KINDS = {
-    "exp": Exponential,
-    "uniform": Uniform01,
-    "normal": StdNormal,
-    "ut": UniformTimesExponential,
-}
-
-_PARAM_KINDS = {
+# syntax name -> law, for the laws written as the bare name or, for a law
+# with one parameter, as name:parameter; parsing and formatting both read it
+_NAMED_LAWS = {
     "const": Constant,
     "bernoulli": Bernoulli,
     "poisson": Poisson,
     "geom": Geometric,
+    "exp": Exponential,
+    "uniform": Uniform01,
+    "normal": StdNormal,
+    "ut": UniformTimesExponential,
 }
 
 
@@ -295,14 +294,15 @@ def parse_distribution(text: str) -> Distribution:
     """
     text = text.strip()
     head, sep, rest = text.partition(":")
-    if head in _SIMPLE_KINDS:
-        if sep:
-            raise ValueError(f"{head!r} takes no parameter: {text!r}")
-        return _SIMPLE_KINDS[head]()
-    if head in _PARAM_KINDS:
+    if head in _NAMED_LAWS:
+        law = _NAMED_LAWS[head]
+        if not fields(law):
+            if sep:
+                raise ValueError(f"{head!r} takes no parameter: {text!r}")
+            return law()
         if not rest:
             raise ValueError(f"{head!r} requires a rational parameter: {text!r}")
-        return _PARAM_KINDS[head](_rational(rest, f"{head} parameter"))
+        return law(_rational(rest, f"{head} parameter"))
     if head == "shift":
         offset_text, inner_sep, base_text = rest.partition(":")
         if not inner_sep or not base_text:
@@ -326,24 +326,11 @@ def parse_distribution(text: str) -> Distribution:
 def format_distribution(dist: Distribution) -> str:
     """Canonical string form, the inverse of :func:`parse_distribution`."""
     match dist:
-        case Constant(value=a):
-            return f"const:{a}"
-        case Bernoulli(p=p):
-            return f"bernoulli:{p}"
-        case Poisson(rate=lam):
-            return f"poisson:{lam}"
-        case Geometric(q=q):
-            return f"geom:{q}"
-        case Exponential():
-            return "exp"
-        case Uniform01():
-            return "uniform"
-        case StdNormal():
-            return "normal"
-        case UniformTimesExponential():
-            return "ut"
         case FiniteSupport(atoms=atoms):
             return "finite:" + ",".join(f"{v}:{p}" for v, p in atoms)
         case Shifted(base=base, offset=c):
             return f"shift:{c}:{format_distribution(base)}"
+    for name, law in _NAMED_LAWS.items():
+        if isinstance(dist, law):
+            return ":".join([name, *(str(getattr(dist, f.name)) for f in fields(law))])
     raise TypeError(f"unknown distribution kind: {dist!r}")

@@ -15,7 +15,8 @@ are reproducible bit for bit given the seed, independent of evaluation
 order, and safe to run in parallel.
 
 Transforms are deterministic inversions: exponentials by -log(U), normals
-by the Box-Muller pair transform, geometric and Poisson by CDF inversion.
+by the Box-Muller pair transform, geometric and Poisson by CDF inversion;
+a Poisson rate past about 275, whose table would miss mass, is refused.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ def _sample_poisson(rate: float, count: int, stream: SplitMixStream) -> np.ndarr
         j += 1
         term *= rate / j
         cumulative.append(cumulative[-1] + term)
+    # a draw past the table's end would come back as its length
+    if 1.0 - cumulative[-1] > 1e-12:
+        raise ValueError(f"Poisson rate {rate} too large to sample from a {j + 1}-term table")
     table = np.array(cumulative)
     return np.searchsorted(table, stream.uniform(count), side="right").astype(np.float64)
 
@@ -179,6 +183,12 @@ def estimate_sum_moment(
     return SampleEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
+def _check_z(z: float) -> None:
+    """Refuse a z that gives no verdict: nan, inf (0 * inf is nan) or z < 0."""
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(f"z must be finite and nonnegative, got {z}")
+
+
 def check_moment(
     dist: Distribution,
     k: int,
@@ -189,7 +199,9 @@ def check_moment(
 ) -> bool:
     """True iff the estimate sits within z standard errors of the exact
     rational moment. At the default z = 6 with a million samples a failure
-    indicates a real discrepancy, not noise."""
+    indicates a real discrepancy, not noise. A negative or non-finite z
+    raises ValueError."""
+    _check_z(z)
     estimate = estimate_sum_moment(dist, k, n, samples, seed)
     exact = float(sum_moment(dist, k, n))
     return abs(estimate.mean - exact) <= z * estimate.stderr

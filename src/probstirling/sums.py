@@ -21,7 +21,7 @@ from itertools import accumulate, product
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .appell import AppellSeed, appell_eval, bernoulli_seed, family_seed
+from .appell import AppellSeed, appell_polynomial, bernoulli_seed, family_seed
 from .distributions import (
     Constant,
     Distribution,
@@ -199,8 +199,8 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[Identit
     """The classical baseline over a grid (see :func:`classical_bernoulli_check`)."""
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
-        seed = bernoulli_seed(n + 1)
-        return (appell_eval(seed, n + 1, x + N + 1) - appell_eval(seed, n + 1, x)) / (n + 1)
+        bernoulli = appell_polynomial(bernoulli_seed(n + 1), n + 1)
+        return (bernoulli(x + N + 1) - bernoulli(x)) / (n + 1)
 
     return triple_identity(
         "bernoulli-classic",
@@ -314,7 +314,7 @@ def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> li
     def term(n: int, x: Fraction, k: int) -> Fraction:
         while len(powers) <= k:
             powers.append(series_mul(powers[-1], seed.g0))
-        return appell_eval(AppellSeed(seed.name, powers[k]), n, x)
+        return appell_polynomial(AppellSeed(seed.name, powers[k]), n)(x)
 
     label = lambda n, N, x: {"family": seed.name, "n": n, "N": N, "x": x}
     return triple_identity("theorem12", label, grid, term, None, xs)

@@ -246,6 +246,61 @@ def test_unused_option_exits_2(capsys, argv, option, name):
     assert err == f"error: {option} is not used by {name}\n"
 
 
+# every option that a table kind or suite requires, with a command line that
+# omits only that one
+_MISSING_REQUIRED = [
+    (["table", "stirling2"], "stirling2", "--n"),
+    (["table", "stirling1", "--m", "1"], "stirling1", "--n"),
+    (["table", "bell", "--x", "1/2"], "bell", "--n"),
+    (["table", "cnn", "--n", "2"], "cnn", "--N"),
+    (["table", "cnn", "--N", "2"], "cnn", "--n"),
+    (["table", "sy", "--n", "3"], "sy", "--dist"),
+    (["table", "sy", "--dist", "exp"], "sy", "--n"),
+    (["verify", "corollary8", "--n-max", "2"], "corollary8", "--dist"),
+    (["verify", "gf", "--x", "1/2"], "gf", "--dist"),
+    (["verify", "paths"], "paths", "--dist"),
+    (["verify", "theorem12", "--N-max", "3"], "theorem12", "--family"),
+]
+
+
+@pytest.mark.parametrize("argv, name, option", _MISSING_REQUIRED)
+def test_missing_required_option_exits_2(capsys, argv, name, option):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {name} requires {option}\n")
+
+
+def test_missing_required_cases_cover_both_registries():
+    marked = {
+        (name, cli._flag(dest))
+        for registry in (cli.TABLE_KINDS, cli.VERIFY_SUITES)
+        for name, (reads, _) in registry.items()
+        for dest, default in reads.items()
+        if default is cli._REQUIRED
+    }
+    assert marked == {(name, option) for _, name, option in _MISSING_REQUIRED}
+
+
+@pytest.mark.parametrize("z", ["inf", "nan", "-1", "1e5000"])
+def test_mc_check_refuses_bad_z(capsys, z):
+    code, out, err = run_cli(
+        capsys, "mc-check", "--dist", "const:2", "--k-max", "1", "--n-max", "1",
+        "--samples", "10", "--z", z,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: z must be finite and nonnegative, got ")
+
+
+def test_mc_check_refuses_poisson_rate_beyond_the_sampler(capsys):
+    # the 400-term CDF table of rate 1000 starts at exp(-1000) = 0, so every
+    # draw used to come back as 401 and fail as a statistical mismatch
+    code, out, err = run_cli(
+        capsys, "mc-check", "--dist", "poisson:1000", "--k-max", "1", "--n-max", "1",
+        "--samples", "100",
+    )
+    assert code == 2
+    assert err.startswith("error: Poisson rate 1000.0 too large to sample")
+    assert [r["params"]["k"] for r in jsonl(out)] == [0, 0]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -379,7 +434,7 @@ def _argv(draw):
     argv = [kind]
     if kind == "table":
         argv.append(draw(st.sampled_from(list(cli.TABLE_KINDS))))
-        reads = {"format", *cli.TABLE_KINDS[argv[1]]}
+        reads = {"format", *cli.TABLE_KINDS[argv[1]][0]}
     elif kind == "verify":
         argv.append(draw(st.sampled_from(list(cli.VERIFY_SUITES))))
         reads = cli.VERIFY_SUITES[argv[1]][0]
@@ -396,6 +451,11 @@ def _argv(draw):
     return argv
 
 
+def _not_json(constant: str):
+    """Refuse the NaN and Infinity that json.dumps writes for non-finite floats."""
+    raise ValueError(f"not JSON: {constant}")
+
+
 @given(argv=_argv())
 @example(argv=["verify", "theorem11", "--q=0"])
 @settings(max_examples=200, deadline=None)
@@ -407,6 +467,9 @@ def test_cli_grammar_fuzz(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
+    records = []
+    if argv[0] != "table" or "--format=json" in argv:
+        lines = out.getvalue().splitlines()
+        records = [json.loads(line, parse_constant=_not_json) for line in lines]
     if code == 1:
-        records = [json.loads(line) for line in out.getvalue().splitlines()]
         assert any(record["pass"] is False for record in records), argv

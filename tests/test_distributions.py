@@ -8,6 +8,7 @@ import pytest
 from probstirling.distributions import (
     Bernoulli,
     Constant,
+    Distribution,
     Exponential,
     FiniteSupport,
     Geometric,
@@ -268,6 +269,11 @@ def test_deep_sum_moment_from_cold_cache(fresh_python):
 def test_parse_round_trip():
     for dist in CATALOG:
         assert parse_distribution(format_distribution(dist)) == dist
+
+
+def test_format_refuses_a_law_outside_the_catalog():
+    with pytest.raises(TypeError, match="unknown distribution kind"):
+        format_distribution(Distribution())
 
 
 def test_parse_examples():

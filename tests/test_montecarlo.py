@@ -2,6 +2,8 @@
 agreement with the exact moment engine at modest sample counts (the full
 million-sample sweep lives in the acceptance suite)."""
 
+import hashlib
+import math
 import warnings
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from probstirling.distributions import (
 from probstirling.montecarlo import (
     SampleEstimate,
     SplitMixStream,
+    _sample,
     check_moment,
     estimate_sum_moment,
 )
@@ -132,3 +135,36 @@ def test_unsamplable_kind_raises():
 def test_parameter_beyond_float_range_raises_value_error(dist):
     with pytest.raises(ValueError, match="too large to sample"):
         estimate_sum_moment(dist, 1, 1, 10, seed=0)
+
+
+# sha256 of the 4096 draws of seed 7, recorded before rates beyond the CDF
+# table were refused; every rate the sampler accepts draws as it did
+_POISSON_DRAWS = {
+    Fraction(1, 3): "2b1502e3fc543fcefc87c7f155a44a34a95dc9c500610100c10c8ba5cb15450b",
+    Fraction(200): "624de97673cd0230dc08ab3963147c4a65d6be5076749e3354f6474c0c2b392c",
+}
+
+
+@pytest.mark.parametrize("rate", list(_POISSON_DRAWS), ids=str)
+def test_poisson_draws_are_unchanged(rate):
+    draws = _sample(Poisson(rate), 4096, SplitMixStream(7))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == _POISSON_DRAWS[rate]
+
+
+def test_poisson_samples_every_integer_rate_up_to_250():
+    for rate in range(251):
+        assert estimate_sum_moment(Poisson(rate), 1, 1, 2, seed=0).finite
+
+
+@pytest.mark.parametrize("rate", [280, 360, 745, 1000])
+def test_poisson_rate_beyond_the_cdf_table_raises(rate):
+    # past rate 275 the 400-term table misses more than 1e-12 of the mass;
+    # past 745 exp(-rate) underflows and the table holds only zeros
+    with pytest.raises(ValueError, match="too large to sample"):
+        estimate_sum_moment(Poisson(rate), 1, 1, 100, seed=0)
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, -1.0])
+def test_check_moment_refuses_bad_z(z):
+    with pytest.raises(ValueError, match="z must be finite and nonnegative"):
+        check_moment(Constant(2), 1, 1, 10, seed=0, z=z)
