@@ -58,9 +58,6 @@ from .exact_core import (
     stirling2_poly,
 )
 from .gen_stirling import (
-    GenStirlingResult,
-    SyPath,
-    all_paths,
     hermite_at_zero,
     sy,
     sy_closed_exponential,
@@ -108,7 +105,7 @@ from .sums import (
 __version__ = "0.1.0"
 
 # the Monte Carlo names load numpy, so they are imported on first use
-_MONTECARLO_NAMES = ("SampleEstimate", "check_moment", "estimate_sum_moment")
+_MONTECARLO_NAMES = ("SampleEstimate", "check_moment", "compare_moment", "estimate_sum_moment")
 
 
 def __getattr__(name: str):

@@ -18,17 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .distributions import (
-    Distribution,
-    format_distribution,
-    parse_distribution,
-    sum_moment,
-)
+from .distributions import Distribution, format_distribution, parse_distribution
 from .exact_core import bell_poly, cnn_table, stirling1, stirling2
 from .gen_stirling import sy_table
 from .sums import (
@@ -276,27 +270,15 @@ def _handle_verify(args) -> int:
 
 def _handle_mc(args) -> int:
     # the sampler loads numpy, which no other command needs
-    from .montecarlo import _check_z, estimate_sum_moment
+    from .montecarlo import compare_moment
 
     _check_bounds(k_max=args.k_max, n_max=args.n_max)
-    _check_z(args.z)
     all_pass = True
     for k in range(args.k_max + 1):
         for n in range(args.n_max + 1):
-            estimate = estimate_sum_moment(args.dist, k, n, args.samples, args.seed)
-            exact = sum_moment(args.dist, k, n)
-            try:
-                exact_float = float(exact)
-            except OverflowError:
-                exact_float = math.inf
-            # an overflowed float comparison is no statistical verdict
-            if not (math.isfinite(exact_float) and estimate.finite):
-                raise ValueError(
-                    f"mc-check row k={k}, n={n} is not finite in floating point "
-                    f"(exact {exact_float}, estimate {estimate.mean}, "
-                    f"stderr {estimate.stderr}); lower --k-max or --n-max"
-                )
-            passed = abs(estimate.mean - exact_float) <= args.z * estimate.stderr
+            estimate, exact, passed = compare_moment(
+                args.dist, k, n, args.samples, args.seed, args.z
+            )
             all_pass = all_pass and passed
             _emit_json(
                 {

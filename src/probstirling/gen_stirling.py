@@ -47,8 +47,6 @@ the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -68,8 +66,6 @@ from .exact_core import (
 )
 
 __all__ = [
-    "SyPath",
-    "GenStirlingResult",
     "UNIFORM_REP_DEFAULT_CAP",
     "sy",
     "sy_table",
@@ -77,7 +73,6 @@ __all__ = [
     "sy_via_gf",
     "sy_via_uniform_rep",
     "sy_via_factorial",
-    "all_paths",
     "sy_closed_exponential",
     "sy_closed_poisson",
     "sy_closed_geometric_shifted",
@@ -91,24 +86,6 @@ __all__ = [
 # multinomial blowup makes the uniform-representation oracle impractical
 # beyond small m; callers may raise the cap explicitly
 UNIFORM_REP_DEFAULT_CAP = 4
-
-
-class SyPath(Enum):
-    """Which evaluation route produced a value."""
-
-    ALTERNATING_SUM = "alternating-sum"
-    GENERATING_FUNCTION = "generating-function"
-    UNIFORM_REPRESENTATION = "uniform-representation"
-    FACTORIAL_MOMENTS = "factorial-moments"
-    CLOSED_FORM = "closed-form"
-
-
-@dataclass(frozen=True)
-class GenStirlingResult:
-    """A value of the generalized Stirling polynomial, labeled by route."""
-
-    value: Fraction
-    path: SyPath
 
 
 def _require_m_le_n(n: int, m: int) -> None:
@@ -237,27 +214,6 @@ def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) 
         falling_moments = [_falling_moment(dist, k, i, x) for k in range(m + 1)]
         total += s2 * alternating_sum(m, falling_moments)
     return total / factorial(m)
-
-
-def all_paths(
-    dist: Distribution,
-    n: int,
-    m: int,
-    x: Fraction | int = 0,
-    max_m: int = UNIFORM_REP_DEFAULT_CAP,
-) -> list[GenStirlingResult]:
-    """Evaluate every applicable route; the uniform-representation route is
-    included only for m <= min(n, max_m)."""
-    results = [
-        GenStirlingResult(sy(dist, n, m, x), SyPath.ALTERNATING_SUM),
-        GenStirlingResult(sy_via_gf(dist, n, m, x), SyPath.GENERATING_FUNCTION),
-        GenStirlingResult(sy_via_factorial(dist, n, m, x), SyPath.FACTORIAL_MOMENTS),
-    ]
-    if m <= min(n, max_m):
-        results.append(
-            GenStirlingResult(sy_via_uniform_rep(dist, n, m, x, max_m), SyPath.UNIFORM_REPRESENTATION)
-        )
-    return results
 
 
 # ----------------------------------------------------------- closed forms

@@ -3,7 +3,11 @@
 This is the one module that touches floating point: it samples the
 continuous and discrete catalog laws, estimates E[S_k^n] empirically, and
 compares against the exact rational value at a configurable number of
-standard errors.
+standard errors. That comparison is made in one place,
+:func:`compare_moment`, which :func:`check_moment` and the CLI
+``mc-check`` both call: it refuses a z that gives no verdict and a row
+that is not finite in floating point, so an overflow is never reported
+as a statistical pass or failure.
 
 Randomness comes from splitmix64 run in counter mode: output i of a
 stream with state s is mix64(s + (i+1) * GAMMA), with the published
@@ -24,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +48,13 @@ from .distributions import (
     sum_moment,
 )
 
-__all__ = ["SampleEstimate", "SplitMixStream", "estimate_sum_moment", "check_moment"]
+__all__ = [
+    "SampleEstimate",
+    "SplitMixStream",
+    "estimate_sum_moment",
+    "compare_moment",
+    "check_moment",
+]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -166,6 +177,8 @@ def estimate_sum_moment(
     """
     if samples <= 1:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if k < 0 or n < 0:
+        raise ValueError(f"k and n must be nonnegative, got k={k}, n={n}")
     if not isinstance(dist, Distribution):
         raise ValueError(f"distribution is not samplable: {dist!r}")
     stream = SplitMixStream(_stream_seed(seed, dist, k, n))
@@ -183,10 +196,36 @@ def estimate_sum_moment(
     return SampleEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
-def _check_z(z: float) -> None:
-    """Refuse a z that gives no verdict: nan, inf (0 * inf is nan) or z < 0."""
+def compare_moment(
+    dist: Distribution,
+    k: int,
+    n: int,
+    samples: int,
+    seed: int,
+    z: float = 6.0,
+) -> tuple[SampleEstimate, Fraction, bool]:
+    """The one statistical gate: the estimate of E[S_k^n], the exact
+    rational moment, and whether |estimate - exact| <= z * stderr.
+
+    A z that gives no verdict (nan; inf, as 0 * inf is nan; or z < 0)
+    raises ValueError, and so does a row whose exact value, estimate or
+    standard error is not finite in floating point: an overflowed float
+    comparison is no statistical verdict."""
     if not (math.isfinite(z) and z >= 0):
         raise ValueError(f"z must be finite and nonnegative, got {z}")
+    estimate = estimate_sum_moment(dist, k, n, samples, seed)
+    exact = sum_moment(dist, k, n)
+    try:
+        exact_float = float(exact)
+    except OverflowError:
+        exact_float = math.inf
+    if not (math.isfinite(exact_float) and estimate.finite):
+        raise ValueError(
+            f"mc-check row k={k}, n={n} is not finite in floating point "
+            f"(exact {exact_float}, estimate {estimate.mean}, "
+            f"stderr {estimate.stderr}); lower --k-max or --n-max"
+        )
+    return estimate, exact, abs(estimate.mean - exact_float) <= z * estimate.stderr
 
 
 def check_moment(
@@ -198,10 +237,8 @@ def check_moment(
     z: float = 6.0,
 ) -> bool:
     """True iff the estimate sits within z standard errors of the exact
-    rational moment. At the default z = 6 with a million samples a failure
-    indicates a real discrepancy, not noise. A negative or non-finite z
-    raises ValueError."""
-    _check_z(z)
-    estimate = estimate_sum_moment(dist, k, n, samples, seed)
-    exact = float(sum_moment(dist, k, n))
-    return abs(estimate.mean - exact) <= z * estimate.stderr
+    rational moment, as :func:`compare_moment` decides. At the default
+    z = 6 with a million samples a failure indicates a real discrepancy,
+    not noise. A negative or non-finite z, or a row that is not finite in
+    floating point, raises ValueError."""
+    return compare_moment(dist, k, n, samples, seed, z)[2]

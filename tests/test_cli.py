@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 
 import probstirling.cli as cli
+from probstirling.distributions import parse_distribution
 from probstirling.exact_core import binomial, rising_factorial
+from probstirling.montecarlo import check_moment
 from probstirling.sums import make_report
 
 
@@ -458,6 +460,7 @@ def _not_json(constant: str):
 
 @given(argv=_argv())
 @example(argv=["verify", "theorem11", "--q=0"])
+@example(argv=["mc-check", "--samples=50", "--dist=exp", "--k-max=2", "--n-max=3", "--z=0"])
 @settings(max_examples=200, deadline=None)
 def test_cli_grammar_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -473,3 +476,10 @@ def test_cli_grammar_fuzz(argv):
         records = [json.loads(line, parse_constant=_not_json) for line in lines]
     if code == 1:
         assert any(record["pass"] is False for record in records), argv
+    if argv[0] == "mc-check" and code in (0, 1):
+        # the CLI and the library reach their verdicts through one gate
+        for record in records:
+            p = record["params"]
+            dist = parse_distribution(p["dist"])
+            verdict = check_moment(dist, p["k"], p["n"], p["samples"], p["seed"], p["z"])
+            assert record["pass"] == verdict, (argv, record)

@@ -34,8 +34,6 @@ from probstirling.exact_core import (
     stirling2_poly,
 )
 from probstirling.gen_stirling import (
-    SyPath,
-    all_paths,
     hermite_at_zero,
     sy,
     sy_closed_exponential,
@@ -276,19 +274,6 @@ def test_table_sy_column_matches_full_table(capsys, dist, x):
         assert cli.main(argv + ["--m", str(m)]) == 0
         column = capsys.readouterr().out.splitlines()
         assert column == [line for line in full if line.split(",")[1] == str(m)]
-
-
-def test_all_paths_report():
-    results = all_paths(Poisson(1), 3, 2, 0)
-    assert {r.path for r in results} == {
-        SyPath.ALTERNATING_SUM,
-        SyPath.GENERATING_FUNCTION,
-        SyPath.FACTORIAL_MOMENTS,
-        SyPath.UNIFORM_REPRESENTATION,
-    }
-    assert {r.value for r in results} == {6}
-    deep = all_paths(Exponential(), 8, 6, 0)
-    assert SyPath.UNIFORM_REPRESENTATION not in {r.path for r in deep}
 
 
 # ------------------------------------------------------------- closed forms

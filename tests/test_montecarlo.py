@@ -112,11 +112,21 @@ def test_overflowed_estimate_reports_not_finite():
         assert est.stderr == float("inf") and not est.finite
         assert not estimate_sum_moment(Exponential(), 1, 400, 2000, 0).finite
     assert estimate_sum_moment(Exponential(), 1, 3, 2000, 0).finite
+    # an inf stderr would pass any row (|est - exact| <= 6 * inf) and at
+    # n = 400 float(exact) overflows: neither is a statistical verdict
+    for n in (159, 400):
+        with pytest.raises(ValueError, match="not finite in floating point"):
+            check_moment(Exponential(), 1, n, 2000, 0)
 
 
 def test_rejects_degenerate_sample_count():
-    with pytest.raises(ValueError):
-        estimate_sum_moment(Exponential(), 1, 1, 1, seed=0)
+    # one sample has no stderr; a negative k would estimate the empty sum
+    # S_0 and a negative n E[1/S], against an exact value of 0
+    for samples, k, n in [(1, 1, 1), (1000, -1, 1), (1000, 1, -1)]:
+        with pytest.raises(ValueError):
+            estimate_sum_moment(Exponential(), k, n, samples, seed=0)
+        with pytest.raises(ValueError):
+            check_moment(Exponential(), k, n, samples, seed=0)
 
 
 def test_unsamplable_kind_raises():

@@ -42,6 +42,7 @@ from probstirling.exact_core import (
     rising_factorial,
 )
 from probstirling.gen_stirling import (
+    UNIFORM_REP_DEFAULT_CAP,
     sy_closed_geometric_shifted,
     sy_closed_poisson,
     sy_table,
@@ -272,6 +273,10 @@ def test_verify_gf_and_paths():
         reports = verify_paths(dist, 5, [Fraction(0), Fraction(1)])
         assert all(r.passed for r in reports)
         assert {r.identity for r in reports} == {"paths", "paths-uniform"}
+        # the uniform-representation route runs exactly up to its default cap
+        uniform = {(r.params["n"], r.params["m"]) for r in reports if r.identity == "paths-uniform"}
+        cells = {(n, m) for n in range(6) for m in range(n + 1)}
+        assert uniform == {(n, m) for n, m in cells if m <= UNIFORM_REP_DEFAULT_CAP}
 
 
 @pytest.mark.parametrize("dist", [Geometric(HALF), Shifted(Poisson(Fraction(1, 3)), HALF)], ids=repr)
