@@ -3,9 +3,12 @@
     python3 bench/record.py --pr N
 
 Run it from the root of a checkout; it measures the library in that
-checkout's ``src`` directory and writes ``BENCH_<pr>.json`` there. The
-file holds the commit, a digest of the sources, the Python version and
-the CPU count, all copied from perfbench's run record, and two row sets:
+checkout's ``src`` directory and writes ``BENCH_<pr>.json`` there. It
+first runs ``python3 -m compileall -q src``, so that no child compiles
+the modules again when ``PYTHONDONTWRITEBYTECODE`` is set, and records
+``"precompiled": true``. The file holds the commit, a digest of the
+sources, the Python version and the CPU count, all copied from
+perfbench's run record, and two row sets:
 
 * ``end_to_end``: the ``wall_s``, ``setup_s`` and ``peak_rss_mb`` medians
   of ``perfbench/run.py --trace 0`` at seed 0, 3 s per workload, one row
@@ -13,9 +16,10 @@ the CPU count, all copied from perfbench's run record, and two row sets:
 * ``in_process``: timings of single library calls at sizes where the
   computation, not interpreter start-up, dominates: ``sy_table``, a cold
   ``sum_moment`` and the theorem12 and bernoulli-classic verify grids at
-  n <= 10, N <= 60. Every repeat runs in a
-  fresh interpreter, so every memo and row table starts empty, and only
-  the call itself is timed. The identity-sweep row is the summed
+  n <= 10, N <= 60, and ``import probstirling.cli``, the imports that
+  ``table`` runs. Every repeat runs in a fresh interpreter, so every memo
+  and row table starts empty and nothing is imported yet, and only the
+  call itself is timed. The identity-sweep row is the summed
   per-query latency of the seed-0 identity stream, run by
   ``perfbench/child.py sweep``.
 
@@ -68,6 +72,7 @@ CALLS["verify_bernoulli_classic n<=10 N<=60"] = (
     "from probstirling.sums import verify_bernoulli_classic\n",
     "verify_bernoulli_classic(10, 60)",
 )
+CALLS["import probstirling.cli"] = ("", "import probstirling.cli")
 
 _TIMER = "import time\n{setup}started = time.perf_counter()\n{call}\nprint(time.perf_counter() - started)\n"
 
@@ -129,8 +134,15 @@ def main(argv=None) -> int:
     if not (root / "src" / "probstirling" / "__init__.py").is_file():
         print(f"error: no probstirling sources under {root / 'src'}; run from a checkout root", file=sys.stderr)
         return 2
+    _run([sys.executable, "-m", "compileall", "-q", "src"], root)
     provenance, end_to_end = end_to_end_rows(root)
-    bench = {"pr": args.pr, **provenance, "end_to_end": end_to_end, "in_process": in_process_rows(root)}
+    bench = {
+        "pr": args.pr,
+        **provenance,
+        "precompiled": True,
+        "end_to_end": end_to_end,
+        "in_process": in_process_rows(root),
+    }
     out = root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)

@@ -12,6 +12,10 @@ statistical comparison fails, 2 on usage or parse errors, including
 negative bounds, an option the table kind or verify suite requires but
 is not given or does not read, and Monte Carlo rows that are not finite
 in floating point.
+
+Each command imports only what it runs: ``verify`` alone loads ``sums``
+(with ``appell`` and ``series``), on which its runners look their suite
+functions up at call time, and ``mc-check`` alone loads numpy.
 """
 
 from __future__ import annotations
@@ -25,18 +29,6 @@ from typing import Sequence
 from .distributions import Distribution, format_distribution, parse_distribution
 from .exact_core import bell_poly, cnn_table, stirling1, stirling2
 from .gen_stirling import sy_table
-from .sums import (
-    IdentityReport,
-    verify_bernoulli_classic,
-    verify_corollary8,
-    verify_gf,
-    verify_paths,
-    verify_theorem1,
-    verify_theorem9,
-    verify_theorem10,
-    verify_theorem11,
-    verify_theorem12,
-)
 
 SCHEMA_VERSION = 1
 
@@ -63,8 +55,9 @@ def _sy_rows(args) -> tuple[tuple[str, ...], list[tuple]]:
 
 # kind -> (the options it reads, with their defaults; rows(args) as field
 # names and rows), and suite -> (the options it reads, with their defaults;
-# runner(args)); the builders and runners look the exact functions up at
-# call time, so replacing one on this module takes effect
+# runner(sums, args)); the builders look the exact functions up on this
+# module and the runners on the `sums` module, both at call time, so
+# replacing one there takes effect
 TABLE_KINDS = {
     "stirling2": ({"n": _REQUIRED, "m": None}, lambda a: _triangle(a, stirling2)),
     "stirling1": ({"n": _REQUIRED, "m": None}, lambda a: _triangle(a, stirling1)),
@@ -81,39 +74,39 @@ TABLE_KINDS = {
 VERIFY_SUITES = {
     "corollary8": (
         {"dist": _REQUIRED, "n_max": 5, "N_max": 10, "x": _ORIGIN},
-        lambda a: verify_corollary8(a.dist, a.n_max, a.N_max, a.x),
+        lambda sums, a: sums.verify_corollary8(a.dist, a.n_max, a.N_max, a.x),
     ),
     "theorem1": (
         {"n_max": 5, "N_max": 10, "x": _ORIGIN},
-        lambda a: verify_theorem1(a.n_max, a.N_max, a.x),
+        lambda sums, a: sums.verify_theorem1(a.n_max, a.N_max, a.x),
     ),
     "theorem9": (
         {"n_max": 6, "N_max": 12},
-        lambda a: verify_theorem9(a.n_max, a.N_max),
+        lambda sums, a: sums.verify_theorem9(a.n_max, a.N_max),
     ),
     "theorem10": (
         {"n_max": 6, "N_max": 12, "rate": Fraction(1)},
-        lambda a: verify_theorem10(a.rate, a.n_max, a.N_max),
+        lambda sums, a: sums.verify_theorem10(a.rate, a.n_max, a.N_max),
     ),
     "theorem11": (
         {"n_max": 4, "N_max": 12, "q": Fraction(1, 2)},
-        lambda a: verify_theorem11(a.q, a.n_max, a.N_max),
+        lambda sums, a: sums.verify_theorem11(a.q, a.n_max, a.N_max),
     ),
     "theorem12": (
         {"family": _REQUIRED, "n_max": 6, "N_max": 12, "x": _ORIGIN},
-        lambda a: verify_theorem12(a.family, a.n_max, a.N_max, a.x),
+        lambda sums, a: sums.verify_theorem12(a.family, a.n_max, a.N_max, a.x),
     ),
     "gf": (
         {"dist": _REQUIRED, "n_max": 6, "x": _ORIGIN},
-        lambda a: verify_gf(a.dist, a.n_max, a.x),
+        lambda sums, a: sums.verify_gf(a.dist, a.n_max, a.x),
     ),
     "paths": (
         {"dist": _REQUIRED, "n_max": 6, "x": _ORIGIN},
-        lambda a: verify_paths(a.dist, a.n_max, a.x),
+        lambda sums, a: sums.verify_paths(a.dist, a.n_max, a.x),
     ),
     "bernoulli-classic": (
         {"n_max": 8, "N_max": 15, "x": _ORIGIN},
-        lambda a: verify_bernoulli_classic(a.n_max, a.N_max, a.x),
+        lambda sums, a: sums.verify_bernoulli_classic(a.n_max, a.N_max, a.x),
     ),
 }
 
@@ -177,7 +170,7 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _emit_report(report: IdentityReport) -> None:
+def _emit_report(report) -> None:
     _emit_json(
         {
             "schema": SCHEMA_VERSION,
@@ -262,7 +255,10 @@ def _handle_table(args) -> int:
 def _handle_verify(args) -> int:
     run = _read_options(args, args.suite, VERIFY_SUITES)
     _check_bounds(n_max=args.n_max, N_max=args.N_max)
-    reports = run(args)
+    # sums loads appell and series, which no other command needs
+    from . import sums
+
+    reports = run(sums, args)
     for report in reports:
         _emit_report(report)
     return 0 if all(r.passed for r in reports) else 1
@@ -270,15 +266,18 @@ def _handle_verify(args) -> int:
 
 def _handle_mc(args) -> int:
     # the sampler loads numpy, which no other command needs
-    from .montecarlo import compare_moment
+    from .montecarlo import NonFiniteError, compare_moment
 
     _check_bounds(k_max=args.k_max, n_max=args.n_max)
     all_pass = True
     for k in range(args.k_max + 1):
         for n in range(args.n_max + 1):
-            estimate, exact, passed = compare_moment(
-                args.dist, k, n, args.samples, args.seed, args.z
-            )
+            try:
+                estimate, exact, passed = compare_moment(
+                    args.dist, k, n, args.samples, args.seed, args.z
+                )
+            except NonFiniteError as exc:
+                raise ValueError(f"{exc}; lower --k-max or --n-max") from exc
             all_pass = all_pass and passed
             _emit_json(
                 {

@@ -221,10 +221,13 @@ def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
     return _common_denominator(moments[:width])
 
 
-def _sum_moment_row(dist: Distribution, k: int, width: int) -> list[Fraction]:
-    """Row k of the E[S_k^n] table of `dist`, at least `width` entries long."""
+def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:
+    """Row k of the E[S_k^n] table of `dist`, at least n + 1 entries long."""
     if k < 0:
         raise ValueError(f"number of summands must be >= 0, got {k}")
+    if n < 0:
+        raise ValueError(f"moment order must be >= 0, got {n}")
+    width = n + 1
     rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
     if k < len(rows) and len(rows[k]) >= width:
         return rows[k]
@@ -251,18 +254,14 @@ def sum_moment(dist: Distribution, k: int, n: int) -> Fraction:
 
     Uses the binomial convolution E[S_k^n] = sum_j C(n, j) E[S_{k-1}^j] E[Y^{n-j}].
     """
-    row = _sum_moment_row(dist, k, n + 1)
-    # an order n < 0 is the empty convolution
-    return Fraction(row[n] if n >= 0 else 0)
+    return Fraction(_sum_moment_row(dist, k, n)[n])
 
 
 @lru_cache(maxsize=None)
 def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) -> Fraction:
     """Exact E[(x + S_k)^n], expanded binomially over powers of x."""
     x = Fraction(x)
-    row = _sum_moment_row(dist, k, n + 1)
-    if n < 0:
-        return Fraction(0)
+    row = _sum_moment_row(dist, k, n)
     # x = a/b, so x^(n-j) = a^(n-j) b^j / b^n
     p, p_den = _common_denominator(row[: n + 1])
     a, b = x.numerator, x.denominator

@@ -54,6 +54,7 @@ __all__ = [
     "estimate_sum_moment",
     "compare_moment",
     "check_moment",
+    "NonFiniteError",
 ]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -196,6 +197,10 @@ def estimate_sum_moment(
     return SampleEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
+class NonFiniteError(ValueError):
+    """A moment that is not finite in floating point, so has no statistical verdict."""
+
+
 def compare_moment(
     dist: Distribution,
     k: int,
@@ -208,9 +213,9 @@ def compare_moment(
     rational moment, and whether |estimate - exact| <= z * stderr.
 
     A z that gives no verdict (nan; inf, as 0 * inf is nan; or z < 0)
-    raises ValueError, and so does a row whose exact value, estimate or
-    standard error is not finite in floating point: an overflowed float
-    comparison is no statistical verdict."""
+    raises ValueError; a row whose exact value, estimate or standard error
+    is not finite in floating point raises :class:`NonFiniteError`, a
+    ValueError: an overflowed float comparison is no statistical verdict."""
     if not (math.isfinite(z) and z >= 0):
         raise ValueError(f"z must be finite and nonnegative, got {z}")
     estimate = estimate_sum_moment(dist, k, n, samples, seed)
@@ -220,10 +225,9 @@ def compare_moment(
     except OverflowError:
         exact_float = math.inf
     if not (math.isfinite(exact_float) and estimate.finite):
-        raise ValueError(
+        raise NonFiniteError(
             f"mc-check row k={k}, n={n} is not finite in floating point "
-            f"(exact {exact_float}, estimate {estimate.mean}, "
-            f"stderr {estimate.stderr}); lower --k-max or --n-max"
+            f"(exact {exact_float}, estimate {estimate.mean}, stderr {estimate.stderr})"
         )
     return estimate, exact, abs(estimate.mean - exact_float) <= z * estimate.stderr
 

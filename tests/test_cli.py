@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import probstirling.cli as cli
+from probstirling import sums
 from probstirling.distributions import parse_distribution
 from probstirling.exact_core import binomial, rising_factorial
 from probstirling.montecarlo import check_moment
@@ -126,7 +127,7 @@ def test_verify_theorem12_requires_family(capsys):
 
 def test_verify_exit_1_on_mismatch(capsys, monkeypatch):
     bad = make_report("corollary8", {"n": 1}, Fraction(1), Fraction(1), Fraction(2))
-    monkeypatch.setattr(cli, "verify_corollary8", lambda *a, **k: [bad])
+    monkeypatch.setattr(sums, "verify_corollary8", lambda *a, **k: [bad])
     code, out, _ = run_cli(capsys, "verify", "corollary8", "--dist", "exp")
     assert code == 1
     record = jsonl(out)[0]
@@ -190,6 +191,41 @@ def test_exact_paths_do_not_load_numpy(fresh_python):
     assert out.split() == ["False", "probstirling.montecarlo", "True"]
 
 
+def test_package_root_loads_no_submodule(fresh_python):
+    out = fresh_python(
+        "import sys\n"
+        "import probstirling\n"
+        "print(hasattr(probstirling, '__wrapped__'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('probstirling.')))\n"
+        "from probstirling import sums\n"
+        "print('numpy' in sys.modules, 'probstirling.montecarlo' in sys.modules)"
+    )
+    # a private name raises without importing, and a submodule imports alone
+    assert out.splitlines() == ["False", "[]", "False False"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["table", "sy", "--dist", "poisson:1/3", "--n", "3", "--x=1/2"], "[] False"),
+        (["verify", "theorem9", "--n-max", "2", "--N-max", "2"], "['sums', 'appell', 'series'] False"),
+        (["mc-check", "--dist", "exp", "--k-max", "1", "--n-max", "1", "--samples", "100"], "[] True"),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
+    # sums imports appell and series, which only verify needs; only
+    # mc-check needs numpy
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from probstirling import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "modules = [m for m in ('sums', 'appell', 'series') if 'probstirling.' + m in sys.modules]\n"
+        "print(status, modules, 'numpy' in sys.modules)"
+    )
+    assert out == f"0 {loaded}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -218,7 +254,11 @@ def test_mc_check_nonfinite_row_exits_2(capsys):
         "--samples", "2000",
     )
     assert code == 2
-    assert "error:" in err and "not finite" in err
+    assert err == (
+        "error: mc-check row k=1, n=159 is not finite in floating point (exact "
+        "2.9467022724950384e+282, estimate 1.389168217985723e+151, stderr inf); "
+        "lower --k-max or --n-max\n"
+    )
     for record in jsonl(out):
         assert float("-inf") < record["estimate"] < float("inf")
         assert 0 <= record["stderr"] < float("inf")

@@ -193,12 +193,17 @@ def _shifted_reference(dist, k, n, x):
 def test_shifted_sum_moment_memo_matches_expansion(dist):
     expand = shifted_sum_moment.__wrapped__
     for k in range(4):
-        for n in range(-1, 6):
+        for n in range(6):
             for x in (0, 1, -2, HALF, Fraction(-7, 3)):
                 value = shifted_sum_moment(dist, k, n, x)
                 assert type(value) is Fraction
                 assert value == expand(dist, k, n, x) == expand(dist, k, n, Fraction(x))
                 assert value == _shifted_reference(dist, k, n, x)
+        # E[S^-1] is no finite sum of moments: a negative power is refused
+        with pytest.raises(ValueError, match="moment order must be >= 0, got -1"):
+            sum_moment(dist, k, -1)
+        with pytest.raises(ValueError, match="moment order must be >= 0, got -1"):
+            shifted_sum_moment(dist, k, -1, 0)
 
 
 def test_shifted_sum_moment_int_and_fraction_x_share_an_entry():

@@ -24,6 +24,7 @@ from probstirling.distributions import (
     sum_moment,
 )
 from probstirling.montecarlo import (
+    NonFiniteError,
     SampleEstimate,
     SplitMixStream,
     _sample,
@@ -115,8 +116,10 @@ def test_overflowed_estimate_reports_not_finite():
     # an inf stderr would pass any row (|est - exact| <= 6 * inf) and at
     # n = 400 float(exact) overflows: neither is a statistical verdict
     for n in (159, 400):
-        with pytest.raises(ValueError, match="not finite in floating point"):
+        with pytest.raises(NonFiniteError, match="not finite in floating point") as refused:
             check_moment(Exponential(), 1, n, 2000, 0)
+        # the library names no CLI flag; mc-check adds its own advice
+        assert isinstance(refused.value, ValueError) and "--" not in str(refused.value)
 
 
 def test_rejects_degenerate_sample_count():
