@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # in dependency order, so a lookup loads no module after the one it needs
 _MODULES = (
-    "exact_core", "polylog", "distributions", "series", "gen_stirling", "appell", "sums", "montecarlo"
+    "exact_core", "distributions", "polylog", "series", "gen_stirling", "appell", "sums", "montecarlo"
 )
 
 

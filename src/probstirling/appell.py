@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .distributions import Distribution, format_distribution, parse_distribution
-from .exact_core import Polynomial, binomial
+from .exact_core import Polynomial, _order, binomial
 from .series import (
     EGFSeries,
     egf_coefficient,
@@ -66,8 +66,7 @@ class AppellSeed:
 def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
     """A_n as a polynomial in x: A_n(x) = sum_k C(n, k) A_k(0) x^(n-k); n
     must not exceed the seed's truncation order."""
-    if n > seed.order:
-        raise ValueError(f"family truncated at order {seed.order}, got n={n}")
+    _order("n", n, seed.order)
     return Polynomial(
         [binomial(n, d) * egf_coefficient(seed.g0, n - d) for d in range(n + 1)]
     )
@@ -86,6 +85,7 @@ def binomial_convolve(a: AppellSeed, c: AppellSeed) -> AppellSeed:
 def kfold(a: AppellSeed, k: int) -> AppellSeed:
     """k-fold binomial convolution: the seed raised to the k-th power.
     The 0-fold convolution is the identity family x^n."""
+    _order("k", k)
     if k == 0:
         return identity_seed(a.g0.order)
     if k == 1:

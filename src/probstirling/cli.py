@@ -14,8 +14,8 @@ is not given or does not read, and Monte Carlo rows that are not finite
 in floating point.
 
 Each command imports only what it runs: ``verify`` alone loads ``sums``
-(with ``appell`` and ``series``), on which its runners look their suite
-functions up at call time, and ``mc-check`` alone loads numpy.
+(with ``appell``, ``series`` and ``polylog``), on which its runners look
+their suite functions up at call time, and ``mc-check`` alone loads numpy.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def _handle_table(args) -> int:
 def _handle_verify(args) -> int:
     run = _read_options(args, args.suite, VERIFY_SUITES)
     _check_bounds(n_max=args.n_max, N_max=args.N_max)
-    # sums loads appell and series, which no other command needs
+    # sums loads appell, series and polylog, which no other command needs
     from . import sums
 
     reports = run(sums, args)
@@ -277,7 +277,7 @@ def _handle_mc(args) -> int:
                     args.dist, k, n, args.samples, args.seed, args.z
                 )
             except NonFiniteError as exc:
-                raise ValueError(f"{exc}; lower --k-max or --n-max") from exc
+                raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
             all_pass = all_pass and passed
             _emit_json(
                 {

@@ -31,8 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact_core import _common_denominator, _grow_rows, bell_poly, binomial, double_factorial
-from .polylog import li_neg
+from .exact_core import _common_denominator, _grow_rows, _order
+from .exact_core import bell_poly, binomial, double_factorial, stirling2
 
 __all__ = [
     "Distribution",
@@ -174,8 +174,7 @@ class Shifted(Distribution):
 @lru_cache(maxsize=None)
 def moment(dist: Distribution, n: int) -> Fraction:
     """Exact raw moment E[Y^n]."""
-    if n < 0:
-        raise ValueError(f"moment order must be >= 0, got {n}")
+    _order("moment order", n)
     if n == 0:
         return Fraction(1)
     match dist:
@@ -186,7 +185,8 @@ def moment(dist: Distribution, n: int) -> Fraction:
         case Poisson(rate=lam):
             return Fraction(bell_poly(n, lam))
         case Geometric(q=q):
-            return (1 - q) * li_neg(n, q)
+            # through the factorial moments E[(Y)_r] = r! (q/p)^r, like bell_poly for Poisson
+            return sum(stirling2(n, r) * factorial(r) * (q / (1 - q)) ** r for r in range(n + 1))
         case Exponential():
             return Fraction(factorial(n))
         case Uniform01():
@@ -223,10 +223,8 @@ def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
 
 def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:
     """Row k of the E[S_k^n] table of `dist`, at least n + 1 entries long."""
-    if k < 0:
-        raise ValueError(f"number of summands must be >= 0, got {k}")
-    if n < 0:
-        raise ValueError(f"moment order must be >= 0, got {n}")
+    _order("number of summands", k)
+    _order("moment order", n)
     width = n + 1
     rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
     if k < len(rows) and len(rows[k]) >= width:

@@ -51,10 +51,17 @@ __all__ = [
 ]
 
 
+def _order(name: str, value: int, upper: int | None = None) -> None:
+    """Refuse an order below 0, or above `upper` if given, naming the parameter."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if upper is not None and value > upper:
+        raise ValueError(f"{name} must be <= {upper}, got {value}")
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got {n}")
+    _order("n", n)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -62,6 +69,7 @@ def binomial(n: int, k: int) -> int:
 
 def rising_factorial(x: Fraction | int, n: int) -> Fraction | int:
     """Ascending product x (x+1) ... (x+n-1); the empty product is 1."""
+    _order("n", n)
     out: Fraction | int = 1
     for i in range(n):
         out *= x + i
@@ -70,6 +78,7 @@ def rising_factorial(x: Fraction | int, n: int) -> Fraction | int:
 
 def falling_factorial(x: Fraction | int, n: int) -> Fraction | int:
     """Descending product x (x-1) ... (x-n+1); the empty product is 1."""
+    _order("n", n)
     out: Fraction | int = 1
     for i in range(n):
         out *= x - i
@@ -78,6 +87,8 @@ def falling_factorial(x: Fraction | int, n: int) -> Fraction | int:
 
 def double_factorial(n: int) -> int:
     """n!! = n (n-2) (n-4) ...; both (-1)!! and 0!! are 1."""
+    if n < -1:
+        raise ValueError(f"n must be >= -1, got {n}")
     out = 1
     while n > 1:
         out *= n
@@ -169,6 +180,7 @@ def _stirling1_entry(j: int, row: list[int], prev: list[int]) -> int:
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind, by the triangular recurrence
     S(n, m) = m S(n-1, m) + S(n-1, m-1); 0 outside 0 <= m <= n."""
+    _order("n", n)
     if m < 0 or m > n:
         return 0
     return _grow_rows(_STIRLING2_ROWS, m, n - m + 1, _stirling2_entry)[n - m]
@@ -178,6 +190,7 @@ def stirling2(n: int, m: int) -> int:
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k), by the recurrence
     s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k); 0 outside 0 <= k <= n."""
+    _order("n", n)
     if k < 0 or k > n:
         return 0
     return _grow_rows(_STIRLING1_ROWS, k, n - k + 1, _stirling1_entry)[n - k]
@@ -190,6 +203,8 @@ def stirling2_poly(n: int, m: int, x: Fraction | int) -> Fraction:
     Identically 0 once m exceeds n, because the difference operator kills
     polynomials of lower degree; no special-casing is needed.
     """
+    _order("n", n)
+    _order("m", m)
     return Fraction(alternating_sum(m, [(x + k) ** n for k in range(m + 1)])) / factorial(m)
 
 
@@ -204,6 +219,7 @@ def alternating_sum(m: int, values: Sequence[Fraction | int]) -> Fraction | int:
 
 def bell_poly(n: int, x: Fraction | int) -> Fraction | int:
     """Single-variable Bell polynomial: sum over j of S(n, j) x^j."""
+    _order("n", n)
     return sum(stirling2(n, j) * x**j for j in range(n + 1))
 
 
@@ -231,11 +247,13 @@ class Polynomial:
     @classmethod
     def monomial(cls, n: int) -> "Polynomial":
         """x^n."""
+        _order("n", n)
         return cls([0] * n + [1])
 
     @classmethod
     def rising(cls, n: int) -> "Polynomial":
         """x (x+1) ... (x+n-1) as a polynomial in x."""
+        _order("n", n)
         p = cls([1])
         for i in range(n):
             p = p * cls([i, 1])
@@ -244,6 +262,7 @@ class Polynomial:
     @classmethod
     def falling(cls, n: int) -> "Polynomial":
         """x (x-1) ... (x-n+1) as a polynomial in x."""
+        _order("n", n)
         p = cls([1])
         for i in range(n):
             p = p * cls([-i, 1])
@@ -323,6 +342,7 @@ class Polynomial:
 def forward_diff(p: Polynomial, m: int = 1) -> Polynomial:
     """m-th forward difference p(x+1) - p(x), iterated; the zero polynomial
     once m exceeds the degree of p."""
+    _order("m", m)
     for _ in range(m):
         if not p:
             break
@@ -358,7 +378,8 @@ class CnNTable:
 
 @lru_cache(maxsize=None)
 def cnn_table(n: int, N: int) -> CnNTable:
-    """Weight table from the double-binomial alternating sum."""
+    """Weight table from the double-binomial alternating sum; empty for N < 0."""
+    _order("n", n)
     top = min(n, N)
     values = []
     for k in range(top + 1):
@@ -378,7 +399,6 @@ def cnn_alternating(n: int, N: int, k: int) -> int:
     """
     if N <= n:
         raise ValueError(f"closed form requires N > n, got n={n}, N={N}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..n, got k={k}, n={n}")
+    _order("k", k, n)
     acc = sum(comb(n + 1 + i, k) * comb(n - k + i, n - k) for i in range(N - n))
     return 1 + (-acc if (n - k) % 2 else acc)

@@ -51,10 +51,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from .distributions import Constant, Distribution, moment, shifted_sum_moment
+from .distributions import Constant, Distribution, Geometric, moment, shifted_sum_moment
 from .exact_core import (
     Polynomial,
     _common_denominator,
+    _order,
     alternating_sum,
     binomial,
     double_factorial,
@@ -88,11 +89,6 @@ __all__ = [
 UNIFORM_REP_DEFAULT_CAP = 4
 
 
-def _require_m_le_n(n: int, m: int) -> None:
-    if m > n:
-        raise ValueError(f"requires m <= n, got n={n}, m={m}")
-
-
 def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """The defining route: (1/m!) sum_k C(m, k) (-1)^(m-k) E[(x + S_k)^n].
 
@@ -101,6 +97,8 @@ def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     operator annihilates. The cancellation is exact, so no special case is
     needed (or wanted; it is tested as a theorem).
     """
+    _order("n", n)
+    _order("m", m)
     moments = [shifted_sum_moment(dist, k, n, x) for k in range(m + 1)]
     return alternating_sum(m, moments) / factorial(m)
 
@@ -110,13 +108,12 @@ def sy_table(
 ) -> list[list[Fraction]]:
     """The production engine: ``rows[a][m]`` = S_Y(a, m; x) for every
     a <= n and m <= min(a, m_max), with m_max = n when omitted; a negative
-    n gives no rows and a negative m_max no columns.
+    n is refused, and a negative m_max gives rows with no columns.
 
     Column 0 is x^a; column m is read off column m - 1 by the coefficient
     recurrence S_Y(a, m; x) = (1/m) sum_{j>=1} C(a, j) E[Y^j] S_Y(a - j, m - 1; x).
     """
-    if n < 0:
-        return []
+    _order("n", n)
     m_max = n if m_max is None else min(m_max, n)
     mu, mu_den = _common_denominator([moment(dist, j) for j in range(n + 1)])
     # each column is held as integers over one denominator: x = u/v gives
@@ -148,7 +145,7 @@ def sy_table(
 def sy_poly(dist: Distribution, n: int, m: int) -> Polynomial:
     """The generalized Stirling polynomial in x, of exact degree n - m
     whenever E[Y] is nonzero; requires m <= n."""
-    _require_m_le_n(n, m)
+    _order("m", m, n)
     rows = sy_table(dist, n, 0, m)
     coeffs = [binomial(n, d) * rows[n - d][m] for d in range(n - m + 1)]
     return Polynomial(coeffs)
@@ -157,6 +154,8 @@ def sy_poly(dist: Distribution, n: int, m: int) -> Polynomial:
 def sy_via_gf(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """Generating-function route: n! times the z^n coefficient of
     e^(xz) (M(z) - 1)^m / m!, read from the production table."""
+    _order("n", n)
+    _order("m", m)
     # (M - 1)^m starts at z^m, so the coefficient vanishes for m > n
     if m > n:
         return Fraction(0)
@@ -177,7 +176,7 @@ def sy_via_uniform_rep(
     into moments of Y and of U, with E[U^a] = 1/(a+1). This is the slowest
     route and serves as an oracle, hence the cap on m.
     """
-    _require_m_le_n(n, m)
+    _order("m", m, n)
     if m > max_m:
         raise ValueError(f"uniform-representation route capped at m <= {max_m}, got m={m}")
     x = Fraction(x)
@@ -206,6 +205,8 @@ def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) 
     classical Stirling numbers of the second kind, take the falling-factorial
     moments E[(x + S_k)_i] of the shifted partial sums, and apply the
     alternating binomial sum."""
+    _order("n", n)
+    _order("m", m)
     total = Fraction(0)
     for i in range(n + 1):
         s2 = stirling2(n, i)
@@ -222,7 +223,7 @@ def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) 
 def sy_closed_exponential(n: int, m: int) -> Fraction:
     """Unit-rate exponential law: C(n, m) times the ascending product of
     n - m terms starting at m."""
-    _require_m_le_n(n, m)
+    _order("m", m, n)
     return Fraction(binomial(n, m) * rising_factorial(m, n - m))
 
 
@@ -232,29 +233,20 @@ def sy_closed_poisson(n: int, m: int, rate: Fraction | int) -> Fraction:
     A polynomial identity in the rate; negative rational rates remain valid
     even though no Poisson law exists there.
     """
-    _require_m_le_n(n, m)
+    _order("m", m, n)
     rate = Fraction(rate)
-    return sum(
-        (stirling2(n, r) * stirling2(r, m) * rate**r for r in range(m, n + 1)),
-        Fraction(0),
-    )
+    return sum((stirling2(n, r) * stirling2(r, m) * rate**r for r in range(m, n + 1)), Fraction(0))
 
 
 def sy_closed_geometric_shifted(n: int, m: int, q: Fraction | int) -> Fraction:
     """Geometric law shifted by 1 (support starting at 1): the finite sum
     q^(-m) sum_r C(r, m) <m>_(r-m) S(n, r) (q/p)^r with p = 1 - q."""
-    _require_m_le_n(n, m)
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError(f"requires 0 < q < 1, got {q}")
-    p = 1 - q
-    ratio = q / p
+    _order("m", m, n)
+    q = Geometric(q).q
+    ratio = q / (1 - q)
     total = sum(
-        (
-            binomial(r, m) * rising_factorial(m, r - m) * stirling2(n, r) * ratio**r
-            for r in range(m, n + 1)
-        ),
-        Fraction(0),
+        binomial(r, m) * rising_factorial(m, r - m) * stirling2(n, r) * ratio**r
+        for r in range(m, n + 1)
     )
     return total / q**m
 
@@ -262,6 +254,7 @@ def sy_closed_geometric_shifted(n: int, m: int, q: Fraction | int) -> Fraction:
 def hermite_at_zero(n: int) -> Fraction:
     """Value at 0 of the probabilists' Hermite polynomial: 0 for odd n and
     (-1)^(n/2) (n-1)!! for even n."""
+    _order("n", n)
     if n % 2:
         return Fraction(0)
     sign = -1 if (n // 2) % 2 else 1
@@ -272,6 +265,8 @@ def sy_closed_normal(n_power: int, m: int) -> Fraction:
     """Standard normal law: 0 at odd powers; at power 2h the value is
     (-1)^h H_(2h)(0) S(h, m) with H the probabilists' Hermite family, which
     collapses to (2h-1)!! S(h, m)."""
+    _order("n_power", n_power)
+    _order("m", m)
     if n_power % 2:
         return Fraction(0)
     half = n_power // 2
@@ -281,7 +276,7 @@ def sy_closed_normal(n_power: int, m: int) -> Fraction:
 
 def _uniform_closed(n: int, m: int, stirling) -> Fraction:
     """n!/(n+m)! times the sum over k = 0..m of (-1)^(m-k) C(n+m, n+k) stirling(n+k, k)."""
-    _require_m_le_n(n, m)
+    _order("m", m, n)
     total = 0
     for k in range(m + 1):
         term = binomial(n + m, n + k) * stirling(n + k, k)

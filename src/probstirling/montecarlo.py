@@ -47,6 +47,7 @@ from .distributions import (
     format_distribution,
     sum_moment,
 )
+from .exact_core import _order
 
 __all__ = [
     "SampleEstimate",
@@ -178,8 +179,8 @@ def estimate_sum_moment(
     """
     if samples <= 1:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if k < 0 or n < 0:
-        raise ValueError(f"k and n must be nonnegative, got k={k}, n={n}")
+    _order("k", k)
+    _order("n", n)
     if not isinstance(dist, Distribution):
         raise ValueError(f"distribution is not samplable: {dist!r}")
     stream = SplitMixStream(_stream_seed(seed, dist, k, n))
@@ -226,7 +227,7 @@ def compare_moment(
         exact_float = math.inf
     if not (math.isfinite(exact_float) and estimate.finite):
         raise NonFiniteError(
-            f"mc-check row k={k}, n={n} is not finite in floating point "
+            f"row k={k}, n={n} is not finite in floating point "
             f"(exact {exact_float}, estimate {estimate.mean}, stderr {estimate.stderr})"
         )
     return estimate, exact, abs(estimate.mean - exact_float) <= z * estimate.stderr

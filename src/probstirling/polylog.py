@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact_core import multinomial, stirling2, weak_compositions
+from .distributions import Geometric, shifted_sum_moment
+from .exact_core import _order, multinomial, stirling2, weak_compositions
 
 __all__ = ["li_neg", "li_conv_direct", "li_conv_prob"]
 
@@ -34,6 +35,7 @@ def li_neg(n: int, q: Fraction) -> Fraction:
     r = 0 term belongs only to the n = 0 case, where the value is the plain
     geometric series q / (1-q).
     """
+    _order("n", n)
     q = _validated_q(q)
     if n == 0:
         return q / (1 - q)
@@ -49,6 +51,8 @@ def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
 
     The 0-fold convolution is 1 at n = 0 and 0 otherwise.
     """
+    _order("n", n)
+    _order("k", k)
     q = _validated_q(q)
     if k == 0:
         return Fraction(1 if n == 0 else 0)
@@ -67,8 +71,4 @@ def li_conv_prob(n: int, k: int, q: Fraction | int) -> Fraction:
     """The same convolution through the moment engine: (q/p)^k times the
     n-th moment of a k-fold geometric sum shifted by k, with p = 1 - q."""
     q = _validated_q(q)
-    # local import: the distributions module consumes li_neg at module level
-    from .distributions import Geometric, shifted_sum_moment
-
-    p = 1 - q
-    return (q / p) ** k * shifted_sum_moment(Geometric(q), k, n, k)
+    return (q / (1 - q)) ** k * shifted_sum_moment(Geometric(q), k, n, k)

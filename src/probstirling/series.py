@@ -22,7 +22,7 @@ from math import factorial
 from operator import mul
 
 from .distributions import Distribution, moment
-from .exact_core import _common_denominator
+from .exact_core import _common_denominator, _order
 
 __all__ = [
     "EGFSeries",
@@ -55,6 +55,7 @@ class EGFSeries:
 
 def series_one(order: int) -> EGFSeries:
     """The constant-1 series."""
+    _order("order", order)
     return EGFSeries((1,) + (0,) * order)
 
 
@@ -80,8 +81,7 @@ def series_mul(f: EGFSeries, g: EGFSeries) -> EGFSeries:
 
 def series_pow(f: EGFSeries, m: int) -> EGFSeries:
     """f^m by binary exponentiation; f^0 is the constant-1 series."""
-    if m < 0:
-        raise ValueError("negative powers are not defined for truncated series")
+    _order("m", m)
     result = series_one(f.order)
     base = f
     while m:
@@ -120,6 +120,5 @@ def series_from_moments(dist: Distribution, order: int) -> EGFSeries:
 
 def egf_coefficient(f: EGFSeries, n: int) -> Fraction:
     """The factorial-scaled coefficient n! a_n; n must not exceed the order."""
-    if n > f.order:
-        raise ValueError(f"coefficient {n} beyond truncation order {f.order}")
+    _order("n", n, f.order)
     return factorial(n) * f.coeffs[n]

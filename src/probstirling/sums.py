@@ -30,6 +30,7 @@ from .distributions import (
 )
 from .exact_core import (
     Polynomial,
+    _order,
     alternating_sum,
     bell_poly,
     binomial,
@@ -147,9 +148,8 @@ def triple_identity(
 
 def sum_direct(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
     """The long form: sum over k = 0..N of E[(x + S_k)^n]."""
-    return sum(
-        (shifted_sum_moment(dist, k, n, x) for k in range(N + 1)), Fraction(0)
-    )
+    _order("n", n)
+    return sum((shifted_sum_moment(dist, k, n, x) for k in range(N + 1)), Fraction(0))
 
 
 def sum_via_stirling(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
@@ -217,14 +217,15 @@ def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> Identity
     """The classical baseline: the power sum over an arithmetic progression
     against its forward-difference form and the Bernoulli-polynomial
     difference divided by n + 1."""
+    _order("n", n)
     return _bernoulli_classic([(n, [N])], [x])[0]
 
 
 def _sy_tables(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int]
 ) -> dict[Fraction, list[list[Fraction]]]:
-    """One production table up to row n_max per distinct evaluation point."""
-    return {x: sy_table(dist, n_max, x) for x in dict.fromkeys(map(Fraction, xs))}
+    """One production table up to row n_max per distinct evaluation point; none for n_max < 0."""
+    return {x: sy_table(dist, n_max, x) for x in dict.fromkeys(map(Fraction, xs)) if n_max >= 0}
 
 
 def _moment_grid(

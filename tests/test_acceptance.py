@@ -63,24 +63,9 @@ from probstirling.sums import (
     verify_theorem11,
 )
 
-HALF = Fraction(1, 2)
-X4 = [Fraction(0), Fraction(1), Fraction(-1), HALF]
+from catalog import CATALOG, HALF
 
-CATALOG = [
-    Constant(1),
-    Constant(2),
-    Bernoulli(HALF),
-    Poisson(1),
-    Poisson(HALF),
-    Geometric(HALF),
-    Geometric(Fraction(1, 3)),
-    Exponential(),
-    Uniform01(),
-    StdNormal(),
-    UniformTimesExponential(),
-    FiniteSupport(((Fraction(0), HALF), (Fraction(2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 4)))),
-    Shifted(Geometric(HALF), 1),
-]
+X4 = [Fraction(0), Fraction(1), Fraction(-1), HALF]
 
 MC_SEED = 42
 

@@ -31,7 +31,7 @@ from probstirling.exact_core import Polynomial, double_factorial
 from probstirling.gen_stirling import hermite_at_zero
 from probstirling.series import EGFSeries, egf_coefficient, series_mul, series_one
 
-HALF = Fraction(1, 2)
+from catalog import HALF
 
 
 def test_bernoulli_seed_values():

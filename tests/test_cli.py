@@ -208,19 +208,25 @@ def test_package_root_loads_no_submodule(fresh_python):
     "argv, loaded",
     [
         (["table", "sy", "--dist", "poisson:1/3", "--n", "3", "--x=1/2"], "[] False"),
-        (["verify", "theorem9", "--n-max", "2", "--N-max", "2"], "['sums', 'appell', 'series'] False"),
+        (
+            ["verify", "theorem9", "--n-max", "2", "--N-max", "2"],
+            "['sums', 'appell', 'series', 'polylog'] False",
+        ),
         (["mc-check", "--dist", "exp", "--k-max", "1", "--n-max", "1", "--samples", "100"], "[] True"),
+        # the geometric moments no longer go through the polylogarithm
+        (["table", "sy", "--dist", "geom:1/3", "--n", "3"], "[] False"),
     ],
 )
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
-    # sums imports appell and series, which only verify needs; only
-    # mc-check needs numpy
+    # sums imports appell, series and polylog, which only verify needs;
+    # only mc-check needs numpy
     out = fresh_python(
         "import contextlib, io, sys\n"
         "from probstirling import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = cli.main({argv!r})\n"
-        "modules = [m for m in ('sums', 'appell', 'series') if 'probstirling.' + m in sys.modules]\n"
+        "modules = [m for m in ('sums', 'appell', 'series', 'polylog')\n"
+        "           if 'probstirling.' + m in sys.modules]\n"
         "print(status, modules, 'numpy' in sys.modules)"
     )
     assert out == f"0 {loaded}\n"

@@ -33,23 +33,7 @@ from probstirling.exact_core import (
 )
 from probstirling.polylog import li_conv_direct
 
-HALF = Fraction(1, 2)
-
-CATALOG = [
-    Constant(1),
-    Constant(2),
-    Bernoulli(HALF),
-    Poisson(1),
-    Poisson(HALF),
-    Geometric(HALF),
-    Geometric(Fraction(1, 3)),
-    Exponential(),
-    Uniform01(),
-    StdNormal(),
-    UniformTimesExponential(),
-    FiniteSupport(((Fraction(0), HALF), (Fraction(2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 4)))),
-    Shifted(Geometric(HALF), 1),
-]
+from catalog import CATALOG, HALF
 
 
 # ------------------------------------------------------------------ moments

@@ -51,24 +51,9 @@ from probstirling.gen_stirling import (
 )
 from probstirling.series import EGFSeries, egf_coefficient, series_pow
 
-HALF = Fraction(1, 2)
-X = [Fraction(0), Fraction(1), Fraction(-1), HALF]
+from catalog import CATALOG, HALF
 
-CATALOG = [
-    Constant(1),
-    Constant(2),
-    Bernoulli(HALF),
-    Poisson(1),
-    Poisson(HALF),
-    Geometric(HALF),
-    Geometric(Fraction(1, 3)),
-    Exponential(),
-    Uniform01(),
-    StdNormal(),
-    UniformTimesExponential(),
-    FiniteSupport(((Fraction(0), HALF), (Fraction(2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 4)))),
-    Shifted(Geometric(HALF), 1),
-]
+X = [Fraction(0), Fraction(1), Fraction(-1), HALF]
 
 
 def test_sy_reduces_to_classical_for_unit_constant():
@@ -252,7 +237,9 @@ def test_sy_table_m_max_is_column_prefix():
             for m_max in range(12):
                 assert sy_table(dist, 9, x, m_max) == [row[: m_max + 1] for row in full]
     assert sy_table(Exponential(), 0) == [[1]]
-    assert sy_table(Exponential(), -1) == []
+    # a negative row bound is refused; a negative m_max keeps no columns
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        sy_table(Exponential(), -1)
     assert sy_table(Exponential(), 2, 0, -1) == [[], [], []]
 
 

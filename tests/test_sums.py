@@ -18,7 +18,6 @@ from probstirling.appell import (
     theorem12_check,
 )
 from probstirling.distributions import (
-    Bernoulli,
     Constant,
     Exponential,
     FiniteSupport,
@@ -27,7 +26,6 @@ from probstirling.distributions import (
     Shifted,
     StdNormal,
     Uniform01,
-    UniformTimesExponential,
     format_distribution,
     shifted_sum_moment,
 )
@@ -69,24 +67,9 @@ from probstirling.sums import (
     verify_theorem12,
 )
 
-HALF = Fraction(1, 2)
-X = [Fraction(0), Fraction(1), Fraction(-1), HALF]
+from catalog import CATALOG, HALF
 
-CATALOG = [
-    Constant(1),
-    Constant(2),
-    Bernoulli(HALF),
-    Poisson(1),
-    Poisson(HALF),
-    Geometric(HALF),
-    Geometric(Fraction(1, 3)),
-    Exponential(),
-    Uniform01(),
-    StdNormal(),
-    UniformTimesExponential(),
-    FiniteSupport(((Fraction(0), HALF), (Fraction(2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 4)))),
-    Shifted(Geometric(HALF), 1),
-]
+X = [Fraction(0), Fraction(1), Fraction(-1), HALF]
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
