@@ -15,9 +15,10 @@ perfbench's run record, and two row sets:
   per workload;
 * ``in_process``: timings of single library calls at sizes where the
   computation, not interpreter start-up, dominates: ``sy_table``, a cold
-  ``sum_moment`` and the theorem12 and bernoulli-classic verify grids at
-  n <= 10, N <= 60, and ``import probstirling.cli``, the imports that
-  ``table`` runs. Every repeat runs in a fresh interpreter, so every memo
+  ``sum_moment``, the theorem12 and bernoulli-classic verify grids at
+  n <= 10, N <= 60, the all-route ``verify_paths`` grid for geom:1/2 at
+  n <= 10 and x = 0, 1/2, and ``import probstirling.cli``, the imports
+  that ``table`` runs. Every repeat runs in a fresh interpreter, so every memo
   and row table starts empty and nothing is imported yet, and only the
   call itself is timed. The identity-sweep row is the summed
   per-query latency of the seed-0 identity stream, run by
@@ -71,6 +72,12 @@ CALLS["verify_theorem12 moment:exp n<=10 N<=60"] = (
 CALLS["verify_bernoulli_classic n<=10 N<=60"] = (
     "from probstirling.sums import verify_bernoulli_classic\n",
     "verify_bernoulli_classic(10, 60)",
+)
+CALLS["verify_paths geom:1/2 n<=10 x=0,1/2"] = (
+    "from fractions import Fraction\n"
+    "from probstirling.distributions import Geometric\n"
+    "from probstirling.sums import verify_paths\n",
+    "verify_paths(Geometric(Fraction(1, 2)), 10, [0, Fraction(1, 2)])",
 )
 CALLS["import probstirling.cli"] = ("", "import probstirling.cli")
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, lcm
 from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -107,6 +107,8 @@ def multinomial(parts: Sequence[int]) -> int:
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
+    _order("total", total)
+    _order("parts", parts)
     if parts == 0:
         if total == 0:
             yield ()
@@ -211,6 +213,7 @@ def stirling2_poly(n: int, m: int, x: Fraction | int) -> Fraction:
 def alternating_sum(m: int, values: Sequence[Fraction | int]) -> Fraction | int:
     """The m-th alternating binomial difference of a sequence:
     sum over k = 0..m of (-1)^(m-k) C(m, k) values[k]."""
+    _order("m", m)
     # terms with m - k even carry the plus sign
     positive = sum(comb(m, k) * values[k] for k in range(m % 2, m + 1, 2))
     negative = sum(comb(m, k) * values[k] for k in range(1 - m % 2, m + 1, 2))
@@ -223,6 +226,7 @@ def bell_poly(n: int, x: Fraction | int) -> Fraction | int:
     return sum(stirling2(n, j) * x**j for j in range(n + 1))
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -231,18 +235,13 @@ class Polynomial:
     degree -1. Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...] = ()
 
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def monomial(cls, n: int) -> "Polynomial":
@@ -280,14 +279,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs

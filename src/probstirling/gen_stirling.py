@@ -13,36 +13,20 @@ moment series of Y. Since column m is column m - 1 times (M - 1) / m, its
 coefficients obey
 S_Y(a, m; x) = (1/m) sum_{j>=1} C(a, j) E[Y^j] S_Y(a - j, m - 1; x),
 with column 0 equal to x^a. The engine keeps each column as Python ints
-over one common denominator, puts the moments over their lcm once, and
-cancels with one gcd pass per column, so a table up to row n costs
-O(n^3) integer multiplications (against O(n^4) rational ones for the
-defining sum per cell) and no gcd per operation. It reads only the raw
-moment table and does not use the series module. :func:`sy_via_gf` reads
-one cell of it, and :func:`sy_poly`, the CLI ``table sy`` and the
-power-sum identities read its rows and columns.
+over one common denominator, reads the moments over their lcm from the
+table that the partial-sum moments read, and cancels with one gcd pass
+per column, so a table up to row n costs O(n^3) integer multiplications
+(against O(n^4) rational ones for the defining sum per cell) and no gcd
+per operation. :func:`sy_via_gf` reads one cell of it, and :func:`sy_poly`,
+the CLI ``table sy`` and the power-sum identities read its rows and columns.
 
-Three oracle routes check the engine and never call it, or the series
-module:
-
-* :func:`sy`, the defining alternating moment sum, reads E[(x + S_k)^n]
-  from the shifted partial-sum memo
-  (:func:`~probstirling.distributions.shifted_sum_moment`);
-* :func:`sy_via_factorial`, an expansion through classical Stirling
-  numbers, reads the falling-factorial moments E[(x + S_k)_i] from its
-  own memo keyed on (dist, k, i, x), each entry built once from the
-  shifted memo and Stirling numbers of the first kind;
-* :func:`sy_via_uniform_rep`, a product representation over auxiliary
-  independent uniform variables, expands multinomially over the raw
-  moment table (:func:`~probstirling.distributions.moment`).
-
-The engine shares with the oracles only the raw moment table and the
-kernel's step that puts a list of rationals over its lcm, which the
-shifted partial-sum memo also takes; ``sy`` and ``sy_via_factorial``
-share that memo and the kernel's alternating binomial sum,
-``sy_via_uniform_rep`` the kernel's multinomials. Their exact agreement is therefore evidence of correctness
-rather than a tautology. The slow uniform-representation route is capped
-at small m by default. Closed forms for specific catalog laws round out
-the module.
+Three oracle routes check the engine: :func:`sy`, the defining
+alternating moment sum; :func:`sy_via_factorial`, through falling-factorial
+moments; and :func:`sy_via_uniform_rep`, a product representation over
+independent uniform variables, capped at small m by default. What they,
+the power-sum forms of :mod:`~probstirling.sums` and the polylogarithm
+convolutions may share is stated once, in ``_ROUTE_MAP`` below. Closed
+forms for specific catalog laws round out the module.
 """
 
 from __future__ import annotations
@@ -52,9 +36,9 @@ from functools import lru_cache
 from math import comb, factorial, gcd
 
 from .distributions import Constant, Distribution, Geometric, moment, shifted_sum_moment
+from .distributions import _law_moments
 from .exact_core import (
     Polynomial,
-    _common_denominator,
     _order,
     alternating_sum,
     binomial,
@@ -88,6 +72,32 @@ __all__ = [
 # beyond small m; callers may raise the cap explicitly
 UNIFORM_REP_DEFAULT_CAP = 4
 
+# What the routes that check one another may share. Within a group, each
+# pair of routes may enter in common only the moment tables, whose own calls
+# are charged to them, and the helpers under "shared". The routes' exact
+# agreement is evidence of correctness only while that holds, and
+# tests/test_route_map.py checks it. Names are "module.function" strings.
+_ROUTE_MAP = {
+    "groups": (
+        ("gen_stirling.sy_table", "gen_stirling.sy", "gen_stirling.sy_via_factorial",
+         "gen_stirling.sy_via_uniform_rep"),
+        ("sums.sum_direct", "sums.sum_via_stirling", "sums.sum_via_cnn"),
+        ("polylog.li_conv_direct", "polylog.li_conv_prob"),
+    ),
+    "moment tables": (
+        "distributions.moment", "distributions._law_moments", "distributions._sum_moment_row",
+        "distributions.sum_moment", "distributions.shifted_sum_moment",
+    ),
+    "shared": {
+        "exact_core._order": "the order check: it refuses an argument and computes nothing",
+        "polylog._validated_q": "the check that 0 < q < 1: it computes nothing",
+        "exact_core.alternating_sum": "the difference S_Y is defined by; sy_table and "
+        "sy_via_uniform_rep, which do not call it, check it",
+        "distributions.__create_fn__.<locals>.__hash__": "the hash dataclasses give a law, "
+        "which every memo keyed on the law calls",
+    },
+}
+
 
 def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """The defining route: (1/m!) sum_k C(m, k) (-1)^(m-k) E[(x + S_k)^n].
@@ -115,7 +125,7 @@ def sy_table(
     """
     _order("n", n)
     m_max = n if m_max is None else min(m_max, n)
-    mu, mu_den = _common_denominator([moment(dist, j) for j in range(n + 1)])
+    mu, mu_den = _law_moments(dist, n + 1)
     # each column is held as integers over one denominator: x = u/v gives
     # x^a = u^a v^(n-a) / v^n
     x = Fraction(x)
@@ -180,12 +190,14 @@ def sy_via_uniform_rep(
     if m > max_m:
         raise ValueError(f"uniform-representation route capped at m <= {max_m}, got m={m}")
     x = Fraction(x)
+    # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
+    factors = [moment(dist, a + 1) / (a + 1) for a in range(n - m + 1)]
     total = Fraction(0)
     # parts[0] counts the x factors; parts[1..m] the Y_j U_j factors
     for parts in weak_compositions(n - m, m + 1):
-        term = Fraction(multinomial(parts)) * x ** parts[0]
+        term = multinomial(parts) * x ** parts[0]
         for a in parts[1:]:
-            term *= moment(dist, a + 1) * Fraction(1, a + 1)
+            term *= factors[a]
         total += term
     return binomial(n, m) * total
 
@@ -275,13 +287,14 @@ def sy_closed_normal(n_power: int, m: int) -> Fraction:
 
 
 def _uniform_closed(n: int, m: int, stirling) -> Fraction:
-    """n!/(n+m)! times the sum over k = 0..m of (-1)^(m-k) C(n+m, n+k) stirling(n+k, k)."""
+    """n!/(n+m)! times the sum over k = 0..m of (-1)^(m-k) C(n+m, n+k) stirling(n+k, k).
+
+    C(n+m, n+k) = C(m, k) (n+m)! k! / (m! (n+k)!), so this is n!/m! times
+    the m-th alternating sum of k! stirling(n+k, k) / (n+k)!.
+    """
     _order("m", m, n)
-    total = 0
-    for k in range(m + 1):
-        term = binomial(n + m, n + k) * stirling(n + k, k)
-        total += -term if (m - k) % 2 else term
-    return Fraction(factorial(n), factorial(n + m)) * total
+    values = [Fraction(factorial(k) * stirling(n + k, k), factorial(n + k)) for k in range(m + 1)]
+    return Fraction(factorial(n), factorial(m)) * alternating_sum(m, values)
 
 
 def sy_closed_uniform(n: int, m: int) -> Fraction:

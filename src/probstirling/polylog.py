@@ -4,8 +4,9 @@ At order -n the polylogarithm is a rational function of its argument, so
 every value at rational q in (0, 1) is an exact Fraction. The production
 path is the finite Stirling-number closed form; the defining series is
 never summed term by term. Multinomial k-fold convolutions are evaluated
-two independent ways: direct enumeration over weak compositions, and
-through moments of shifted geometric partial sums.
+two ways: direct enumeration over weak compositions, and through moments
+of shifted geometric partial sums. What the two may share is stated in
+``probstirling.gen_stirling._ROUTE_MAP``.
 """
 
 from __future__ import annotations
@@ -70,5 +71,7 @@ def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
 def li_conv_prob(n: int, k: int, q: Fraction | int) -> Fraction:
     """The same convolution through the moment engine: (q/p)^k times the
     n-th moment of a k-fold geometric sum shifted by k, with p = 1 - q."""
+    _order("n", n)
+    _order("k", k)
     q = _validated_q(q)
     return (q / (1 - q)) ** k * shifted_sum_moment(Geometric(q), k, n, k)

@@ -10,7 +10,9 @@ baseline); a one-instance check is a one-cell grid. It evaluates each summand
 and middle term once per (n, x) and reads the long member off a running sum,
 so a grid costs O(N_max) evaluations per (n, x); the middle member keeps its
 own formula. Reports carry every member value, not just a flag, so a failure
-localizes which expression diverged.
+localizes which expression diverged. What the three power-sum forms
+:func:`sum_direct`, :func:`sum_via_stirling` and :func:`sum_via_cnn` may
+share is stated in ``probstirling.gen_stirling._ROUTE_MAP``.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[Identit
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
         bernoulli = appell_polynomial(bernoulli_seed(n + 1), n + 1)
-        return (bernoulli(x + N + 1) - bernoulli(x)) / (n + 1)
+        # a negative N sums no summand, as in the long member
+        return (bernoulli(x + max(N + 1, 0)) - bernoulli(x)) / (n + 1)
 
     return triple_identity(
         "bernoulli-classic",
@@ -330,63 +333,43 @@ def verify_theorem12(
     return _theorem12(family_seed(family, n_max), grid, xs)
 
 
+def _sy_cells(
+    dist: Distribution, n_max: int, xs: Sequence[Fraction | int]
+) -> Iterable[tuple[dict, int, int, Fraction, Fraction]]:
+    """Each S_Y cell of the gf and paths suites in report order: its labels,
+    n, m, x and the production value, read from one table per x."""
+    label = format_distribution(dist)
+    tables = _sy_tables(dist, n_max, xs)
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            for x in map(Fraction, xs):
+                yield {"dist": label, "n": n, "m": m, "x": x}, n, m, x, tables[x][n][m]
+
+
 def verify_gf(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int] = (0,)
 ) -> list[IdentityReport]:
     """The defining alternating sum against the production engine's
-    generating-function extraction, read from one table per x."""
-    label = format_distribution(dist)
-    tables = _sy_tables(dist, n_max, xs)
+    generating-function extraction."""
     return [
-        make_report(
-            "gf",
-            {"dist": label, "n": n, "m": m, "x": x},
-            sy(dist, n, m, x),
-            None,
-            tables[x][n][m],
-        )
-        for n in range(n_max + 1)
-        for m in range(n + 1)
-        for x in map(Fraction, xs)
+        make_report("gf", params, sy(dist, n, m, x), None, engine)
+        for params, n, m, x, engine in _sy_cells(dist, n_max, xs)
     ]
 
 
 def verify_paths(
-    dist: Distribution,
-    n_max: int,
-    xs: Sequence[Fraction | int] = (0,),
-    uniform_cap: int = UNIFORM_REP_DEFAULT_CAP,
+    dist: Distribution, n_max: int, xs: Sequence[Fraction | int] = (0,)
 ) -> list[IdentityReport]:
     """All-route agreement: the alternating sum against the production
-    engine's generating function (one table per x) and the factorial-moment
-    oracle, plus the uniform-representation oracle where its cap allows."""
-    label = format_distribution(dist)
-    tables = _sy_tables(dist, n_max, xs)
+    engine's generating function and the factorial-moment oracle, plus the
+    uniform-representation oracle where its cap allows."""
     reports = []
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            for x in map(Fraction, xs):
-                params = {"dist": label, "n": n, "m": m, "x": x}
-                base = sy(dist, n, m, x)
-                reports.append(
-                    make_report(
-                        "paths",
-                        params,
-                        base,
-                        tables[x][n][m],
-                        sy_via_factorial(dist, n, m, x),
-                    )
-                )
-                if m <= uniform_cap:
-                    reports.append(
-                        make_report(
-                            "paths-uniform",
-                            params,
-                            base,
-                            None,
-                            sy_via_uniform_rep(dist, n, m, x, uniform_cap),
-                        )
-                    )
+    for params, n, m, x, engine in _sy_cells(dist, n_max, xs):
+        base = sy(dist, n, m, x)
+        reports.append(make_report("paths", params, base, engine, sy_via_factorial(dist, n, m, x)))
+        if m <= UNIFORM_REP_DEFAULT_CAP:
+            uniform = sy_via_uniform_rep(dist, n, m, x)
+            reports.append(make_report("paths-uniform", params, base, None, uniform))
     return reports
 
 

@@ -39,6 +39,7 @@ from probstirling.distributions import (
 )
 from probstirling.exact_core import (
     Polynomial,
+    alternating_sum,
     binomial,
     bell_poly,
     cnn_alternating,
@@ -50,6 +51,7 @@ from probstirling.exact_core import (
     stirling1,
     stirling2,
     stirling2_poly,
+    weak_compositions,
 )
 from probstirling.gen_stirling import (
     hermite_at_zero,
@@ -116,6 +118,14 @@ def symbolic(x: Fraction) -> Rational:
     return Rational(x.numerator, x.denominator)
 
 
+def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every weak composition, in lexicographic order: each first part,
+    then the compositions of what is left into one part fewer."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(a,) + rest for a in range(total + 1) for rest in compositions(total - a, parts - 1)]
+
+
 @fuzz
 @given(laws, orders, orders, rationals)
 @example(Exponential(), -2, 0, Fraction(0))  # sy_via_factorial gave 0
@@ -171,9 +181,7 @@ def test_polylog_refuses_or_agrees_with_sympy(n, k, q):
     contract(lambda: li_neg(n, q), n >= 0, lambda: exact(expand_func(polylog(-n, symbolic(q)))), "n")
     valid = n >= 0 and k >= 0
     contract(lambda: li_conv_direct(n, k, q), valid, lambda: li_conv_prob(n, k, q), "n", "k")
-    # the probabilistic route refuses through the moment engine
-    engine = ("moment order", "number of summands")
-    contract(lambda: li_conv_prob(n, k, q), valid, lambda: li_conv_direct(n, k, q), *engine)
+    contract(lambda: li_conv_prob(n, k, q), valid, lambda: li_conv_direct(n, k, q), "n", "k")
 
 
 @fuzz
@@ -195,6 +203,8 @@ def test_moment_engine_refuses_or_agrees_across_routes(dist, k, n, x):
 @example(-1, -1, Fraction(2))  # stirling1 gave 0; rising/falling factorial gave 1
 @example(-3, 2, Fraction(2))  # double_factorial gave 1
 @example(2, -1, Fraction(1))  # forward_diff gave the polynomial back
+@example(1, -1, Fraction(1))  # alternating_sum(-1, [1, 2]) gave 0
+@example(-1, 1, Fraction(0))  # weak_compositions(-1, 1) gave [(-1,)]
 def test_kernel_refuses_or_agrees_with_sympy(n, m, x):
     in_triangle = 0 <= m <= n
     X = symbolic(x)
@@ -215,6 +225,10 @@ def test_kernel_refuses_or_agrees_with_sympy(n, m, x):
     power = abs(n)
     differences = lambda: factorial(m) * stirling2_poly(power, m, x)
     contract(lambda: forward_diff(Polynomial.monomial(power), m)(x), m >= 0, differences, "m")
+    values = [(x + k) ** power for k in range(abs(m) + 1)]
+    contract(lambda: alternating_sum(m, values), m >= 0, differences, "m")
+    reference = lambda: compositions(n, m)
+    contract(lambda: list(weak_compositions(n, m)), n >= 0 and m >= 0, reference, "total", "parts")
 
 
 @fuzz
@@ -261,8 +275,7 @@ def test_power_sums_refuse_or_agree_across_forms(dist, n, N, x):
     forms = [sum_direct, sum_via_stirling, sum_via_cnn]
     for form, other in zip(forms, forms[1:] + forms[:1]):
         contract(lambda: form(dist, n, N, x), n >= 0, lambda: other(dist, n, N, x), "n")
-    # below N = -1 the Bernoulli member no longer vanishes with the empty sum
-    passed = lambda: classical_bernoulli_check(n, max(N, -1), x).passed
+    passed = lambda: classical_bernoulli_check(n, N, x).passed
     contract(passed, n >= 0, lambda: True, "n")
     # a grid bound below 0 is an empty grid, not a refusal
     if n < 0:

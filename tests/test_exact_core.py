@@ -203,6 +203,8 @@ def test_polynomial_basics():
     assert Polynomial([1, 0, 0]).degree == 0
     assert not Polynomial([])
     assert Polynomial([0, 1])
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
 
 
 def test_polynomial_arithmetic():

@@ -321,7 +321,8 @@ def _reference_bernoulli(n, N, x):
         Fraction(0),
     )
     seed = bernoulli_seed(n + 1)
-    rhs = (appell_eval(seed, n + 1, x + N + 1) - appell_eval(seed, n + 1, x)) / (n + 1)
+    # an empty sum for every N <= -1, like the other two members
+    rhs = (appell_eval(seed, n + 1, x + max(N + 1, 0)) - appell_eval(seed, n + 1, x)) / (n + 1)
     return make_report("bernoulli-classic", {"n": n, "N": N, "x": x}, lhs, middle, rhs)
 
 
