@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .distributions import Distribution, format_distribution, parse_distribution
-from .exact_core import bell_poly, cnn_table, stirling1, stirling2
+from .exact_core import _unlimited_digits, bell_poly, cnn_table, stirling1, stirling2
 from .gen_stirling import sy_table
 
 SCHEMA_VERSION = 1
@@ -302,17 +302,13 @@ def _handle_mc(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     # exact values may pass the int <-> str digit limit; in-process callers keep theirs
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _unlimited_digits():
         args = build_parser().parse_args(argv)
         try:
             return args.handler(args)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -207,18 +207,11 @@ def moment(dist: Distribution, n: int) -> Fraction:
 
 # law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0, 0, ...
 _SUM_MOMENT_ROWS: dict[Distribution, list[list[Fraction]]] = {}
-# law -> E[Y^j] for j < len; replaced whole, never extended in place
-_LAW_MOMENTS: dict[Distribution, list[Fraction]] = {}
 
 
 def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
     """E[Y^j] for j < `width`, as integers over one denominator."""
-    moments = _LAW_MOMENTS.get(dist, [])
-    if len(moments) < width:
-        # only the new orders are looked up: each lookup hashes the law
-        moments = moments + [moment(dist, j) for j in range(len(moments), width)]
-        _LAW_MOMENTS[dist] = moments
-    return _common_denominator(moments[:width])
+    return _common_denominator([moment(dist, j) for j in range(width)])
 
 
 def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:

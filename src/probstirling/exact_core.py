@@ -18,7 +18,9 @@ those tables.
 
 from __future__ import annotations
 
+import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +59,22 @@ def _order(name: str, value: int, upper: int | None = None) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
     if upper is not None and value > upper:
         raise ValueError(f"{name} must be <= {upper}, got {value}")
+
+
+_DIGIT_LIMIT_LOCK = threading.RLock()
+
+
+@contextmanager
+def _unlimited_digits() -> Iterator[None]:
+    """Run the block with the int <-> str digit limit lifted, one thread at
+    a time, so that each caller gets its own limit back."""
+    with _DIGIT_LIMIT_LOCK:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 def binomial(n: int, k: int) -> int:

@@ -25,8 +25,8 @@ alternating moment sum; :func:`sy_via_factorial`, through falling-factorial
 moments; and :func:`sy_via_uniform_rep`, a product representation over
 independent uniform variables, capped at small m by default. What they,
 the power-sum forms of :mod:`~probstirling.sums` and the polylogarithm
-convolutions may share is stated once, in ``_ROUTE_MAP`` below. Closed
-forms for specific catalog laws round out the module.
+convolutions may read and share is stated once, in ``_ROUTE_MAP`` below.
+Closed forms for specific catalog laws round out the module.
 """
 
 from __future__ import annotations
@@ -72,29 +72,35 @@ __all__ = [
 # beyond small m; callers may raise the cap explicitly
 UNIFORM_REP_DEFAULT_CAP = 4
 
-# What the routes that check one another may share. Within a group, each
-# pair of routes may enter in common only the moment tables, whose own calls
-# are charged to them, and the helpers under "shared". The routes' exact
-# agreement is evidence of correctness only while that holds, and
+# What the routes that check one another may read and share. Each route is
+# listed in its group with the moment tables it reads, and enters exactly
+# those, which are charged with their own calls. Within a group, two routes
+# may enter in common only those tables and the helpers under "shared". Their
+# exact agreement is evidence of correctness only while that holds, and
 # tests/test_route_map.py checks it. Names are "module.function" strings.
 _ROUTE_MAP = {
     "groups": (
-        ("gen_stirling.sy_table", "gen_stirling.sy", "gen_stirling.sy_via_factorial",
-         "gen_stirling.sy_via_uniform_rep"),
-        ("sums.sum_direct", "sums.sum_via_stirling", "sums.sum_via_cnn"),
-        ("polylog.li_conv_direct", "polylog.li_conv_prob"),
-    ),
-    "moment tables": (
-        "distributions.moment", "distributions._law_moments", "distributions._sum_moment_row",
-        "distributions.sum_moment", "distributions.shifted_sum_moment",
+        {"gen_stirling.sy_table": ("distributions._law_moments",),
+         "gen_stirling.sy": ("distributions.shifted_sum_moment",),
+         "gen_stirling.sy_via_factorial": ("distributions.shifted_sum_moment",),
+         "gen_stirling.sy_via_uniform_rep": ("distributions.moment",)},
+        {"sums.sum_direct": ("distributions.shifted_sum_moment",),
+         "sums.sum_via_stirling": ("distributions._law_moments",),
+         "sums.sum_via_cnn": ("distributions.shifted_sum_moment",)},
+        {"polylog.li_conv_direct": ("distributions.moment",),
+         "polylog.li_conv_prob": ("distributions.shifted_sum_moment",)},
     ),
     "shared": {
         "exact_core._order": "the order check: it refuses an argument and computes nothing",
-        "polylog._validated_q": "the check that 0 < q < 1: it computes nothing",
         "exact_core.alternating_sum": "the difference S_Y is defined by; sy_table and "
         "sy_via_uniform_rep, which do not call it, check it",
         "distributions.__create_fn__.<locals>.__hash__": "the hash dataclasses give a law, "
         "which every memo keyed on the law calls",
+        **dict.fromkeys(
+            ("distributions.__create_fn__.<locals>.__init__",
+             "distributions.Geometric.__post_init__", "distributions._rational"),
+            "building the law whose moment tables both polylog routes read",
+        ),
     },
 }
 

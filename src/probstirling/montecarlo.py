@@ -47,7 +47,7 @@ from .distributions import (
     format_distribution,
     sum_moment,
 )
-from .exact_core import _order
+from .exact_core import _order, _unlimited_digits
 
 __all__ = [
     "SampleEstimate",
@@ -94,7 +94,9 @@ class SplitMixStream:
 
 
 def _stream_seed(seed: int, dist: Distribution, k: int, n: int) -> int:
-    label = f"{seed}|{format_distribution(dist)}|{k}|{n}".encode()
+    # the label spells the law out in full, whatever the caller's digit limit
+    with _unlimited_digits():
+        label = f"{seed}|{format_distribution(dist)}|{k}|{n}".encode()
     return int.from_bytes(hashlib.blake2b(label, digest_size=8).digest(), "little")
 
 

@@ -1,11 +1,12 @@
 """Exact polylogarithm values at negative integer orders.
 
-At order -n the polylogarithm is a rational function of its argument, so
-every value at rational q in (0, 1) is an exact Fraction. The production
-path is the finite Stirling-number closed form; the defining series is
-never summed term by term. Multinomial k-fold convolutions are evaluated
-two ways: direct enumeration over weak compositions, and through moments
-of shifted geometric partial sums. What the two may share is stated in
+For Y ~ Geometric(q), E[Y^n] = (1 - q) sum_{j>=0} j^n q^j, so at order -n
+the polylogarithm is a geometric moment over 1 - q: a rational function of
+q, exact as a Fraction at every rational q in (0, 1), and read from the
+moment engine rather than summed as a series. Multinomial k-fold
+convolutions are evaluated two ways: direct enumeration over weak
+compositions, and through moments of shifted geometric partial sums. Which
+moment tables each may read is stated in
 ``probstirling.gen_stirling._ROUTE_MAP``.
 """
 
@@ -13,37 +14,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .distributions import Geometric, shifted_sum_moment
-from .exact_core import _order, multinomial, stirling2, weak_compositions
+from .distributions import Geometric, moment, shifted_sum_moment
+from .exact_core import _order, multinomial, weak_compositions
 
 __all__ = ["li_neg", "li_conv_direct", "li_conv_prob"]
 
 
-def _validated_q(q: Fraction | int) -> Fraction:
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError(f"polylogarithm argument must satisfy 0 < q < 1, got {q}")
-    return q
-
-
 @lru_cache(maxsize=None)
 def li_neg(n: int, q: Fraction) -> Fraction:
-    """Exact value of sum_{j>=1} j^n q^j for rational q in (0, 1).
-
-    Computed from the closed form sum_r S(n, r) r! q^r / (1-q)^(r+1); the
-    r = 0 term belongs only to the n = 0 case, where the value is the plain
-    geometric series q / (1-q).
-    """
+    """Exact value of sum_{j>=1} j^n q^j for rational q in (0, 1): the
+    geometric moment E[Y^n] / (1 - q), Y ~ Geometric(q), less the j = 0
+    term 0^n, which is 1 only at n = 0."""
     _order("n", n)
-    q = _validated_q(q)
-    if n == 0:
-        return q / (1 - q)
-    return sum(
-        stirling2(n, r) * factorial(r) * q**r / (1 - q) ** (r + 1)
-        for r in range(1, n + 1)
-    )
+    law = Geometric(q)
+    return moment(law, n) / (1 - law.q) - (n == 0)
 
 
 def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
@@ -54,9 +39,7 @@ def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
     """
     _order("n", n)
     _order("k", k)
-    q = _validated_q(q)
-    if k == 0:
-        return Fraction(1 if n == 0 else 0)
+    q = Geometric(q).q
     # read once per call: each memo lookup hashes q
     values = [li_neg(j, q) for j in range(n + 1)]
     total = Fraction(0)
@@ -73,5 +56,5 @@ def li_conv_prob(n: int, k: int, q: Fraction | int) -> Fraction:
     n-th moment of a k-fold geometric sum shifted by k, with p = 1 - q."""
     _order("n", n)
     _order("k", k)
-    q = _validated_q(q)
-    return (q / (1 - q)) ** k * shifted_sum_moment(Geometric(q), k, n, k)
+    law = Geometric(q)
+    return (law.q / (1 - law.q)) ** k * shifted_sum_moment(law, k, n, k)

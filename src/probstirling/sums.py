@@ -12,7 +12,7 @@ so a grid costs O(N_max) evaluations per (n, x); the middle member keeps its
 own formula. Reports carry every member value, not just a flag, so a failure
 localizes which expression diverged. What the three power-sum forms
 :func:`sum_direct`, :func:`sum_via_stirling` and :func:`sum_via_cnn` may
-share is stated in ``probstirling.gen_stirling._ROUTE_MAP``.
+read and share is stated in ``probstirling.gen_stirling._ROUTE_MAP``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .appell import AppellSeed, appell_polynomial, bernoulli_seed, family_seed
 from .distributions import (
     Constant,
     Distribution,
+    Geometric,
     format_distribution,
     shifted_sum_moment,
 )
@@ -50,7 +51,7 @@ from .gen_stirling import (
     sy_via_factorial,
     sy_via_uniform_rep,
 )
-from .polylog import _validated_q, li_conv_prob
+from .polylog import li_conv_prob
 from .series import series_mul, series_one
 
 # (n, the N values reported for that n) pairs, in report order
@@ -298,7 +299,7 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[Identity
     engine (:func:`li_conv_prob`), against the binomial-weighted
     shifted-geometric closed form and the c-weighted short form. Requires
     N >= n and 0 < q < 1."""
-    q = _validated_q(q)
+    q = Geometric(q).q
     ratio = (1 - q) / q
     return triple_identity(
         "theorem11",

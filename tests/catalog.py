@@ -1,5 +1,8 @@
-"""Shared test data: the catalog laws that law-wise checks run over."""
+"""Shared test data: the catalog laws that law-wise checks run over, and a
+digit-limit helper."""
 
+import contextlib
+import sys
 from fractions import Fraction
 
 from probstirling.distributions import (
@@ -32,3 +35,14 @@ CATALOG = [
     FiniteSupport(((Fraction(0), HALF), (Fraction(2), Fraction(1, 4)), (Fraction(-1), Fraction(1, 4)))),
     Shifted(Geometric(HALF), 1),
 ]
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """Run the block under another int <-> str digit limit (0 lifts it)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -20,6 +20,8 @@ from probstirling.exact_core import binomial, rising_factorial
 from probstirling.montecarlo import check_moment
 from probstirling.sums import make_report
 
+from catalog import digit_limit
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -375,17 +377,6 @@ def test_bad_option_value_names_the_problem(capsys, argv, message):
     assert "_rational_arg" not in captured.err and "parse_distribution" not in captured.err
 
 
-@contextlib.contextmanager
-def digit_limit(limit: int):
-    """Run the block under another int <-> str digit limit (0 lifts it)."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def test_exact_values_beyond_the_digit_limit(capsys):
     code, out, err = run_cli(capsys, "table", "bell", "--n", "1", "--x", "1e5000")
     assert (code, err) == (0, "")
@@ -420,7 +411,7 @@ def test_theorem11_q_zero_exits_2(capsys):
     for argv in (["verify", "theorem11", "--q", "0"], ["verify", "theorem11", "--q=-0"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: polylogarithm argument must satisfy 0 < q < 1, got 0\n"
+        assert err == "error: Geometric requires 0 < q < 1, got 0\n"
 
 
 # --- grammar fuzz: every argv exits 0, 1 or 2, and 1 only with a failing record ---

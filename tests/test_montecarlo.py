@@ -4,6 +4,8 @@ million-sample sweep lives in the acceptance suite)."""
 
 import hashlib
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -28,11 +30,12 @@ from probstirling.montecarlo import (
     SampleEstimate,
     SplitMixStream,
     _sample,
+    _stream_seed,
     check_moment,
     estimate_sum_moment,
 )
 
-from catalog import HALF
+from catalog import HALF, digit_limit
 
 
 def test_stream_is_deterministic_and_counter_based():
@@ -149,6 +152,38 @@ def test_unsamplable_kind_raises():
 def test_parameter_beyond_float_range_raises_value_error(dist):
     with pytest.raises(ValueError, match="too large to sample"):
         estimate_sum_moment(dist, 1, 1, 10, seed=0)
+
+
+# a law whose parameter spells out past the default int <-> str digit limit
+# (4300) is seeded like any other, under the caller's unchanged limit
+def test_law_beyond_the_digit_limit_samples():
+    with digit_limit(4300):
+        assert check_moment(Constant(Fraction(10**5000, 10**5000 + 1)), 1, 1, 100, 0)
+        assert sys.get_int_max_str_digits() == 4300
+
+
+def test_stream_seeds_in_threads_give_the_digit_limit_back():
+    law = Constant(Fraction(10**5000, 10**5000 + 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads finely
+    try:
+        with digit_limit(4300):
+            threads = [
+                threading.Thread(target=lambda: [_stream_seed(i, law, 1, 1) for i in range(200)])
+                for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_law_beyond_the_digit_limit_and_float_range_raises_value_error():
+    with digit_limit(4300), pytest.raises(ValueError, match="too large to sample in floating"):
+        check_moment(Shifted(Exponential(), 10**5000), 1, 1, 100, 0)
 
 
 # sha256 of the 4096 draws of seed 7, recorded before rates beyond the CDF

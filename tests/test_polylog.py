@@ -1,12 +1,11 @@
 """Tests for exact negative-order polylogarithm values and convolutions."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 import sympy
 
-from probstirling.distributions import Geometric, moment
 from probstirling.exact_core import stirling2
 from probstirling.polylog import li_conv_direct, li_conv_prob, li_neg
 
@@ -141,9 +140,14 @@ def test_convolution_paths_agree():
 
 
 def test_geometric_moments_link():
+    # Y ~ Geometric(q) is 0 with probability 1 - q and otherwise 1 + Y', so
+    # (1 - q) E[Y^n] = q sum_{j<n} C(n, j) E[Y^j], and for n >= 1 the sum
+    # sum_j j^n q^j is E[Y^n] / (1 - q)
     for q in QS:
-        for n in range(1, 7):
-            assert moment(Geometric(q), n) == (1 - q) * li_neg(n, q)
+        ey = [Fraction(1)]
+        for n in range(1, 9):
+            ey.append(q * sum(comb(n, j) * ey[j] for j in range(n)) / (1 - q))
+            assert (1 - q) * li_neg(n, q) == ey[n], (n, q)
 
 
 def test_deep_convolution_from_cold_cache(fresh_python):

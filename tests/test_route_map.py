@@ -2,10 +2,11 @@
 
 Each route runs cold, in its own fresh interpreter, so that no warm memo
 hides a call. ``sys.setprofile`` records every probstirling function the
-route enters outside calls nested under a moment table. Within a group,
-each pair of routes may overlap only in the moment tables and the helpers
-the map declares shared, and each declared helper must be one that some
-pair does share.
+route enters outside calls nested under a moment table, the tables being
+every one that some route in the map reads. Each route must enter exactly
+the tables the map lists for it. Within a group, each pair of routes may
+overlap only in those tables and the helpers the map declares shared, and
+each declared helper must be one that some pair does share.
 """
 
 import json
@@ -76,14 +77,16 @@ print(json.dumps(sorted(entered)))
 
 def test_routes_in_a_group_share_only_the_declared_set(fresh_python):
     groups = _ROUTE_MAP["groups"]
-    tables, shared = set(_ROUTE_MAP["moment tables"]), set(_ROUTE_MAP["shared"])
-    assert sorted(CALLS) == sorted(route for group in groups for route in group)
+    reads = {route: set(tables) for group in groups for route, tables in group.items()}
+    tables, shared = set().union(*reads.values()), set(_ROUTE_MAP["shared"])
+    assert sorted(CALLS) == sorted(reads)
     entered = {}
     for route, call in CALLS.items():
         module, _, function = route.partition(".")
         child = CHILD.format(module=module, function=function, tables=tables, call=call)
         entered[route] = set(json.loads(fresh_python(child)))
         assert route in entered[route], route  # the profile saw the route itself
+        assert entered[route] & tables == reads[route], route
     overlaps = set()
     for group in groups:
         for a, b in combinations(group, 2):
