@@ -11,7 +11,8 @@ Exit codes: 0 when everything passes, 1 when a verified mathematical or
 statistical comparison fails, 2 on usage or parse errors, including
 negative bounds, an option the table kind or verify suite requires but
 is not given or does not read, and Monte Carlo rows that are not finite
-in floating point.
+in floating point; 141, the status a shell reports for a writer killed by
+SIGPIPE, when the reader closes stdout before the output ends.
 
 Each command imports only what it runs: ``verify`` alone loads ``sums``
 (with ``appell``, ``series`` and ``polylog``), on which its runners look
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -161,8 +163,6 @@ def _render(value):
         return str(value)
     if isinstance(value, Distribution):
         return format_distribution(value)
-    if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
     return value
 
 
@@ -309,6 +309,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except BrokenPipeError:
+            # the reader closed stdout: point it at devnull, so the flush at
+            # exit cannot raise again, and exit as a writer killed by SIGPIPE
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
 
 
 if __name__ == "__main__":

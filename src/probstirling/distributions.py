@@ -292,12 +292,12 @@ def parse_distribution(text: str) -> Distribution:
             return law()
         if not rest:
             raise ValueError(f"{head!r} requires a rational parameter: {text!r}")
-        return law(_rational(rest, f"{head} parameter"))
+        return law(rest)
     if head == "shift":
         offset_text, inner_sep, base_text = rest.partition(":")
         if not inner_sep or not base_text:
             raise ValueError(f"shift requires an offset and a base law: {text!r}")
-        return Shifted(parse_distribution(base_text), _rational(offset_text, "shift offset"))
+        return Shifted(parse_distribution(base_text), offset_text)
     if head == "finite":
         if not rest:
             raise ValueError(f"finite requires value:probability atoms: {text!r}")
@@ -306,9 +306,7 @@ def parse_distribution(text: str) -> Distribution:
             value_text, pair_sep, prob_text = pair.partition(":")
             if not pair_sep:
                 raise ValueError(f"finite atom must look like value:prob, got {pair!r}")
-            atoms.append(
-                (_rational(value_text, "atom value"), _rational(prob_text, "atom probability"))
-            )
+            atoms.append((value_text, prob_text))
         return FiniteSupport(tuple(atoms))
     raise ValueError(f"unknown distribution syntax: {text!r}")
 

@@ -29,10 +29,7 @@ from math import comb, factorial, lcm
 from operator import sub
 from typing import Callable, Iterator, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Polynomial",
     "CnNTable",
     "binomial",

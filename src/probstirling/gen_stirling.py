@@ -23,7 +23,9 @@ the CLI ``table sy`` and the power-sum identities read its rows and columns.
 Three oracle routes check the engine: :func:`sy`, the defining
 alternating moment sum; :func:`sy_via_factorial`, through falling-factorial
 moments; and :func:`sy_via_uniform_rep`, a product representation over
-independent uniform variables, capped at small m by default. What they,
+independent uniform variables. Every production value, :func:`whitney`
+included, comes from the engine or from a named closed form; the oracles
+only check it. What they,
 the power-sum forms of :mod:`~probstirling.sums` and the polylogarithm
 convolutions may read and share is stated once, in ``_ROUTE_MAP`` below.
 Closed forms for specific catalog laws round out the module.
@@ -51,7 +53,6 @@ from .exact_core import (
 )
 
 __all__ = [
-    "UNIFORM_REP_DEFAULT_CAP",
     "sy",
     "sy_table",
     "sy_poly",
@@ -67,10 +68,6 @@ __all__ = [
     "whitney",
     "hermite_at_zero",
 ]
-
-# multinomial blowup makes the uniform-representation oracle impractical
-# beyond small m; callers may raise the cap explicitly
-UNIFORM_REP_DEFAULT_CAP = 4
 
 # What the routes that check one another may read and share. Each route is
 # listed in its group with the moment tables it reads, and enters exactly
@@ -178,23 +175,16 @@ def sy_via_gf(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Frac
     return sy_table(dist, n, x, m)[n][m]
 
 
-def sy_via_uniform_rep(
-    dist: Distribution,
-    n: int,
-    m: int,
-    x: Fraction | int = 0,
-    max_m: int = UNIFORM_REP_DEFAULT_CAP,
-) -> Fraction:
+def sy_via_uniform_rep(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """Uniform-product route: C(n, m) E[Y_1 ... Y_m (x + Y_1 U_1 + ... +
     Y_m U_m)^(n-m)] with independent uniform U_j on [0, 1].
 
     The power is expanded multinomially; independence factors each term
-    into moments of Y and of U, with E[U^a] = 1/(a+1). This is the slowest
-    route and serves as an oracle, hence the cap on m.
+    into moments of Y and of U, with E[U^a] = 1/(a+1). It sums one term per
+    weak composition of n - m into m + 1 parts, C(n, m) of them, so it is
+    the slowest route and serves only as an oracle.
     """
     _order("m", m, n)
-    if m > max_m:
-        raise ValueError(f"uniform-representation route capped at m <= {max_m}, got m={m}")
     x = Fraction(x)
     # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
     factors = [moment(dist, a + 1) / (a + 1) for a in range(n - m + 1)]
@@ -320,8 +310,9 @@ def sy_closed_ut(n: int, m: int) -> Fraction:
 
 def whitney(alpha: Fraction | int, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """Whitney numbers of the second kind with rational parameter alpha,
-    realized as the constant-shift value rescaled by alpha^(-m)."""
+    realized as the constant-law value rescaled by alpha^(-m), read from
+    the production engine."""
     alpha = Fraction(alpha)
     if alpha == 0:
         raise ValueError("Whitney rescaling requires a nonzero parameter")
-    return sy(Constant(alpha), n, m, x) / alpha**m
+    return sy_via_gf(Constant(alpha), n, m, x) / alpha**m

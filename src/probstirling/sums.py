@@ -38,13 +38,12 @@ from .exact_core import (
     bell_poly,
     binomial,
     cnn_table,
-    falling_factorial,
     forward_diff,
     rising_factorial,
 )
 from .gen_stirling import (
-    UNIFORM_REP_DEFAULT_CAP,
     sy,
+    sy_closed_exponential,
     sy_closed_geometric_shifted,
     sy_closed_poisson,
     sy_table,
@@ -58,6 +57,7 @@ from .series import series_mul, series_one
 Grid = Iterable[tuple[int, Sequence[int]]]
 
 __all__ = [
+    "UNIFORM_REP_DEFAULT_CAP",
     "IdentityReport",
     "make_report",
     "triple_identity",
@@ -76,6 +76,10 @@ __all__ = [
     "verify_paths",
     "verify_bernoulli_classic",
 ]
+
+# the cells m <= this bound get a paths-uniform record: the uniform route
+# sums C(n, m) terms per cell, which outgrows the other routes as m grows
+UNIFORM_REP_DEFAULT_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -266,16 +270,16 @@ def verify_theorem1(n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,))
 
 
 def verify_theorem9(n_max: int, N_max: int) -> list[IdentityReport]:
-    """Rising-factorial sums: the sum over k = 0..N of <k>_n against its
-    binomial-weighted closed form and its c-weighted short form, computed
-    from factorials alone (no moment engine). Requires N >= n, so the grid
-    runs n <= N <= N_max."""
+    """Rising-factorial sums: the sum over k = 0..N of <k>_n against the
+    binomial-weighted exponential-law closed form and the c-weighted short
+    form, computed from factorials alone (no moment engine). Requires
+    N >= n, so the grid runs n <= N <= N_max."""
     return triple_identity(
         "theorem9",
         lambda n, N, x: {"n": n, "N": N},
         [(n, range(n, N_max + 1)) for n in range(n_max + 1)],
         lambda n, x, k: Fraction(rising_factorial(k, n)),
-        lambda n, x, m: falling_factorial(n, m) * rising_factorial(m, n - m),
+        lambda n, x, m: factorial(m) * sy_closed_exponential(n, m),
     )
 
 
@@ -363,7 +367,7 @@ def verify_paths(
 ) -> list[IdentityReport]:
     """All-route agreement: the alternating sum against the production
     engine's generating function and the factorial-moment oracle, plus the
-    uniform-representation oracle where its cap allows."""
+    uniform-representation oracle on the cells m <= UNIFORM_REP_DEFAULT_CAP."""
     reports = []
     for params, n, m, x, engine in _sy_cells(dist, n_max, xs):
         base = sy(dist, n, m, x)

@@ -4,10 +4,13 @@
 import contextlib
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -180,6 +183,58 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0,2", "1,-2", "2,4"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "stirling2", "--n", "150"], ["verify", "theorem11", "--n-max", "1", "--N-max", "2000"]]
+)
+def test_closed_pipe_exits_141_without_traceback(argv):
+    # a reader such as `head -1` closes the pipe while the output is still
+    # being written; 141 is the status a shell gives a writer killed by SIGPIPE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen(
+        [sys.executable, "-m", "probstirling", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert err == ""  # no BrokenPipeError traceback
+
+
+def _readme_examples():
+    """Each ``probstirling ...`` line of the README's sh blocks, as an argv,
+    with the comment lines right below it (the output it shows, if any)."""
+    examples, in_sh, shown = [], False, None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh, shown = line == "```sh" and not in_sh, None
+        elif in_sh and line.startswith("probstirling "):
+            shown = []
+            examples.append((shlex.split(line, comments=True)[1:], shown))
+        elif shown is not None and line.startswith("# "):
+            shown.append(line[2:])
+        else:
+            shown = None
+    return examples
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert {argv[0] for argv, _ in examples} == {"table", "verify", "mc-check"}
+    assert (["table", "cnn", "--n", "2", "--N", "3", "--format", "csv"], ["0,2", "1,-2", "2,4"]) in examples
+    for argv, shown in examples:
+        cli.build_parser().parse_args(argv)
+        if argv[0] == "mc-check":
+            continue  # a million samples per row; parsing is the check here
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if shown:
+            assert out.splitlines() == shown, argv
 
 
 def test_exact_paths_do_not_load_numpy(fresh_python):
@@ -361,10 +416,14 @@ def test_mc_check_refuses_poisson_rate_beyond_the_sampler(capsys):
         (["verify", "gf", "--dist", "exp", "--x=2/0"], "argument --x: not a rational number: '2/0'"),
         (
             ["table", "sy", "--dist", "poisson:1/0", "--n", "3"],
-            "argument --dist: poisson parameter must be rational, got '1/0'",
+            "argument --dist: Poisson rate must be rational, got '1/0'",
         ),
         (["verify", "paths", "--dist", "geom:2"], "argument --dist: Geometric requires 0 < q < 1, got 2"),
         (["mc-check", "--dist", "bogus:1"], "argument --dist: unknown distribution syntax: 'bogus:1'"),
+        (
+            ["verify", "gf", "--dist", "finite:1"],
+            "argument --dist: finite atom must look like value:prob, got '1'",
+        ),
     ],
 )
 def test_bad_option_value_names_the_problem(capsys, argv, message):

@@ -97,6 +97,8 @@ def test_parameter_validation():
         FiniteSupport(((Fraction(0), Fraction(3, 2)), (Fraction(1), Fraction(-1, 2))))
     with pytest.raises(ValueError):
         FiniteSupport(())
+    with pytest.raises(ValueError, match="shift base must be a distribution, got 'exp'"):
+        Shifted("exp", 1)
 
 
 # ---------------------------------------------------------------- sum moments
@@ -292,6 +294,7 @@ def test_parse_examples():
         "const",
         "exp:1",
         "finite:1:1/2",
+        "finite:1",
         "finite:",
         "shift:1",
         "poisson:a",

@@ -10,7 +10,7 @@ import pytest
 from sympy.functions.combinatorial.numbers import stirling
 
 import probstirling.cli as cli
-from probstirling import gen_stirling, series
+from probstirling import gen_stirling, series, sums
 from probstirling.distributions import (
     Bernoulli,
     Constant,
@@ -114,9 +114,7 @@ def test_sy_via_uniform_rep_examples():
     for dist in (Exponential(), Geometric(HALF)):
         for n in range(1, 5):
             assert sy_via_uniform_rep(dist, n, n, HALF) == moment(dist, 1) ** n
-    with pytest.raises(ValueError):
-        sy_via_uniform_rep(Exponential(), 8, 5, 0)
-    assert sy_via_uniform_rep(Exponential(), 8, 5, 0, max_m=5) == sy(Exponential(), 8, 5, 0)
+    assert sy_via_uniform_rep(Exponential(), 8, 5, 0) == sy(Exponential(), 8, 5, 0)
     with pytest.raises(ValueError):
         sy_via_uniform_rep(Exponential(), 2, 3, 0)
 
@@ -161,6 +159,36 @@ def test_oracles_agree_without_engine_or_series(dist, monkeypatch):
                 assert sy_via_factorial(dist, n, m, x) == base
                 if m <= 4:
                     assert sy_via_uniform_rep(dist, n, m, x) == base
+
+
+def test_production_paths_never_reach_an_oracle(capsys, monkeypatch):
+    # the reverse of the test above: every production value comes from the
+    # engine or a closed form, so the oracles may raise wherever they are bound
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a production path reached an oracle route")
+
+    for name in ("sy", "sy_via_factorial", "sy_via_uniform_rep", "_falling_moment"):
+        for module in (gen_stirling, sums):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    law, x = Shifted(Poisson(Fraction(1, 3)), HALF), Fraction(-7, 3)
+    sy_table(law, 8, x)
+    sy_poly(law, 6, 2)
+    sy_via_gf(law, 6, 2, x)
+    assert whitney(2, 2, 1, 0) == 2
+    sums.sum_via_stirling(law, 5, 7, x)
+    grids = [
+        sums.verify_corollary8(law, 4, 6, [0, x]),
+        sums.verify_theorem1(4, 6, [0, x]),
+        sums.verify_theorem9(4, 6),
+        sums.verify_theorem10(HALF, 4, 6),
+        sums.verify_theorem11(HALF, 3, 5),
+        sums.verify_theorem12("moment:poisson:1/3", 3, 5, [x]),
+        sums.verify_bernoulli_classic(4, 6, [x]),
+    ]
+    assert all(r.passed for reports in grids for r in reports)
+    assert cli.main(["table", "sy", "--dist", "poisson:1/3", "--n", "6", "--x=1/2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 28
 
 
 # ------------------------------------------------------- production engine

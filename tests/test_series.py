@@ -57,6 +57,11 @@ def test_series_mul_order_mismatch():
         series_mul(EGFSeries((0, 0, 0)), EGFSeries((1,)))
 
 
+def test_series_refuses_no_coefficients():
+    with pytest.raises(ValueError, match="at least the constant term"):
+        EGFSeries(())
+
+
 def _cauchy_reference(f: EGFSeries, g: EGFSeries) -> tuple[Fraction, ...]:
     # the naive Fraction Cauchy product
     n = f.order

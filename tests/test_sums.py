@@ -40,7 +40,6 @@ from probstirling.exact_core import (
     rising_factorial,
 )
 from probstirling.gen_stirling import (
-    UNIFORM_REP_DEFAULT_CAP,
     sy_closed_geometric_shifted,
     sy_closed_poisson,
     sy_table,
@@ -49,6 +48,7 @@ from probstirling.gen_stirling import (
 from probstirling.polylog import li_conv_prob
 from probstirling.series import series_mul, series_one
 from probstirling.sums import (
+    UNIFORM_REP_DEFAULT_CAP,
     _poly_mean,
     classical_bernoulli_check,
     make_report,
