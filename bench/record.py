@@ -17,7 +17,8 @@ perfbench's run record, and two row sets:
   computation, not interpreter start-up, dominates: ``sy_table``, a cold
   ``sum_moment``, the theorem12 and bernoulli-classic verify grids at
   n <= 10, N <= 60, the all-route ``verify_paths`` grid for geom:1/2 at
-  n <= 10 and x = 0, 1/2, every ``li_conv_direct`` cell at q = 1/3,
+  n <= 10 and x = 0, 1/2, every ``sy_via_uniform_rep`` cell for geom:1/2
+  at n <= 14 and x = 1/2, every ``li_conv_direct`` cell at q = 1/3,
   n <= 6, k <= 8, and ``import probstirling.cli``, the imports
   that ``table`` runs. Every repeat runs in a fresh interpreter, so every memo
   and row table starts empty and nothing is imported yet, and only the
@@ -79,6 +80,13 @@ CALLS["verify_paths geom:1/2 n<=10 x=0,1/2"] = (
     "from probstirling.distributions import Geometric\n"
     "from probstirling.sums import verify_paths\n",
     "verify_paths(Geometric(Fraction(1, 2)), 10, [0, Fraction(1, 2)])",
+)
+CALLS["sy_via_uniform_rep geom:1/2 n<=14 x=1/2 every cell"] = (
+    "from fractions import Fraction\n"
+    "from probstirling.distributions import Geometric\n"
+    "from probstirling.gen_stirling import sy_via_uniform_rep\n"
+    "law = Geometric(Fraction(1, 2))\n",
+    "[sy_via_uniform_rep(law, n, m, Fraction(1, 2)) for n in range(15) for m in range(n + 1)]",
 )
 CALLS["li_conv_direct q=1/3 n<=6 k<=8"] = (
     "from fractions import Fraction\n"

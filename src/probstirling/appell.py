@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .distributions import Distribution, format_distribution, parse_distribution
-from .exact_core import Polynomial, _order, binomial
+from .exact_core import Polynomial, _common_denominator, _order, binomial
 from .series import (
     EGFSeries,
     egf_coefficient,
@@ -73,8 +73,20 @@ def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
 
 
 def appell_eval(seed: AppellSeed, n: int, x: Fraction | int) -> Fraction:
-    """A_n(x), by Horner's rule on :func:`appell_polynomial`."""
-    return appell_polynomial(seed, n)(x)
+    """A_n(x) = sum_d C(n, d) A_(n-d)(0) x^d, summed as integers: with the
+    seed's first n + 1 coefficients g_j = G_j / D over their lcm D and
+    x = u/v, C(n, d) A_(n-d)(0) = n!/d! g_(n-d), so
+    A_n(x) = sum_d n!/d! G_(n-d) u^d v^(n-d) / (D v^n), one Fraction in
+    all; n must not exceed the seed's truncation order."""
+    _order("n", n, seed.order)
+    g, g_den = _common_denominator(seed.g0.coeffs[: n + 1])
+    x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    acc, weight = 0, 1  # weight = n!/d!, from d = n down
+    for d in range(n, -1, -1):
+        acc += weight * g[n - d] * u**d * v ** (n - d)
+        weight *= d
+    return Fraction(acc, g_den * v**n)
 
 
 def binomial_convolve(a: AppellSeed, c: AppellSeed) -> AppellSeed:

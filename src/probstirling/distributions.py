@@ -20,8 +20,10 @@ Both binomial convolutions run in integers: a new E[S_k^n] entry sums
 C(n, j) times the numerators of E[S_{k-1}^j] and E[Y^{n-j}] over the lcm
 of the entries it reads and of the law's moments, and E[(x + S_k)^n] with
 x = a/b sums over the same numerators scaled by a^(n-j) b^j. Each result
-is one Fraction, so the only gcd is the one that stores it. The law's
-moments are looked up once per widening of its table, not per entry.
+is one Fraction, so the only gcd is the one that stores it. Row 1 of a
+law's table, E[S_1^n] = E[Y^n], is where the convolutions and the S_Y
+engine read the law's moments: it grows by one :func:`moment` lookup per
+new entry, so a moment is looked up once per law, not on every widening.
 """
 
 from __future__ import annotations
@@ -205,13 +207,24 @@ def moment(dist: Distribution, n: int) -> Fraction:
     raise TypeError(f"unknown distribution kind: {dist!r}")
 
 
-# law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0, 0, ...
+# law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0,
+# 0, ..., and row 1, E[S_1^n] = E[Y^n], is the law's one row of raw moments
 _SUM_MOMENT_ROWS: dict[Distribution, list[list[Fraction]]] = {}
 
 
 def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
-    """E[Y^j] for j < `width`, as integers over one denominator."""
-    return _common_denominator([moment(dist, j) for j in range(width)])
+    """E[Y^j] for j < `width`, as integers over one denominator, read from
+    row 1 of the law's E[S_k^n] table after growing it by `moment` lookups
+    for the entries it lacks.
+
+    The growth holds the tables' reentrant lock across those lookups. That
+    is safe: a moment lookup takes no lock but that one (Poisson and
+    geometric moments grow the Stirling tables under it), so it can only
+    reenter it in the same thread.
+    """
+    rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
+    row = _grow_rows(rows, 1, width, lambda i, row, prev: moment(dist, len(row)))
+    return _common_denominator(row[:width])
 
 
 def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:
@@ -222,8 +235,8 @@ def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:
     rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
     if k < len(rows) and len(rows[k]) >= width:
         return rows[k]
-    # fetched before growing, so the table's lock is never held across a
-    # moment lookup (Poisson moments read the Stirling table)
+    # this grows rows 0 and 1 to `width`, so the growth below convolves
+    # only rows 2 and up
     mu, mu_den = _law_moments(dist, width)
 
     def convolve(i: int, row: list[Fraction], prev: list[Fraction]) -> Fraction:

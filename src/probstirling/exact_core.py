@@ -1,8 +1,9 @@
 """Exact combinatorial kernel.
 
-Factorials, binomials, Stirling numbers of both kinds, difference operators
-on dense rational polynomials, single-variable Bell polynomials, and the
-integer weight family that compresses power sums over arithmetic
+Factorials, binomials, Stirling numbers of both kinds, integer partitions
+with the count of weak compositions each one stands for, difference
+operators on dense rational polynomials, single-variable Bell polynomials,
+and the integer weight family that compresses power sums over arithmetic
 progressions.
 
 Every scalar is an ``int`` or a ``fractions.Fraction``; nothing here ever
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, factorial, lcm
-from operator import sub
+from math import comb, factorial, lcm, perm
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -37,7 +37,8 @@ __all__ = [
     "falling_factorial",
     "double_factorial",
     "multinomial",
-    "weak_compositions",
+    "partitions",
+    "arrangements",
     "stirling2",
     "stirling1",
     "stirling2_poly",
@@ -120,18 +121,54 @@ def multinomial(parts: Sequence[int]) -> int:
     return out
 
 
-def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+def arrangements(parts: Sequence[int], slots: int) -> int:
+    """The number of weak compositions into `slots` parts whose nonzero
+    parts are `parts`: slots!/((slots - l)! prod mult!), where l is the
+    number of parts and mult their multiplicities."""
+    _order("slots", slots)
+    out = perm(slots, len(parts))
+    for mult in Counter(parts).values():
+        out //= factorial(mult)
+    return out
+
+
+def partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of `total` into at most `parts` positive parts, each a
+    nondecreasing tuple, in lexicographic order; 0 has the one empty
+    partition. A sum over weak compositions of a symmetric function needs
+    one term per partition, weighted by its arrangements."""
     _order("total", total)
     _order("parts", parts)
-    if parts == 0:
-        if total == 0:
-            yield ()
+    if total == 0:
+        yield ()
         return
-    # stars and bars: the parts are the gaps between parts - 1 nondecreasing
-    # cut points in 0..total, whose lexicographic order is that of the parts
-    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+    if parts == 0:
+        return
+    # the least way to finish a partition with `rest` in at most `room`
+    # parts, each at least `low`: parts of `low` while a second one fits,
+    # then the remainder (rest is 0 or at least low, and room at least 1)
+    def finish(out: list[int], low: int, rest: int, room: int) -> None:
+        while room > 1 and rest >= 2 * low:
+            out.append(low)
+            rest -= low
+            room -= 1
+        if rest:
+            out.append(rest)
+
+    current: list[int] = []
+    finish(current, 1, total, parts)
+    yield tuple(current)
+    # the next partition raises the second-to-last part by the least amount
+    # that leaves a valid finish: by one, or by all of the last part
+    while len(current) > 1:
+        rest = current.pop() - 1
+        low = current.pop() + 1
+        if rest >= low:
+            current.append(low)
+            finish(current, low, rest, parts - len(current))
+        else:
+            current.append(low + rest)
+        yield tuple(current)
 
 
 def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

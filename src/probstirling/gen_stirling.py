@@ -43,13 +43,14 @@ from .exact_core import (
     Polynomial,
     _order,
     alternating_sum,
+    arrangements,
     binomial,
     double_factorial,
     multinomial,
+    partitions,
     rising_factorial,
     stirling1,
     stirling2,
-    weak_compositions,
 )
 
 __all__ = [
@@ -180,21 +181,28 @@ def sy_via_uniform_rep(dist: Distribution, n: int, m: int, x: Fraction | int = 0
     Y_m U_m)^(n-m)] with independent uniform U_j on [0, 1].
 
     The power is expanded multinomially; independence factors each term
-    into moments of Y and of U, with E[U^a] = 1/(a+1). It sums one term per
-    weak composition of n - m into m + 1 parts, C(n, m) of them, so it is
-    the slowest route and serves only as an oracle.
+    into moments of Y and of U, with E[U^a] = 1/(a+1). The m pairs
+    (Y_j, U_j) are exchangeable, so for each power e of x the terms are
+    summed once per partition of n - m - e into at most m positive parts,
+    weighted by its :func:`~probstirling.exact_core.arrangements` among the
+    m pairs; the pairs left out each contribute E[Y]. That is at most
+    p(n - m - e) terms per power e, against C(n, m) weak compositions in
+    all. It serves only as an oracle.
     """
     _order("m", m, n)
     x = Fraction(x)
     # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
     factors = [moment(dist, a + 1) / (a + 1) for a in range(n - m + 1)]
     total = Fraction(0)
-    # parts[0] counts the x factors; parts[1..m] the Y_j U_j factors
-    for parts in weak_compositions(n - m, m + 1):
-        term = multinomial(parts) * x ** parts[0]
-        for a in parts[1:]:
-            term *= factors[a]
-        total += term
+    for e in range(n - m + 1):
+        # e counts the x factors; the parts, the exponents a of the Y_j U_j factors
+        orbits = Fraction(0)
+        for parts in partitions(n - m - e, m):
+            term = arrangements(parts, m) * multinomial(parts) * factors[0] ** (m - len(parts))
+            for a in parts:
+                term *= factors[a]
+            orbits += term
+        total += binomial(n - m, e) * x**e * orbits
     return binomial(n, m) * total
 
 

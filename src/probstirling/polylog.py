@@ -4,10 +4,10 @@ For Y ~ Geometric(q), E[Y^n] = (1 - q) sum_{j>=0} j^n q^j, so at order -n
 the polylogarithm is a geometric moment over 1 - q: a rational function of
 q, exact as a Fraction at every rational q in (0, 1), and read from the
 moment engine rather than summed as a series. Multinomial k-fold
-convolutions are evaluated two ways: direct enumeration over weak
-compositions, and through moments of shifted geometric partial sums. Which
-moment tables each may read is stated in
-``probstirling.gen_stirling._ROUTE_MAP``.
+convolutions are evaluated two ways: direct enumeration, one term per
+partition of the order into at most k parts, and through moments of
+shifted geometric partial sums. Which moment tables each may read is
+stated in ``probstirling.gen_stirling._ROUTE_MAP``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distributions import Geometric, moment, shifted_sum_moment
-from .exact_core import _order, multinomial, weak_compositions
+from .exact_core import _order, arrangements, multinomial, partitions
 
 __all__ = ["li_neg", "li_conv_direct", "li_conv_prob"]
 
@@ -32,10 +32,17 @@ def li_neg(n: int, q: Fraction) -> Fraction:
 
 
 def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
-    """k-fold multinomial convolution of negative-order polylogarithms,
-    by direct enumeration over weak compositions of n into k parts.
+    """k-fold multinomial convolution of negative-order polylogarithms:
+    the sum over weak compositions of n into k parts of the multinomial
+    times the product of Li at minus each part.
 
-    The 0-fold convolution is 1 at n = 0 and 0 otherwise.
+    The summand is symmetric in the parts, so the sum runs over the
+    partitions of n into at most k positive parts, each weighted by its
+    :func:`~probstirling.exact_core.arrangements` among the k slots,
+    k!/((k - l)! prod mult!) for l parts of multiplicities mult; the k - l
+    empty slots each contribute Li at order 0, q/(1 - q). That is at most
+    p(n) terms, against C(n + k - 1, n) compositions. The 0-fold
+    convolution is 1 at n = 0 and 0 otherwise.
     """
     _order("n", n)
     _order("k", k)
@@ -43,8 +50,8 @@ def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
     # read once per call: each memo lookup hashes q
     values = [li_neg(j, q) for j in range(n + 1)]
     total = Fraction(0)
-    for parts in weak_compositions(n, k):
-        term = Fraction(multinomial(parts))
+    for parts in partitions(n, k):
+        term = arrangements(parts, k) * multinomial(parts) * values[0] ** (k - len(parts))
         for part in parts:
             term *= values[part]
         total += term

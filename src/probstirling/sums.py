@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .appell import AppellSeed, appell_polynomial, bernoulli_seed, family_seed
+from .appell import AppellSeed, appell_eval, bernoulli_seed, family_seed
 from .distributions import (
     Constant,
     Distribution,
@@ -77,8 +77,8 @@ __all__ = [
     "verify_bernoulli_classic",
 ]
 
-# the cells m <= this bound get a paths-uniform record: the uniform route
-# sums C(n, m) terms per cell, which outgrows the other routes as m grows
+# the cells m <= this bound get a paths-uniform record; the uniform route
+# itself takes any m, but a record on every cell would change the output
 UNIFORM_REP_DEFAULT_CAP = 4
 
 
@@ -206,9 +206,9 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[Identit
     """The classical baseline over a grid (see :func:`classical_bernoulli_check`)."""
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
-        bernoulli = appell_polynomial(bernoulli_seed(n + 1), n + 1)
+        seed = bernoulli_seed(n + 1)
         # a negative N sums no summand, as in the long member
-        return (bernoulli(x + max(N + 1, 0)) - bernoulli(x)) / (n + 1)
+        return (appell_eval(seed, n + 1, x + max(N + 1, 0)) - appell_eval(seed, n + 1, x)) / (n + 1)
 
     return triple_identity(
         "bernoulli-classic",
@@ -323,7 +323,7 @@ def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> li
     def term(n: int, x: Fraction, k: int) -> Fraction:
         while len(powers) <= k:
             powers.append(series_mul(powers[-1], seed.g0))
-        return appell_polynomial(AppellSeed(seed.name, powers[k]), n)(x)
+        return appell_eval(AppellSeed(seed.name, powers[k]), n, x)
 
     label = lambda n, N, x: {"family": seed.name, "n": n, "N": N, "x": x}
     return triple_identity("theorem12", label, grid, term, None, xs)

@@ -36,7 +36,6 @@ from probstirling.exact_core import (
     rising_factorial,
     stirling2,
     stirling2_poly,
-    weak_compositions,
 )
 from probstirling.gen_stirling import (
     sy,
@@ -63,7 +62,7 @@ from probstirling.sums import (
     verify_theorem11,
 )
 
-from catalog import CATALOG, HALF
+from catalog import CATALOG, HALF, weak_compositions
 
 X4 = [Fraction(0), Fraction(1), Fraction(-1), HALF]
 

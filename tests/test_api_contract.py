@@ -47,11 +47,11 @@ from probstirling.exact_core import (
     double_factorial,
     falling_factorial,
     forward_diff,
+    partitions,
     rising_factorial,
     stirling1,
     stirling2,
     stirling2_poly,
-    weak_compositions,
 )
 from probstirling.gen_stirling import (
     hermite_at_zero,
@@ -88,7 +88,7 @@ from probstirling.sums import (
     verify_paths,
 )
 
-from catalog import CATALOG, HALF
+from catalog import CATALOG, HALF, weak_compositions
 
 orders = st.integers(-3, 10)
 laws = st.sampled_from(CATALOG)
@@ -204,7 +204,7 @@ def test_moment_engine_refuses_or_agrees_across_routes(dist, k, n, x):
 @example(-3, 2, Fraction(2))  # double_factorial gave 1
 @example(2, -1, Fraction(1))  # forward_diff gave the polynomial back
 @example(1, -1, Fraction(1))  # alternating_sum(-1, [1, 2]) gave 0
-@example(-1, 1, Fraction(0))  # weak_compositions(-1, 1) gave [(-1,)]
+@example(-1, 1, Fraction(0))  # weak_compositions(-1, 1) gave [(-1,)], now a test reference
 def test_kernel_refuses_or_agrees_with_sympy(n, m, x):
     in_triangle = 0 <= m <= n
     X = symbolic(x)
@@ -229,6 +229,9 @@ def test_kernel_refuses_or_agrees_with_sympy(n, m, x):
     contract(lambda: alternating_sum(m, values), m >= 0, differences, "m")
     reference = lambda: compositions(n, m)
     contract(lambda: list(weak_compositions(n, m)), n >= 0 and m >= 0, reference, "total", "parts")
+    # one partition per sorted weak composition, its zero parts dropped
+    sorted_compositions = lambda: len({tuple(sorted(c)) for c in compositions(n, m)})
+    contract(lambda: len(list(partitions(n, m))), n >= 0 and m >= 0, sorted_compositions, "total", "parts")
 
 
 @fuzz

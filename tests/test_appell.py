@@ -4,8 +4,10 @@ weighted power-sum compression identity."""
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from probstirling.appell import (
     AppellSeed,
@@ -76,6 +78,24 @@ def test_appell_eval_bounds():
     assert seq.order == 3
     with pytest.raises(ValueError):
         appell_eval(seq, 4, 0)
+
+
+FAMILIES = ["bernoulli", "euler", "hermite", "moment:exp", "moment:normal", "moment:poisson:2/3",
+            "moment:shift:-1/3:geom:1/4", "moment:finite:-2:1/3,1/2:2/3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 3),
+    st.integers(0, 12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+def test_appell_eval_is_the_polynomial_value(family, k, n, x):
+    # the integer kernel against Horner's rule on the Fraction coefficients,
+    # on the family and on the k-fold powers that theorem12 reads
+    seed = kfold(family_seed(family, 12), k)
+    assert appell_eval(seed, n, x) == appell_polynomial(seed, n)(x)
 
 
 def test_derivative_property():

@@ -7,8 +7,10 @@ values are checked against sympy.
 """
 
 import functools
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -18,6 +20,7 @@ from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.exact_core import (
     Polynomial,
+    arrangements,
     bell_poly,
     binomial,
     cnn_alternating,
@@ -27,12 +30,14 @@ from probstirling.exact_core import (
     forward_diff,
     iterated_diff,
     multinomial,
+    partitions,
     rising_factorial,
     stirling1,
     stirling2,
     stirling2_poly,
-    weak_compositions,
 )
+
+from catalog import weak_compositions
 
 X = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -352,6 +357,23 @@ def test_weak_compositions_in_lexicographic_order():
             assert list(weak_compositions(total, parts)) == expected
 
 
+def test_partitions_are_the_sorted_weak_compositions():
+    for total in range(13):
+        for parts in range(13):
+            got = list(partitions(total, parts))
+            assert len(set(got)) == len(got)
+            assert all(sorted(p) == list(p) and all(p) and sum(p) == total and len(p) <= parts for p in got)
+            # the orbits of distinct partitions are disjoint, so orbit sizes
+            # that add up to every weak composition leave none out
+            count = comb(total + parts - 1, total) if parts else int(total == 0)
+            assert sum(arrangements(p, parts) for p in got) == count
+            # the enumeration itself, where it stays under a second
+            if total + parts <= 18:
+                orbits = Counter(tuple(sorted(filter(None, c))) for c in weak_compositions(total, parts))
+                assert got == sorted(orbits)
+                assert [arrangements(p, parts) for p in got] == [orbits[p] for p in got]
+
+
 def test_multinomial():
     assert multinomial((2, 1, 1)) == 12
     assert multinomial(()) == 1
@@ -477,19 +499,20 @@ def test_cold_lookups_need_no_recursion(fresh_python):
         "import inspect, sys\n"
         "from fractions import Fraction\n"
         "from probstirling.distributions import Exponential, Poisson, shifted_sum_moment, sum_moment\n"
-        "from probstirling.exact_core import stirling1, stirling2, weak_compositions\n"
+        "from probstirling.exact_core import partitions, stirling1, stirling2\n"
         "from probstirling.polylog import li_conv_direct\n"
         "sys.setrecursionlimit(len(inspect.stack()) + 40)\n"
         "print(sum_moment(Poisson(Fraction(1, 3)), 400, 6))\n"
         "print(shifted_sum_moment(Exponential(), 300, 4, Fraction(1, 2)))\n"
         "print(stirling2(300, 150))\n"
         "print(stirling1(300, 290))\n"
-        "print(next(weak_compositions(2, 600)) == (0,) * 599 + (2,))\n"
-        "print(sum(1 for _ in weak_compositions(1, 600)))\n"
+        "print(next(partitions(600, 600)) == (1,) * 600)\n"
+        "print(sum(1 for _ in partitions(600, 2)))\n"
         "print(li_conv_direct(1, 300, Fraction(1, 2)))"
     )
     # S_400 is Poisson(400/3), whose 6th moment is the Bell polynomial
     # B_6(400/3); S_300 is Gamma(300), E[S^j] the rising factorial (300)_j;
+    # 600 splits into at most two parts as 600 or a + b with 1 <= a <= b;
     # the convolution of k copies of Li_{-1}(1/2) = 2 at n = 1 is 2k
     rate = Fraction(400, 3)
     half = Fraction(1, 2)
@@ -499,7 +522,7 @@ def test_cold_lookups_need_no_recursion(fresh_python):
         int(stirling(300, 150)),
         int(stirling(300, 290, kind=1, signed=True)),
         True,
-        600,
+        301,
         600,
     ]
     assert out.split() == [str(value) for value in expected]

@@ -29,6 +29,7 @@ from probstirling.exact_core import (
     Polynomial,
     bell_poly,
     binomial,
+    multinomial,
     rising_factorial,
     stirling2,
     stirling2_poly,
@@ -51,7 +52,7 @@ from probstirling.gen_stirling import (
 )
 from probstirling.series import EGFSeries, egf_coefficient, series_pow
 
-from catalog import CATALOG, HALF
+from catalog import CATALOG, HALF, weak_compositions
 
 X = [Fraction(0), Fraction(1), Fraction(-1), HALF]
 
@@ -117,6 +118,23 @@ def test_sy_via_uniform_rep_examples():
     assert sy_via_uniform_rep(Exponential(), 8, 5, 0) == sy(Exponential(), 8, 5, 0)
     with pytest.raises(ValueError):
         sy_via_uniform_rep(Exponential(), 2, 3, 0)
+
+
+def test_sy_via_uniform_rep_matches_the_composition_sum():
+    # the partition sums against the defining expansion, one term per weak
+    # composition of n - m into the x exponent and the m pair exponents
+    for dist in CATALOG:
+        factors = [moment(dist, a + 1) / (a + 1) for a in range(10)]
+        for n in range(10):
+            for m in range(n + 1):
+                for x in (Fraction(0), HALF, Fraction(-7, 3)):
+                    expected = Fraction(0)
+                    for parts in weak_compositions(n - m, m + 1):
+                        term = multinomial(parts) * x ** parts[0]
+                        for a in parts[1:]:
+                            term *= factors[a]
+                        expected += term
+                    assert sy_via_uniform_rep(dist, n, m, x) == binomial(n, m) * expected, (dist, n, m, x)
 
 
 def test_sy_via_factorial_examples():

@@ -6,8 +6,10 @@ from math import comb, factorial
 import pytest
 import sympy
 
-from probstirling.exact_core import stirling2
+from probstirling.exact_core import multinomial, stirling2
 from probstirling.polylog import li_conv_direct, li_conv_prob, li_neg
+
+from catalog import weak_compositions
 
 QS = [Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]
 
@@ -103,6 +105,21 @@ def test_li_conv_direct_reads_each_order_once():
     after = li_neg.cache_info()
     assert after.hits + after.misses - before.hits - before.misses == 7
     assert value == li_conv_prob(6, 4, q)
+
+
+def test_li_conv_direct_matches_the_composition_sum():
+    # the partition sum against the defining sum, one term per weak composition
+    for q in (Fraction(2, 5), Fraction(1, 3), Fraction(3, 4)):
+        values = [li_neg(j, q) for j in range(9)]
+        for n in range(9):
+            for k in range(9):
+                expected = Fraction(0)
+                for parts in weak_compositions(n, k):
+                    term = Fraction(multinomial(parts))
+                    for part in parts:
+                        term *= values[part]
+                    expected += term
+                assert li_conv_direct(n, k, q) == expected, (n, k, q)
 
 
 def test_derivative_recurrence():
