@@ -19,12 +19,14 @@ perfbench's run record, and two row sets:
   n <= 10, N <= 60, the all-route ``verify_paths`` grid for geom:1/2 at
   n <= 10 and x = 0, 1/2, every ``sy_via_uniform_rep`` cell for geom:1/2
   at n <= 14 and x = 1/2, every ``li_conv_direct`` cell at q = 1/3,
-  n <= 6, k <= 8, and ``import probstirling.cli``, the imports
-  that ``table`` runs. Every repeat runs in a fresh interpreter, so every memo
-  and row table starts empty and nothing is imported yet, and only the
-  call itself is timed. The identity-sweep row is the summed
-  per-query latency of the seed-0 identity stream, run by
-  ``perfbench/child.py sweep``.
+  n <= 6, k <= 8, a Monte Carlo ``estimate_sum_moment`` of the normal
+  law at k = 3, n = 5 and 500k samples, and ``import probstirling.cli``,
+  the imports that ``table`` runs. Every repeat runs in a fresh
+  interpreter, so every memo and row table starts empty and nothing is
+  imported yet, and only the call itself is timed; the row also records
+  how far the call raised the interpreter's peak RSS. The identity-sweep
+  row is the summed per-query latency of the seed-0 identity stream, run
+  by ``perfbench/child.py sweep``.
 
 Each in-process row gives the median, the repeat count (5) and every
 value. Run length and repeat count are fixed, so every point is comparable
@@ -93,9 +95,20 @@ CALLS["li_conv_direct q=1/3 n<=6 k<=8"] = (
     "from probstirling.polylog import li_conv_direct\n",
     "[li_conv_direct(n, k, Fraction(1, 3)) for n in range(7) for k in range(9)]",
 )
+CALLS["estimate_sum_moment normal k=3 n=5 samples=500000"] = (
+    "from probstirling.distributions import StdNormal\n"
+    "from probstirling.montecarlo import estimate_sum_moment\n",
+    "estimate_sum_moment(StdNormal(), 3, 5, 500_000, 0)",
+)
 CALLS["import probstirling.cli"] = ("", "import probstirling.cli")
 
-_TIMER = "import time\n{setup}started = time.perf_counter()\n{call}\nprint(time.perf_counter() - started)\n"
+# prints the call's seconds and how far it raised the peak RSS, in KiB (Linux)
+_TIMER = (
+    "import resource, time\n{setup}"
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "started = time.perf_counter()\n{call}\nelapsed = time.perf_counter() - started\n"
+    "print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak)\n"
+)
 
 
 def _env(root: Path) -> dict:
@@ -110,20 +123,24 @@ def _run(cmd: list[str], root: Path) -> str:
     return proc.stdout
 
 
-def _row(name: str, values: list[float]) -> dict:
-    return {
+def _row(name: str, values: list[float], rss_growth_kib: list[int] | None = None) -> dict:
+    row = {
         "name": name,
         "median_s": round(statistics.median(values), 4),
         "repeats": len(values),
         "values_s": [round(v, 4) for v in values],
     }
+    if rss_growth_kib is not None:
+        row["rss_growth_mb"] = round(statistics.median(rss_growth_kib) / 1024, 2)
+    return row
 
 
 def in_process_rows(root: Path) -> list[dict]:
     rows = []
     for name, (setup, call) in CALLS.items():
         code = _TIMER.format(setup=setup, call=call)
-        rows.append(_row(name, [float(_run([sys.executable, "-c", code], root)) for _ in range(REPEATS)]))
+        runs = [_run([sys.executable, "-c", code], root).split() for _ in range(REPEATS)]
+        rows.append(_row(name, [float(t) for t, _ in runs], [int(kib) for _, kib in runs]))
     sweep = [sys.executable, "perfbench/child.py", "sweep", "identity-sweep", "0", "full"]
     totals = []
     for _ in range(REPEATS):

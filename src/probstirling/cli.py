@@ -266,7 +266,7 @@ def _handle_verify(args) -> int:
 
 def _handle_mc(args) -> int:
     # the sampler loads numpy, which no other command needs
-    from .montecarlo import NonFiniteError, compare_moment
+    from .montecarlo import NonFiniteError, SampleMemoryError, compare_moment
 
     _check_bounds(k_max=args.k_max, n_max=args.n_max)
     all_pass = True
@@ -278,6 +278,8 @@ def _handle_mc(args) -> int:
                 )
             except NonFiniteError as exc:
                 raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
+            except SampleMemoryError as exc:
+                raise ValueError(f"mc-check {exc}; lower --samples") from exc
             all_pass = all_pass and passed
             _emit_json(
                 {

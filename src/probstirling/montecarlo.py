@@ -21,6 +21,15 @@ order, and safe to run in parallel.
 Transforms are deterministic inversions: exponentials by -log(U), normals
 by the Box-Muller pair transform, geometric and Poisson by CDF inversion;
 a Poisson rate past about 275, whose table would miss mass, is refused.
+
+Memory is one float64 array of `samples` entries, the running k-fold
+sums, plus fixed scratch for one chunk of a draw: each draw is generated
+chunk by chunk, since counter mode lets any window of a stream be read
+on its own, and added into its slice of the sums. Every step up to the
+sums is elementwise, and the power, mean and standard deviation then run
+in place over the whole array in numpy's own order, so the bits do not
+depend on the chunk size. A sample count whose array cannot be allocated
+is refused with :class:`SampleMemoryError`, a ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -56,22 +66,32 @@ __all__ = [
     "compare_moment",
     "check_moment",
     "NonFiniteError",
+    "SampleMemoryError",
 ]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(2**53)
+# samples per chunk of a draw; every step is elementwise and the reductions
+# run over the whole total, so no output bit depends on this size
+_CHUNK = 1 << 15
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, in place on z."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMixStream:
-    """splitmix64 in counter mode over numpy uint64 arrays."""
+    """splitmix64 in counter mode over numpy uint64 arrays: any window of
+    the stream can be read on its own, and a draw reserves the counters it
+    reads."""
 
     __slots__ = ("state", "counter")
 
@@ -79,18 +99,26 @@ class SplitMixStream:
         self.state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = 0
 
-    def raw(self, count: int) -> np.ndarray:
-        index = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
+    def reserve(self, count: int) -> int:
+        """Advance the counter past `count` outputs; return where they start."""
+        start = self.counter
         self.counter += count
-        return _mix64(self.state + index * _GAMMA)
+        return start
 
-    def uniform(self, count: int) -> np.ndarray:
-        """53-bit uniforms in [0, 1)."""
-        return (self.raw(count) >> np.uint64(11)).astype(np.float64) / _TWO53
+    def raw(self, start: int, count: int) -> np.ndarray:
+        """Outputs start .. start + count - 1, wherever the counter stands."""
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self.state
+        return _mix64(z)
 
-    def uniform_pos(self, count: int) -> np.ndarray:
+    def uniform(self, start: int, count: int) -> np.ndarray:
+        """53-bit uniforms in [0, 1) from outputs start .. start + count - 1."""
+        return (self.raw(start, count) >> np.uint64(11)).astype(np.float64) / _TWO53
+
+    def uniform_pos(self, start: int, count: int) -> np.ndarray:
         """53-bit uniforms in (0, 1], safe under log."""
-        return ((self.raw(count) >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
+        return ((self.raw(start, count) >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
 
 
 def _stream_seed(seed: int, dist: Distribution, k: int, n: int) -> int:
@@ -100,17 +128,12 @@ def _stream_seed(seed: int, dist: Distribution, k: int, n: int) -> int:
     return int.from_bytes(hashlib.blake2b(label, digest_size=8).digest(), "little")
 
 
-def _sample_normal(count: int, stream: SplitMixStream) -> np.ndarray:
-    pairs = (count + 1) // 2
-    radius = np.sqrt(-2.0 * np.log(stream.uniform_pos(pairs)))
-    angle = (2.0 * np.pi) * stream.uniform(pairs)
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+def _chunks(count: int) -> Iterator[tuple[int, int]]:
+    for lo in range(0, count, _CHUNK):
+        yield lo, min(lo + _CHUNK, count)
 
 
-def _sample_poisson(rate: float, count: int, stream: SplitMixStream) -> np.ndarray:
-    if rate == 0.0:
-        stream.raw(count)  # keep stream advancement uniform across rates
-        return np.zeros(count)
+def _poisson_table(rate: float) -> np.ndarray:
     cumulative = [math.exp(-rate)]
     term = cumulative[0]
     j = 0
@@ -121,38 +144,84 @@ def _sample_poisson(rate: float, count: int, stream: SplitMixStream) -> np.ndarr
     # a draw past the table's end would come back as its length
     if 1.0 - cumulative[-1] > 1e-12:
         raise ValueError(f"Poisson rate {rate} too large to sample from a {j + 1}-term table")
-    table = np.array(cumulative)
-    return np.searchsorted(table, stream.uniform(count), side="right").astype(np.float64)
+    return np.array(cumulative)
 
 
-def _sample(dist: Distribution, count: int, stream: SplitMixStream) -> np.ndarray:
+def _law(
+    dist: Distribution, count: int, stream: SplitMixStream
+) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """How many stream outputs one draw of `count` samples reserves, and
+    draw(at, m): the m samples whose first uniform is output `at`."""
+    uniform, uniform_pos = stream.uniform, stream.uniform_pos
     match dist:
         case Constant(value=a):
-            return np.full(count, float(a))
+            a = float(a)
+            return 0, lambda at, m: np.full(m, a)
         case Bernoulli(p=p):
-            return (stream.uniform(count) < float(p)).astype(np.float64)
+            p = float(p)
+            return count, lambda at, m: (uniform(at, m) < p).astype(np.float64)
         case Exponential():
-            return -np.log(stream.uniform_pos(count))
+            return count, lambda at, m: -np.log(uniform_pos(at, m))
         case Uniform01():
-            return stream.uniform(count)
-        case StdNormal():
-            return _sample_normal(count, stream)
+            return count, uniform
         case UniformTimesExponential():
-            u = stream.uniform(count)
-            return u * -np.log(stream.uniform_pos(count))
+            # the exponential factors read the second half of the draw's outputs
+            return 2 * count, lambda at, m: uniform(at, m) * -np.log(uniform_pos(at + count, m))
         case Poisson(rate=rate):
-            return _sample_poisson(float(rate), count, stream)
+            rate = float(rate)
+            if rate == 0.0:  # reserves its outputs all the same, as every rate does
+                return count, lambda at, m: np.zeros(m)
+            table = _poisson_table(rate)
+            return count, lambda at, m: np.searchsorted(
+                table, uniform(at, m), side="right"
+            ).astype(np.float64)
         case Geometric(q=q):
             # failures before first success: invert P(Y >= j) = q^j
-            return np.floor(np.log(stream.uniform_pos(count)) / math.log(float(q)))
+            log_q = math.log(float(q))
+            return count, lambda at, m: np.floor(np.log(uniform_pos(at, m)) / log_q)
         case FiniteSupport(atoms=atoms):
             values = np.array([float(v) for v, _ in atoms])
             cumulative = np.cumsum([float(p) for _, p in atoms])
-            index = np.searchsorted(cumulative, stream.uniform(count), side="right")
-            return values[np.minimum(index, len(values) - 1)]
-        case Shifted(base=base, offset=c):
-            return _sample(base, count, stream) + float(c)
+            last = len(values) - 1
+            return count, lambda at, m: values[
+                np.minimum(np.searchsorted(cumulative, uniform(at, m), side="right"), last)
+            ]
     raise ValueError(f"distribution is not samplable: {dist!r}")
+
+
+def _pieces(dist: Distribution, count: int, stream: SplitMixStream) -> Iterator[tuple[int, int, np.ndarray]]:
+    """One draw of `count` samples as (lo, hi, samples lo .. hi - 1), at
+    most one chunk of randomness at a time."""
+    match dist:
+        case StdNormal():
+            # Box-Muller pairs: the cosines are samples 0 .. pairs - 1, the
+            # sines the rest, cut at count
+            pairs = (count + 1) // 2
+            start = stream.reserve(2 * pairs)
+            for lo, hi in _chunks(pairs):
+                radius = np.sqrt(-2.0 * np.log(stream.uniform_pos(start + lo, hi - lo)))
+                angle = (2.0 * np.pi) * stream.uniform(start + pairs + lo, hi - lo)
+                yield lo, hi, radius * np.cos(angle)
+                end = min(pairs + hi, count)
+                yield pairs + lo, end, (radius * np.sin(angle))[: end - pairs - lo]
+        case Shifted(base=base, offset=c):
+            c = float(c)
+            for lo, hi, values in _pieces(base, count, stream):
+                yield lo, hi, values + c
+        case _:
+            width, draw = _law(dist, count, stream)
+            start = stream.reserve(width)
+            for lo, hi in _chunks(count):
+                yield lo, hi, draw(start + lo, hi - lo)
+
+
+def _mean_and_std(a: np.ndarray) -> tuple[float, float]:
+    """``a.mean()`` and ``a.std(ddof=1)`` bit for bit, overwriting a: the
+    steps of numpy's own ``_var``, run in place on the whole array."""
+    mean = np.add.reduce(a) / a.size
+    np.subtract(a, mean, out=a)
+    np.square(a, out=a)
+    return float(mean), float(np.sqrt(np.add.reduce(a) / (a.size - 1)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +246,11 @@ def estimate_sum_moment(
     """Monte Carlo estimate of E[S_k^n] from independent k-fold sums.
 
     Deterministic given (dist, k, n, samples, seed); the stream is private
-    to this parameter tuple.
+    to this parameter tuple. Memory is one float64 array of `samples`
+    entries, the running sums, plus scratch for one chunk of a draw; the
+    power and the reductions run in place on that array, and no output bit
+    depends on the chunk size. A sample count whose array cannot be
+    allocated raises :class:`SampleMemoryError`, a ValueError.
     """
     if samples <= 1:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -186,18 +259,27 @@ def estimate_sum_moment(
     if not isinstance(dist, Distribution):
         raise ValueError(f"distribution is not samplable: {dist!r}")
     stream = SplitMixStream(_stream_seed(seed, dist, k, n))
-    total = np.zeros(samples)
+    try:
+        total = np.zeros(samples)
+    except MemoryError as exc:
+        raise SampleMemoryError(
+            f"{samples} samples need {8 * samples} bytes of float64, more than can be allocated"
+        ) from exc
     try:
         for _ in range(k):
-            total += _sample(dist, samples, stream)
+            for lo, hi, values in _pieces(dist, samples, stream):
+                total[lo:hi] += values
     except OverflowError as exc:  # a rational parameter beyond the float range
         raise ValueError("distribution parameter too large to sample in floating point") from exc
     # an overflow shows as an inf or nan that `finite` reports, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        powered = total**n
-        mean = float(powered.mean())
-        stderr = float(powered.std(ddof=1) / math.sqrt(samples))
-    return SampleEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
+        total **= n  # numpy's `square` for n = 2 and `power` otherwise, as `total ** n`
+        mean, std = _mean_and_std(total)
+    return SampleEstimate(mean=mean, stderr=std / math.sqrt(samples), samples=samples, seed=seed)
+
+
+class SampleMemoryError(ValueError):
+    """A sample count whose float64 array cannot be allocated."""
 
 
 class NonFiniteError(ValueError):

@@ -1,17 +1,22 @@
 """Shared test data: the catalog laws that law-wise checks run over, the
 weak-composition enumeration that the library's partition sums are checked
-against, and a digit-limit helper."""
+against, the whole-array sampler that the chunked Monte Carlo sampler is
+checked against, and a digit-limit helper."""
 
 import contextlib
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import sub
 from typing import Iterator
 
+import numpy as np
+
 from probstirling.distributions import (
     Bernoulli,
     Constant,
+    Distribution,
     Exponential,
     FiniteSupport,
     Geometric,
@@ -22,6 +27,7 @@ from probstirling.distributions import (
     UniformTimesExponential,
 )
 from probstirling.exact_core import _order
+from probstirling.montecarlo import SplitMixStream, _poisson_table, _stream_seed
 
 HALF = Fraction(1, 2)
 
@@ -56,6 +62,64 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # cut points in 0..total, whose lexicographic order is that of the parts
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+
+
+def _uniform(stream: SplitMixStream, count: int) -> np.ndarray:
+    return stream.uniform(stream.reserve(count), count)
+
+
+def _uniform_pos(stream: SplitMixStream, count: int) -> np.ndarray:
+    return stream.uniform_pos(stream.reserve(count), count)
+
+
+def reference_sample(dist: Distribution, count: int, stream: SplitMixStream) -> np.ndarray:
+    """One draw of `count` samples as whole arrays, reading the stream in
+    order: the reference that the chunked sampler must equal bit for bit."""
+    match dist:
+        case Constant(value=a):
+            return np.full(count, float(a))
+        case Bernoulli(p=p):
+            return (_uniform(stream, count) < float(p)).astype(np.float64)
+        case Exponential():
+            return -np.log(_uniform_pos(stream, count))
+        case Uniform01():
+            return _uniform(stream, count)
+        case StdNormal():
+            pairs = (count + 1) // 2
+            radius = np.sqrt(-2.0 * np.log(_uniform_pos(stream, pairs)))
+            angle = (2.0 * np.pi) * _uniform(stream, pairs)
+            return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+        case UniformTimesExponential():
+            u = _uniform(stream, count)
+            return u * -np.log(_uniform_pos(stream, count))
+        case Poisson(rate=rate):
+            if rate == 0:
+                stream.reserve(count)
+                return np.zeros(count)
+            table = _poisson_table(float(rate))
+            return np.searchsorted(table, _uniform(stream, count), side="right").astype(np.float64)
+        case Geometric(q=q):
+            return np.floor(np.log(_uniform_pos(stream, count)) / math.log(float(q)))
+        case FiniteSupport(atoms=atoms):
+            values = np.array([float(v) for v, _ in atoms])
+            cumulative = np.cumsum([float(p) for _, p in atoms])
+            index = np.searchsorted(cumulative, _uniform(stream, count), side="right")
+            return values[np.minimum(index, len(values) - 1)]
+        case Shifted(base=base, offset=c):
+            return reference_sample(base, count, stream) + float(c)
+    raise ValueError(f"distribution is not samplable: {dist!r}")
+
+
+def reference_estimate(dist: Distribution, k: int, n: int, samples: int, seed: int) -> tuple[float, float]:
+    """The mean and standard error of S_k^n over whole arrays, from the
+    stream that :func:`probstirling.montecarlo.estimate_sum_moment` reads."""
+    stream = SplitMixStream(_stream_seed(seed, dist, k, n))
+    total = np.zeros(samples)
+    for _ in range(k):
+        total += reference_sample(dist, samples, stream)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = total**n
+        return float(powered.mean()), float(powered.std(ddof=1) / math.sqrt(samples))
 
 
 @contextlib.contextmanager

@@ -261,6 +261,26 @@ def test_package_root_loads_no_submodule(fresh_python):
     assert out.splitlines() == ["False", "[]", "False False"]
 
 
+def test_mc_check_refuses_samples_past_memory(fresh_python):
+    # the child caps its own address space at 3 GB; 10^12 samples need 8 TB
+    argv = ["mc-check", "--dist", "normal", "--k-max", "1", "--n-max", "1", "--samples", str(10**12)]
+    out = fresh_python(
+        "import contextlib, io, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from probstirling import cli\n"
+        "stdout, stderr = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, repr(stdout.getvalue()))\n"
+        "print(stderr.getvalue(), end='')"
+    )
+    assert out.splitlines() == [
+        "2 ''",
+        "error: mc-check 1000000000000 samples need 8000000000000 bytes of float64, "
+        "more than can be allocated; lower --samples",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from probstirling import montecarlo
 from probstirling.distributions import (
     Bernoulli,
     Constant,
@@ -29,33 +30,94 @@ from probstirling.montecarlo import (
     NonFiniteError,
     SampleEstimate,
     SplitMixStream,
-    _sample,
+    _mean_and_std,
+    _pieces,
     _stream_seed,
     check_moment,
     estimate_sum_moment,
 )
 
-from catalog import HALF, digit_limit
+from catalog import CATALOG, HALF, digit_limit, reference_estimate, reference_sample
+
+
+def _draw(dist, count, stream):
+    """One chunked draw of `count` samples, assembled into one array."""
+    out = np.full(count, np.nan)
+    for lo, hi, values in _pieces(dist, count, stream):
+        out[lo:hi] = values
+    return out
 
 
 def test_stream_is_deterministic_and_counter_based():
     a = SplitMixStream(12345)
-    b = SplitMixStream(12345)
-    first = a.raw(10)
-    assert np.array_equal(first, b.raw(10))
-    # consuming in different block sizes yields the same stream
+    first = a.raw(0, 10)
+    assert np.array_equal(first, SplitMixStream(12345).raw(0, 10))
+    # reading in different windows yields the same stream, and a read
+    # neither moves the counter nor depends on it
     c = SplitMixStream(12345)
-    chunks = np.concatenate([c.raw(3), c.raw(7)])
-    assert np.array_equal(first, chunks)
-    assert not np.array_equal(first, SplitMixStream(54321).raw(10))
+    assert c.reserve(3) == 0 and c.reserve(7) == 3 and c.counter == 10
+    assert np.array_equal(first, np.concatenate([c.raw(0, 3), c.raw(3, 7)]))
+    assert c.counter == 10
+    assert not np.array_equal(first, SplitMixStream(54321).raw(0, 10))
 
 
 def test_uniform_ranges():
     s = SplitMixStream(7)
-    u = s.uniform(10000)
+    u = s.uniform(0, 10000)
     assert u.min() >= 0.0 and u.max() < 1.0
-    v = SplitMixStream(7).uniform_pos(10000)
+    v = SplitMixStream(7).uniform_pos(0, 10000)
     assert v.min() > 0.0 and v.max() <= 1.0
+
+
+_C = montecarlo._CHUNK
+# every k <= 3 and n <= 6, spread over the three seeds: the draws depend on
+# (seed, k, n) only through the stream seed
+_KN_BY_SEED = {0: [(0, 3), (2, 6), (3, 5)], 7: [(1, 0), (3, 4)], 2024: [(1, 2), (2, 1)]}
+
+
+@pytest.mark.parametrize("dist", [*CATALOG, Poisson(0)], ids=repr)
+def test_chunked_estimate_equals_the_whole_array_reference(dist):
+    for samples in (2, 3, _C - 1, _C, _C + 1, 2 * _C + 1, 500_001):
+        for seed, grid in _KN_BY_SEED.items():
+            for k, n in grid:
+                est = estimate_sum_moment(dist, k, n, samples, seed)
+                mean, stderr = reference_estimate(dist, k, n, samples, seed)
+                assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex()), (samples, seed, k, n)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+def test_draws_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    laws = [*CATALOG, Poisson(0), Shifted(StdNormal(), Fraction(-7, 3))]
+    for dist in laws:
+        for count in (1, 2, 3, 4, 129, 130):
+            chunked, whole = SplitMixStream(3), SplitMixStream(3)
+            for _ in range(2):  # the second draw starts where the first left the counter
+                expected = reference_sample(dist, count, whole)
+                assert _draw(dist, count, chunked).tobytes() == expected.tobytes(), (dist, count)
+                assert chunked.counter == whole.counter
+        est = estimate_sum_moment(dist, 3, 3, 301, 5)
+        assert (est.mean, est.stderr) == reference_estimate(dist, 3, 3, 301, 5)
+
+
+def _random_arrays():
+    rng = np.random.default_rng(11)
+    for size in (2, 3, 9, 1000, 70_001):
+        yield rng.standard_normal(size)
+        yield rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    base = rng.standard_normal(5000)
+    for planted in ([np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [1e300, 1e300]):
+        a = base.copy()
+        a[rng.integers(0, a.size, len(planted))] = planted
+        yield a
+
+
+def test_in_place_mean_and_std_are_numpys():
+    for a in _random_arrays():
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = (float(a.mean()).hex(), float(a.std(ddof=1)).hex())
+            got = _mean_and_std(a.copy())
+        assert (got[0].hex(), got[1].hex()) == expected
 
 
 def test_estimates_are_bitwise_reproducible():
@@ -196,7 +258,7 @@ _POISSON_DRAWS = {
 
 @pytest.mark.parametrize("rate", list(_POISSON_DRAWS), ids=str)
 def test_poisson_draws_are_unchanged(rate):
-    draws = _sample(Poisson(rate), 4096, SplitMixStream(7))
+    draws = _draw(Poisson(rate), 4096, SplitMixStream(7))
     assert hashlib.sha256(draws.tobytes()).hexdigest() == _POISSON_DRAWS[rate]
 
 
@@ -217,3 +279,37 @@ def test_poisson_rate_beyond_the_cdf_table_raises(rate):
 def test_check_moment_refuses_bad_z(z):
     with pytest.raises(ValueError, match="z must be finite and nonnegative"):
         check_moment(Constant(2), 1, 1, 10, seed=0, z=z)
+
+
+def test_sample_count_past_memory_is_refused(fresh_python):
+    # the child caps its own address space at 3 GB: 10^12 samples need 8 TB
+    out = fresh_python(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from probstirling.distributions import StdNormal\n"
+        "from probstirling.montecarlo import SampleMemoryError, estimate_sum_moment\n"
+        "try:\n"
+        "    estimate_sum_moment(StdNormal(), 1, 1, 10**12, 0)\n"
+        "except SampleMemoryError as exc:\n"
+        "    print(isinstance(exc, ValueError), exc)\n"
+    )
+    assert out == (
+        "True 1000000000000 samples need 8000000000000 bytes of float64, more than can be allocated\n"
+    )
+
+
+def test_peak_memory_is_one_float_array(fresh_python):
+    # the running sums take 8 bytes a sample; the whole-array sampler also
+    # held each draw, its Box-Muller temporaries, the powers and the deviations
+    samples = 4_000_000
+    out = fresh_python(
+        "import resource\n"
+        "from probstirling.distributions import StdNormal\n"
+        "from probstirling.montecarlo import estimate_sum_moment\n"
+        "estimate_sum_moment(StdNormal(), 3, 5, 2, 0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"estimate_sum_moment(StdNormal(), 3, 5, {samples}, 0)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    grown = int(out) * (1 if sys.platform == "darwin" else 1024)
+    assert grown < 2 * 8 * samples
