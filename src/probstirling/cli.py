@@ -10,13 +10,20 @@ floats; only Monte Carlo estimates and standard errors are floating point.
 Exit codes: 0 when everything passes, 1 when a verified mathematical or
 statistical comparison fails, 2 on usage or parse errors, including
 negative bounds, an option the table kind or verify suite requires but
-is not given or does not read, and Monte Carlo rows that are not finite
-in floating point; 141, the status a shell reports for a writer killed by
-SIGPIPE, when the reader closes stdout before the output ends.
+is not given or does not read, Monte Carlo rows that are not finite in
+floating point, and an ``mc-check`` worker process killed from outside;
+141, the status a shell reports for a writer killed by SIGPIPE, when the
+reader closes stdout before the output ends.
 
 Each command imports only what it runs: ``verify`` alone loads ``sums``
 (with ``appell``, ``series`` and ``polylog``), on which its runners look
-their suite functions up at call time, and ``mc-check`` alone loads numpy.
+their suite functions up at call time, and ``mc-check`` alone loads numpy
+and the modules of its worker pool.
+
+``mc-check`` runs its rows on min(CPUs, rows) forked worker processes,
+or in process when that is one, and prints them in row order; every row
+owns its random stream, so the output does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -264,22 +271,59 @@ def _handle_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _compare_row(job: tuple, row: tuple[int, int]):
+    """compare_moment on row (k, n) of the mc-check whose law, --samples,
+    --seed and --z are `job`; it is looked up on ``montecarlo`` at call
+    time, so replacing it there takes effect."""
+    from . import montecarlo
+
+    dist, samples, seed, z = job
+    k, n = row
+    return montecarlo.compare_moment(dist, k, n, samples, seed, z)
+
+
+# a worker's job, bound as the worker forks, so that a task carries only (k, n)
+_worker_job: tuple = ()
+
+
+def _bind_job(job: tuple) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_row(row: tuple[int, int]):
+    return _compare_row(_worker_job, row)
+
+
+def _worker_count(rows: int) -> int:
+    return min(len(os.sched_getaffinity(0)), rows)
+
+
 def _handle_mc(args) -> int:
-    # the sampler loads numpy, which no other command needs
-    from .montecarlo import NonFiniteError, SampleMemoryError, compare_moment
+    # the sampler loads numpy, and the workers concurrent.futures and
+    # multiprocessing, which no other command needs
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    from .montecarlo import NonFiniteError, SampleMemoryError
 
     _check_bounds(k_max=args.k_max, n_max=args.n_max)
+    rows = [(k, n) for k in range(args.k_max + 1) for n in range(args.n_max + 1)]
+    job = (args.dist, args.samples, args.seed, args.z)
+    workers = _worker_count(len(rows))
+    pool = None
+    if workers > 1:
+        # forked, so each worker starts with montecarlo and numpy loaded and
+        # its job in memory; a spawned one would import them again
+        pool = ProcessPoolExecutor(
+            workers, mp_context=get_context("fork"), initializer=_bind_job, initargs=(job,)
+        )
     all_pass = True
-    for k in range(args.k_max + 1):
-        for n in range(args.n_max + 1):
-            try:
-                estimate, exact, passed = compare_moment(
-                    args.dist, k, n, args.samples, args.seed, args.z
-                )
-            except NonFiniteError as exc:
-                raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
-            except SampleMemoryError as exc:
-                raise ValueError(f"mc-check {exc}; lower --samples") from exc
+    try:
+        # in row order, each printed as soon as it arrives
+        results = pool.map(_worker_row, rows) if pool else (_compare_row(job, row) for row in rows)
+        for (k, n), (estimate, exact, passed) in zip(rows, results):
             all_pass = all_pass and passed
             _emit_json(
                 {
@@ -299,6 +343,17 @@ def _handle_mc(args) -> int:
                     "pass": passed,
                 }
             )
+    except NonFiniteError as exc:
+        raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
+    except SampleMemoryError as exc:
+        raise ValueError(f"mc-check {exc}; lower --samples") from exc
+    except BrokenProcessPool as exc:
+        raise ValueError(f"mc-check lost a worker process: {exc}") from exc
+    finally:
+        if pool is not None:
+            # rows not yet started are dropped; the running ones finish, and
+            # every worker is joined before the command returns
+            pool.shutdown(cancel_futures=True)
     return 0 if all_pass else 1
 
 

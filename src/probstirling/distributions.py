@@ -18,7 +18,8 @@ tables take a lock only while they grow.
 
 Both binomial convolutions run in integers: a new E[S_k^n] entry sums
 C(n, j) times the numerators of E[S_{k-1}^j] and E[Y^{n-j}] over the lcm
-of the entries it reads and of the law's moments, and E[(x + S_k)^n] with
+of the law's moments and of the entries of row k - 1 that the growth
+reads, rescaled once per row that grows, and E[(x + S_k)^n] with
 x = a/b sums over the same numerators scaled by a^(n-j) b^j. Each result
 is one Fraction, so the only gcd is the one that stores it. Row 1 of a
 law's table, E[S_1^n] = E[Y^n], is where the convolutions and the S_Y
@@ -170,7 +171,14 @@ class Shifted(Distribution):
     def __post_init__(self):
         if not isinstance(self.base, Distribution):
             raise ValueError(f"shift base must be a distribution, got {self.base!r}")
-        object.__setattr__(self, "offset", _rational(self.offset, "shift offset"))
+        offset = _rational(self.offset, "shift offset")
+        # a shifted base is already flat, so one step folds Y + a + b into
+        # Y + (a + b) and no law nests: hashing, formatting, moments and
+        # sampling never recurse more than one level
+        if isinstance(self.base, Shifted):
+            offset += self.base.offset
+            object.__setattr__(self, "base", self.base.base)
+        object.__setattr__(self, "offset", offset)
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +246,20 @@ def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:
     # this grows rows 0 and 1 to `width`, so the growth below convolves
     # only rows 2 and up
     mu, mu_den = _law_moments(dist, width)
+    # row i - 1 over one denominator, for the row i that grows: rows grow in
+    # order, each to `width`, so a row is rescaled once, not once per entry
+    scaled_for, p, p_den = None, [], 1
 
     def convolve(i: int, row: list[Fraction], prev: list[Fraction]) -> Fraction:
         # E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers
-        # over the lcm of the entries it reads; the table stores the entry as
-        # a Fraction, not as a numerator over a row-wide denominator, which a
-        # later widening of the row would change
+        # over the lcm of row i - 1's first `width` entries; the table stores
+        # the entry as a Fraction, which normalises it, so no stored value
+        # depends on that lcm or on how far one call grows the row
+        nonlocal scaled_for, p, p_den
+        if scaled_for != i:
+            scaled_for = i
+            p, p_den = _common_denominator(prev[:width])
         n = len(row)
-        p, p_den = _common_denominator(prev[: n + 1])
         acc = sum(comb(n, j) * p[j] * mu[n - j] for j in range(n + 1))
         return Fraction(acc, p_den * mu_den)
 
@@ -294,8 +308,30 @@ def parse_distribution(text: str) -> Distribution:
     ``geom:q``, ``exp``, ``uniform``, ``normal``, ``ut``,
     ``finite:v1:p1,v2:p2,...``, ``shift:c:<base>``. Rationals are written
     ``num/den`` or as bare integers. Raises ValueError on anything else.
+    Nested shifts are peeled off in one pass, so any depth parses in linear
+    time, and fold into one :class:`Shifted`.
     """
     text = text.strip()
+    offsets, start = [], 0
+    # the head before the first colon is "shift" (or the whole rest is)
+    while text.startswith("shift", start) and text[start + 5 : start + 6] in ("", ":"):
+        colon = text.find(":", start + 6)
+        if colon < 0 or colon + 1 == len(text):
+            raise ValueError(f"shift requires an offset and a base law: {text[start:]!r}")
+        offsets.append(text[start + 6 : colon])
+        # the text ends in a non-space, so this stops inside it
+        start = colon + 1
+        while text[start].isspace():
+            start += 1
+    dist = _parse_base(text[start:])
+    # innermost first, so the first bad offset refused is the innermost one
+    for offset_text in reversed(offsets):
+        dist = Shifted(dist, offset_text)
+    return dist
+
+
+def _parse_base(text: str) -> Distribution:
+    """The law that `text`, stripped and not a shift, spells."""
     head, sep, rest = text.partition(":")
     if head in _NAMED_LAWS:
         law = _NAMED_LAWS[head]
@@ -306,11 +342,6 @@ def parse_distribution(text: str) -> Distribution:
         if not rest:
             raise ValueError(f"{head!r} requires a rational parameter: {text!r}")
         return law(rest)
-    if head == "shift":
-        offset_text, inner_sep, base_text = rest.partition(":")
-        if not inner_sep or not base_text:
-            raise ValueError(f"shift requires an offset and a base law: {text!r}")
-        return Shifted(parse_distribution(base_text), offset_text)
     if head == "finite":
         if not rest:
             raise ValueError(f"finite requires value:probability atoms: {text!r}")

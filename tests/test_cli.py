@@ -18,18 +18,24 @@ from hypothesis import example, given, settings
 
 import probstirling.cli as cli
 from probstirling import sums
-from probstirling.distributions import parse_distribution
+from probstirling.distributions import Poisson, format_distribution, parse_distribution
 from probstirling.exact_core import binomial, rising_factorial
 from probstirling.montecarlo import check_moment
 from probstirling.sums import make_report
 
-from catalog import digit_limit
+from catalog import CATALOG, digit_limit
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child_env():
+    """The environment of a child that imports this checkout's probstirling."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def jsonl(out: str):
@@ -191,13 +197,11 @@ def test_module_entry_point():
 def test_closed_pipe_exits_141_without_traceback(argv):
     # a reader such as `head -1` closes the pipe while the output is still
     # being written; 141 is the status a shell gives a writer killed by SIGPIPE
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     with subprocess.Popen(
         [sys.executable, "-m", "probstirling", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     ) as proc:
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -238,14 +242,16 @@ def test_readme_examples_run(capsys):
 
 
 def test_exact_paths_do_not_load_numpy(fresh_python):
+    # nor the worker pool's modules, which only mc-check imports
     out = fresh_python(
         "import sys\n"
         "import probstirling, probstirling.cli\n"
         "print('numpy' in sys.modules)\n"
+        "print(any(m in sys.modules for m in ('concurrent.futures', 'multiprocessing')))\n"
         "from probstirling import SampleEstimate, check_moment, estimate_sum_moment\n"
         "print(estimate_sum_moment.__module__, 'numpy' in sys.modules)"
     )
-    assert out.split() == ["False", "probstirling.montecarlo", "True"]
+    assert out.split() == ["False", "False", "probstirling.montecarlo", "True"]
 
 
 def test_package_root_loads_no_submodule(fresh_python):
@@ -262,12 +268,22 @@ def test_package_root_loads_no_submodule(fresh_python):
 
 
 def test_mc_check_refuses_samples_past_memory(fresh_python):
-    # the child caps its own address space at 3 GB; 10^12 samples need 8 TB
+    _refuses_samples_past_memory(fresh_python, 1)
+
+
+def test_mc_check_refuses_samples_past_memory_in_workers(fresh_python):
+    _refuses_samples_past_memory(fresh_python, 2)
+
+
+def _refuses_samples_past_memory(fresh_python, workers):
+    # the child caps its own address space at 3 GB, and its forked workers
+    # inherit the cap; 10^12 samples need 8 TB
     argv = ["mc-check", "--dist", "normal", "--k-max", "1", "--n-max", "1", "--samples", str(10**12)]
     out = fresh_python(
         "import contextlib, io, resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
         "from probstirling import cli\n"
+        f"cli._worker_count = lambda rows: {workers}\n"
         "stdout, stderr = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
         f"    status = cli.main({argv!r})\n"
@@ -296,7 +312,7 @@ def test_mc_check_refuses_samples_past_memory(fresh_python):
 )
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
     # sums imports appell, series and polylog, which only verify needs;
-    # only mc-check needs numpy
+    # only mc-check needs numpy and the worker pool's modules
     out = fresh_python(
         "import contextlib, io, sys\n"
         "from probstirling import cli\n"
@@ -304,9 +320,11 @@ def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
         f"    status = cli.main({argv!r})\n"
         "modules = [m for m in ('sums', 'appell', 'series', 'polylog')\n"
         "           if 'probstirling.' + m in sys.modules]\n"
-        "print(status, modules, 'numpy' in sys.modules)"
+        "print(status, modules, 'numpy' in sys.modules)\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
-    assert out == f"0 {loaded}\n"
+    pool = "['concurrent.futures', 'multiprocessing']" if argv[0] == "mc-check" else "[]"
+    assert out == f"0 {loaded}\n{pool}\n"
 
 
 @pytest.mark.parametrize(
@@ -345,6 +363,138 @@ def test_mc_check_nonfinite_row_exits_2(capsys):
     for record in jsonl(out):
         assert float("-inf") < record["estimate"] < float("inf")
         assert 0 <= record["stderr"] < float("inf")
+
+
+# ---------------------------------- mc-check rows over forked worker processes
+
+
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(cli, "_worker_count", lambda rows: workers)
+
+
+@pytest.mark.parametrize("dist", [*CATALOG, Poisson(0)], ids=repr)
+def test_mc_check_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, dist):
+    for seed in (0, 5):
+        argv = [
+            "mc-check", "--dist", format_distribution(dist), "--k-max", "2", "--n-max", "3",
+            "--samples", "3001", f"--seed={seed}",
+        ]
+        runs = []
+        for workers in (1, 2, 3):
+            _pin_workers(monkeypatch, workers)
+            runs.append(run_cli(capsys, *argv))
+        assert runs == runs[:1] * 3
+        code, out, err = runs[0]
+        assert code in (0, 1) and err == "" and len(jsonl(out)) == 12
+
+
+def test_mc_check_nonfinite_row_exits_2_in_workers(capsys, monkeypatch):
+    # the same rows, then the same error line, as in process
+    argv = [
+        "mc-check", "--dist", "exp", "--k-max", "1", "--n-max", "170", "--samples", "2000",
+    ]
+    runs = []
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        runs.append(run_cli(capsys, *argv))
+    assert runs[1] == runs[0]
+    code, out, err = runs[1]
+    assert code == 2 and err.startswith("error: mc-check row k=1, n=159 is not finite")
+    assert len(jsonl(out)) == 171 + 159
+
+
+def _run_pinned(argv, workers, before=""):
+    """Popen a child that runs ``cli.main(argv)`` over `workers` workers,
+    after the lines `before`, in a session of its own, with its stdout and
+    stderr piped."""
+    code = (
+        "import os, signal, sys\n"
+        "from probstirling import cli, montecarlo\n"
+        f"cli._worker_count = lambda rows: {workers}\n"
+        f"{before}"
+        f"sys.exit(cli.main({argv!r}))"
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        start_new_session=True,
+    )
+
+
+def _assert_no_process_left(proc):
+    # the child led a session of its own; a worker that outlived it would
+    # still be in its process group
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_mc_check_closed_pipe_exits_141_and_leaves_no_worker():
+    # 961 rows, about 150 KB of output: more than the pipe and stdout buffers hold
+    argv = ["mc-check", "--dist", "uniform", "--k-max", "30", "--n-max", "30", "--samples", "100"]
+    with _run_pinned(argv, 2) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        # a worker left running would hold stderr open: time out, not hang
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+    _assert_no_process_left(proc)
+
+
+def test_mc_check_killed_worker_exits_2_without_hanging():
+    # the worker that draws row (1, 2) kills itself as if from outside
+    before = (
+        "compare = montecarlo.compare_moment\n"
+        "def row(dist, k, n, *rest):\n"
+        "    if (k, n) == (1, 2):\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return compare(dist, k, n, *rest)\n"
+        "montecarlo.compare_moment = row\n"
+    )
+    argv = ["mc-check", "--dist", "exp", "--k-max", "2", "--n-max", "3", "--samples", "1000"]
+    with _run_pinned(argv, 2, before) as proc:
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode().startswith("error: mc-check lost a worker process: ")
+    assert err.decode().count("\n") == 1
+    _assert_no_process_left(proc)
+
+
+# 10^4 nested shifts, about 80 KB of law: within one argument's length limit
+_DEEP_SHIFT = "shift:1:" * 10**4 + "exp"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "sy", "--n", "3", "--x=1/2"],
+        ["verify", "paths", "--n-max", "2"],
+        ["mc-check", "--k-max", "1", "--n-max", "2", "--samples", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_shift_runs_or_is_refused_cleanly(argv):
+    # the child caps its own address space at 3 GB, and its workers inherit it
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from probstirling import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--dist", _DEEP_SHIFT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode in (0, 2), proc.stderr[-2000:]
+    # nothing on stderr for a run, one error line for a refusal
+    assert len(proc.stderr.splitlines()) == (proc.returncode == 2), proc.stderr[-2000:]
+    if argv[0] != "table":
+        assert all(r["pass"] for r in jsonl(proc.stdout))
+        assert {r["params"]["dist"] for r in jsonl(proc.stdout)} == {"shift:10000:exp"}
 
 
 @pytest.mark.parametrize(
@@ -509,7 +659,12 @@ _SIMPLE_LAWS = st.one_of(
     ),
     st.sampled_from(["bogus:1", "exp:1", "poisson", "finite:", "shift:1"]),
 )
-_LAWS = st.one_of(_SIMPLE_LAWS, st.builds("shift:{}:{}".format, _RATIONALS, _SIMPLE_LAWS))
+# a simple law under zero to three shifts, nested as written
+_LAWS = st.builds(
+    lambda offsets, base: "".join(f"shift:{c}:" for c in offsets) + base,
+    st.lists(_RATIONALS, max_size=3),
+    _SIMPLE_LAWS,
+)
 _FAMILIES = st.one_of(
     st.sampled_from(["bernoulli", "euler", "hermite", "bogus"]), _LAWS.map("moment:{}".format)
 )
@@ -578,6 +733,7 @@ def _not_json(constant: str):
 @example(argv=["verify", "theorem11", "--q=0"])
 @example(argv=["mc-check", "--samples=50", "--dist=exp", "--k-max=2", "--n-max=3", "--z=0"])
 @example(argv=["mc-check", "--samples=2", "--dist=shift:1e5000:exp", "--k-max=0", "--n-max=0"])
+@example(argv=["mc-check", "--samples=20", "--dist=shift:1:shift:-1/2:normal", "--k-max=1", "--n-max=2"])
 @settings(max_examples=200, deadline=None)
 def test_cli_grammar_fuzz(argv):
     out, err = io.StringIO(), io.StringIO()

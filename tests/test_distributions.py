@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from probstirling import distributions
 from probstirling.distributions import (
     Bernoulli,
     Constant,
@@ -78,6 +79,19 @@ def test_shifted_moments_match_atom_shift():
     direct = FiniteSupport(tuple((v + c, p) for v, p in atoms))
     for n in range(9):
         assert moment(shifted, n) == moment(direct, n)
+
+
+def test_nested_shifts_fold_into_one():
+    law = Shifted(Shifted(Poisson(HALF), Fraction(1, 3)), -1)
+    assert (law.base, law.offset) == (Poisson(HALF), Fraction(-2, 3))
+    assert format_distribution(law) == "shift:-2/3:poisson:1/2"
+    assert Shifted(Shifted(Exponential(), 1), -1) == Shifted(Exponential(), 0)
+    # 10^4 levels: each fold is one step, so nothing recurses with the depth
+    text = "shift:1/2:" * 10**4 + "exp"
+    deep = parse_distribution(text)
+    assert deep == Shifted(Exponential(), 5000) and hash(deep) == hash(Shifted(Exponential(), 5000))
+    assert format_distribution(deep) == "shift:5000:exp"
+    assert moment(deep, 2) == moment(Shifted(Exponential(), 5000), 2)
 
 
 def test_parameter_validation():
@@ -244,6 +258,21 @@ def test_sum_moment_row_tables_match_recursive_reference(fresh_python, order):
     assert out.strip() == repr(expected)
 
 
+@pytest.mark.parametrize("dist", CATALOG, ids=repr)
+def test_sum_moment_row_does_not_depend_on_how_it_grew(dist, monkeypatch):
+    # one call rescales each growing row once over its first `width`
+    # entries; growing one width at a time rescales it at every width
+    at_once, one_by_one = {}, {}
+    monkeypatch.setattr(distributions, "_SUM_MOMENT_ROWS", at_once)
+    distributions._sum_moment_row(dist, 5, 11)
+    monkeypatch.setattr(distributions, "_SUM_MOMENT_ROWS", one_by_one)
+    for n in range(12):
+        distributions._sum_moment_row(dist, 5, n)
+    assert at_once[dist] == one_by_one[dist]
+    assert [len(row) for row in at_once[dist]] == [12] * 6
+    assert at_once[dist][5] == [_sum_moment_reference(dist, 5, n) for n in range(12)]
+
+
 def test_deep_sum_moment_from_cold_cache(fresh_python):
     # E[S_k^2] = k + k^2 for the unit exponential; k = 800 exceeds the
     # recursion limit of a row-by-row recursive memo
@@ -280,9 +309,8 @@ def test_parse_examples():
         ((Fraction(0), HALF), (Fraction(2), HALF))
     )
     assert parse_distribution("shift:1:geom:1/2") == Shifted(Geometric(HALF), 1)
-    assert parse_distribution("shift:-1/2:shift:1:uniform") == Shifted(
-        Shifted(Uniform01(), 1), Fraction(-1, 2)
-    )
+    # nested shifts fold into one
+    assert parse_distribution("shift:-1/2:shift:1:uniform") == Shifted(Uniform01(), HALF)
 
 
 @pytest.mark.parametrize(
