@@ -18,12 +18,14 @@ reader closes stdout before the output ends.
 Each command imports only what it runs: ``verify`` alone loads ``sums``
 (with ``appell``, ``series`` and ``polylog``), on which its runners look
 their suite functions up at call time, and ``mc-check`` alone loads numpy
-and the modules of its worker pool.
+and, when it forks workers, the modules of its worker pool.
 
-``mc-check`` runs its rows on min(CPUs, rows) forked worker processes,
-or in process when that is one, and prints them in row order; every row
-owns its random stream, so the output does not depend on the worker
-count.
+``mc-check`` runs its rows on W = min(CPUs, rows) forked worker processes
+and prints them in row order; every row owns its random stream, so the
+output does not depend on W. Each worker holds one float64 array of
+``--samples`` entries, so W is also cut to the arrays that fit in half
+the free memory, and a run too small to pay for its workers (fewer than
+2^17 samples a row or 2^23 in all) keeps W = 1, which runs in process.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
-from .distributions import Distribution, format_distribution, parse_distribution
+from .distributions import Distribution, _sum_moment_row, format_distribution, parse_distribution
 from .exact_core import _unlimited_digits, bell_poly, cnn_table, stirling1, stirling2
 from .gen_stirling import sy_table
 
@@ -273,87 +276,111 @@ def _handle_verify(args) -> int:
 
 def _compare_row(job: tuple, row: tuple[int, int]):
     """compare_moment on row (k, n) of the mc-check whose law, --samples,
-    --seed and --z are `job`; it is looked up on ``montecarlo`` at call
-    time, so replacing it there takes effect."""
+    --seed and --z are `job`, with its refusals worded for the command
+    line; it is looked up on ``montecarlo`` at call time, so replacing it
+    there takes effect."""
     from . import montecarlo
 
     dist, samples, seed, z = job
     k, n = row
-    return montecarlo.compare_moment(dist, k, n, samples, seed, z)
+    try:
+        estimate, exact, passed = montecarlo.compare_moment(dist, k, n, samples, seed, z)
+    except montecarlo.NonFiniteError as exc:
+        raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
+    except montecarlo.SampleMemoryError as exc:
+        raise ValueError(f"mc-check {exc}; lower --samples") from exc
+    return estimate.mean, estimate.stderr, exact, passed
 
 
-# a worker's job, bound as the worker forks, so that a task carries only (k, n)
-_worker_job: tuple = ()
+# the cgroup v2 files of this process, as a cgroup namespace shows them
+_CGROUP = "/sys/fs/cgroup"
 
 
-def _bind_job(job: tuple) -> None:
-    global _worker_job
-    _worker_job = job
+def _free_memory() -> int:
+    """Bytes of physical memory free now, or fewer when the cgroup v2 limit
+    on this process leaves less room."""
+    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+    def read(name: str) -> str:
+        with open(os.path.join(_CGROUP, name)) as file:
+            return file.read().strip()
+
+    try:
+        limit, in_use = read("memory.max"), int(read("memory.current"))
+        return free if limit == "max" else min(free, int(limit) - in_use)
+    except (OSError, ValueError):
+        return free
 
 
-def _worker_row(row: tuple[int, int]):
-    return _compare_row(_worker_job, row)
+# runs too small to pay for a pool stay in process: on 2 CPUs a worker
+# costs about 0.1 s to start and a row about 0.2 ms to ship and collect,
+# while a sample of a row costs about 20-70 ns to draw
+_POOL_MIN_ROW_SAMPLES = 1 << 17
+_POOL_MIN_SAMPLES = 1 << 23
 
 
-def _worker_count(rows: int) -> int:
-    return min(len(os.sched_getaffinity(0)), rows)
+def _worker_count(rows: int, samples: int) -> int:
+    """min(CPUs, rows), and no more workers than half the free memory
+    holds arrays of `samples` float64 entries, one per worker; 1 when the
+    rows are too small to pay for a pool, or only one array fits."""
+    if samples < _POOL_MIN_ROW_SAMPLES or rows * samples < _POOL_MIN_SAMPLES:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, rows, _free_memory() // 2 // (8 * samples)))
 
 
 def _handle_mc(args) -> int:
-    # the sampler loads numpy, and the workers concurrent.futures and
-    # multiprocessing, which no other command needs
+    _check_bounds(k_max=args.k_max, n_max=args.n_max)
+    rows = [(k, n) for k in range(args.k_max + 1) for n in range(args.n_max + 1)]
+    compare = partial(_compare_row, (args.dist, args.samples, args.seed, args.z))
+    workers = _worker_count(len(rows), args.samples)
+    if workers == 1:
+        return _emit_mc_rows(args, rows, map(compare, rows))
+    # the pool's modules, which nothing else needs
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
-    from .montecarlo import NonFiniteError, SampleMemoryError
-
-    _check_bounds(k_max=args.k_max, n_max=args.n_max)
-    rows = [(k, n) for k in range(args.k_max + 1) for n in range(args.n_max + 1)]
-    job = (args.dist, args.samples, args.seed, args.z)
-    workers = _worker_count(len(rows))
-    pool = None
-    if workers > 1:
-        # forked, so each worker starts with montecarlo and numpy loaded and
-        # its job in memory; a spawned one would import them again
-        pool = ProcessPoolExecutor(
-            workers, mp_context=get_context("fork"), initializer=_bind_job, initargs=(job,)
-        )
-    all_pass = True
+    # every row reads the law's E[S_k^n] table: grown here once, so that
+    # the workers inherit it instead of each growing its own
+    _sum_moment_row(args.dist, args.k_max, args.n_max)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
-        # in row order, each printed as soon as it arrives
-        results = pool.map(_worker_row, rows) if pool else (_compare_row(job, row) for row in rows)
-        for (k, n), (estimate, exact, passed) in zip(rows, results):
-            all_pass = all_pass and passed
-            _emit_json(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "check": "mc",
-                    "params": {
-                        "dist": format_distribution(args.dist),
-                        "k": k,
-                        "n": n,
-                        "samples": args.samples,
-                        "seed": args.seed,
-                        "z": args.z,
-                    },
-                    "estimate": estimate.mean,
-                    "stderr": estimate.stderr,
-                    "exact": str(exact),
-                    "pass": passed,
-                }
-            )
-    except NonFiniteError as exc:
-        raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
-    except SampleMemoryError as exc:
-        raise ValueError(f"mc-check {exc}; lower --samples") from exc
+        # map submits every row, which forks all the workers at once, before
+        # this process loads numpy: forking once its BLAS threads run is unsafe
+        return _emit_mc_rows(args, rows, pool.map(compare, rows))
     except BrokenProcessPool as exc:
         raise ValueError(f"mc-check lost a worker process: {exc}") from exc
     finally:
-        if pool is not None:
-            # rows not yet started are dropped; the running ones finish, and
-            # every worker is joined before the command returns
-            pool.shutdown(cancel_futures=True)
+        # rows not yet started are dropped; the running ones finish, and
+        # every worker is joined before the command returns
+        pool.shutdown(cancel_futures=True)
+
+
+def _emit_mc_rows(args, rows: list[tuple[int, int]], results) -> int:
+    """Print each row's record as its result arrives, in row order; 0 when
+    every row passes, else 1."""
+    all_pass = True
+    for (k, n), (mean, stderr, exact, passed) in zip(rows, results):
+        all_pass = all_pass and passed
+        _emit_json(
+            {
+                "schema": SCHEMA_VERSION,
+                "check": "mc",
+                "params": {
+                    "dist": format_distribution(args.dist),
+                    "k": k,
+                    "n": n,
+                    "samples": args.samples,
+                    "seed": args.seed,
+                    "z": args.z,
+                },
+                "estimate": mean,
+                "stderr": stderr,
+                "exact": str(exact),
+                "pass": passed,
+            }
+        )
     return 0 if all_pass else 1
 
 

@@ -283,7 +283,7 @@ def _refuses_samples_past_memory(fresh_python, workers):
         "import contextlib, io, resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
         "from probstirling import cli\n"
-        f"cli._worker_count = lambda rows: {workers}\n"
+        f"cli._worker_count = lambda rows, samples: {workers}\n"
         "stdout, stderr = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
         f"    status = cli.main({argv!r})\n"
@@ -312,7 +312,8 @@ def _refuses_samples_past_memory(fresh_python, workers):
 )
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
     # sums imports appell, series and polylog, which only verify needs;
-    # only mc-check needs numpy and the worker pool's modules
+    # only mc-check needs numpy, and it loads the worker pool's modules
+    # only for a run large enough to fork workers, which this one is not
     out = fresh_python(
         "import contextlib, io, sys\n"
         "from probstirling import cli\n"
@@ -323,8 +324,7 @@ def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
         "print(status, modules, 'numpy' in sys.modules)\n"
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
-    pool = "['concurrent.futures', 'multiprocessing']" if argv[0] == "mc-check" else "[]"
-    assert out == f"0 {loaded}\n{pool}\n"
+    assert out == f"0 {loaded}\n[]\n"
 
 
 @pytest.mark.parametrize(
@@ -369,7 +369,7 @@ def test_mc_check_nonfinite_row_exits_2(capsys):
 
 
 def _pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(cli, "_worker_count", lambda rows: workers)
+    monkeypatch.setattr(cli, "_worker_count", lambda rows, samples: workers)
 
 
 @pytest.mark.parametrize("dist", [*CATALOG, Poisson(0)], ids=repr)
@@ -410,7 +410,7 @@ def _run_pinned(argv, workers, before=""):
     code = (
         "import os, signal, sys\n"
         "from probstirling import cli, montecarlo\n"
-        f"cli._worker_count = lambda rows: {workers}\n"
+        f"cli._worker_count = lambda rows, samples: {workers}\n"
         f"{before}"
         f"sys.exit(cli.main({argv!r}))"
     )
@@ -459,6 +459,91 @@ def test_mc_check_killed_worker_exits_2_without_hanging():
     assert err.decode().startswith("error: mc-check lost a worker process: ")
     assert err.decode().count("\n") == 1
     _assert_no_process_left(proc)
+
+
+def test_worker_count_is_bounded_by_cpus_rows_and_free_memory(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    monkeypatch.setattr(cli, "_free_memory", lambda: 10**9)
+    # half of 1 GB holds 6 arrays of 10^7 float64 entries (80 MB each)
+    assert cli._worker_count(24, 10**7) == 6
+    assert cli._worker_count(3, 10**7) == 3
+    assert cli._worker_count(100, 2 * 10**5) == 32
+    # one array past half the free memory is drawn in process, as it
+    # would be without a pool
+    assert cli._worker_count(24, 10**8) == 1
+    monkeypatch.setattr(cli, "_free_memory", lambda: -1)
+    assert cli._worker_count(24, 10**6) == 1
+
+
+def test_worker_count_keeps_small_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    monkeypatch.setattr(cli, "_free_memory", lambda: 10**12)
+    least = cli._POOL_MIN_ROW_SAMPLES
+    # too few samples in a row, or in all rows, to pay for the workers
+    assert cli._worker_count(10**6, least - 1) == 1
+    assert cli._worker_count(cli._POOL_MIN_SAMPLES // least - 1, least) == 1
+    assert cli._worker_count(cli._POOL_MIN_SAMPLES // least, least) == 32
+    for samples in (-1, 0, 1):
+        assert cli._worker_count(24, samples) == 1
+
+
+def test_free_memory_reads_a_cgroup_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CGROUP", str(tmp_path))
+    # no cgroup v2 files: physical memory, which is more than 4 MB
+    assert cli._free_memory() > 4 * 10**6
+    (tmp_path / "memory.current").write_text("1000000\n")
+    (tmp_path / "memory.max").write_text("max\n")
+    assert cli._free_memory() > 4 * 10**6
+    (tmp_path / "memory.max").write_text("5000000\n")
+    assert cli._free_memory() == 4 * 10**6
+    (tmp_path / "memory.max").write_text("garbled\n")
+    assert cli._free_memory() > 4 * 10**6
+
+
+def test_mc_check_forks_its_workers_before_numpy_loads(fresh_python):
+    # forking once numpy's BLAS threads run can deadlock a child, and
+    # Python 3.12 and later warn of it: every fork must find this process
+    # without numpy and with one thread
+    argv = ["mc-check", "--dist", "normal", "--k-max", "1", "--n-max", "1", "--samples", "100"]
+    out = fresh_python(
+        "import contextlib, io, os, sys, warnings\n"
+        "warnings.simplefilter('error', DeprecationWarning)\n"
+        "from probstirling import cli\n"
+        "cli._worker_count = lambda rows, samples: 2\n"
+        "forks = []\n"
+        "def before():\n"
+        "    forks.append(('numpy' in sys.modules, len(os.listdir('/proc/self/task'))))\n"
+        "os.register_at_fork(before=before)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, forks)\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    assert out == "0 [(False, 1), (False, 1)]\n['concurrent.futures', 'multiprocessing']\n"
+
+
+def test_mc_check_workers_inherit_the_exact_table(fresh_python):
+    # a worker that had to grow the law's E[S_k^n] table would fail its row
+    argv = [
+        "mc-check", "--dist", "poisson:1/3", "--k-max", "3", "--n-max", "5", "--samples", "100",
+        "--z", "100",
+    ]
+    out = fresh_python(
+        "import contextlib, io, os\n"
+        "from probstirling import cli, distributions\n"
+        "cli._worker_count = lambda rows, samples: 2\n"
+        "parent, law_moments = os.getpid(), distributions._law_moments\n"
+        "def grow(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        raise ValueError('a worker grew the table')\n"
+        "    return law_moments(*args)\n"
+        "distributions._law_moments = grow\n"
+        "stdout, stderr = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, len(stdout.getvalue().splitlines()), repr(stderr.getvalue()))"
+    )
+    assert out == "0 24 ''\n"
 
 
 # 10^4 nested shifts, about 80 KB of law: within one argument's length limit
