@@ -15,13 +15,15 @@ perfbench's run record, and two row sets:
   per workload;
 * ``in_process``: timings of single library calls at sizes where the
   computation, not interpreter start-up, dominates: ``sy_table``, a cold
-  ``sum_moment``, the theorem12 and bernoulli-classic verify grids at
-  n <= 10, N <= 60, the all-route ``verify_paths`` grid for geom:1/2 at
-  n <= 10 and x = 0, 1/2, every ``sy_via_uniform_rep`` cell for geom:1/2
-  at n <= 14 and x = 1/2, every ``li_conv_direct`` cell at q = 1/3,
-  n <= 6, k <= 8, a Monte Carlo ``estimate_sum_moment`` of the normal
-  law at k = 3, n = 5 and 500k samples, and ``import probstirling.cli``,
-  the imports that ``table`` runs. Every repeat runs in a fresh
+  ``sum_moment``, a cold ``sum_direct`` of shift:1/3:poisson:5/7 at
+  n = 10, N = 30, x = 7/11, a cold ``theorem12_check`` of the Hermite
+  seed at n = 10, N = 30, x = 3/13, the theorem12 and bernoulli-classic
+  verify grids at n <= 10, N <= 60, the all-route ``verify_paths`` grid
+  for geom:1/2 at n <= 10 and x = 0, 1/2, every ``sy_via_uniform_rep``
+  cell for geom:1/2 at n <= 14 and x = 1/2, every ``li_conv_direct``
+  cell at q = 1/3, n <= 6, k <= 8, a Monte Carlo ``estimate_sum_moment``
+  of the normal law at k = 3, n = 5 and 500k samples, and
+  ``import probstirling.cli``, the imports that ``table`` runs. Every repeat runs in a fresh
   interpreter, so every memo and row table starts empty and nothing is
   imported yet, and only the call itself is timed; the row also records
   how far the call raised the interpreter's peak RSS. The identity-sweep
@@ -68,6 +70,19 @@ CALLS["cold sum_moment poisson:1/3 k=60 n=60"] = (
     "from fractions import Fraction\n"
     "from probstirling.distributions import Poisson, sum_moment\n",
     "sum_moment(Poisson(Fraction(1, 3)), 60, 60)",
+)
+CALLS["cold sum_direct shift:1/3:poisson:5/7 n=10 N=30 x=7/11"] = (
+    "from fractions import Fraction\n"
+    "from probstirling.distributions import parse_distribution\n"
+    "from probstirling.sums import sum_direct\n"
+    'law = parse_distribution("shift:1/3:poisson:5/7")\n',
+    "sum_direct(law, 10, 30, Fraction(7, 11))",
+)
+CALLS["cold theorem12_check hermite_seed(10) n=10 N=30 x=3/13"] = (
+    "from fractions import Fraction\n"
+    "from probstirling.appell import hermite_seed, theorem12_check\n"
+    "seed = hermite_seed(10)\n",
+    "theorem12_check(seed, 10, 30, Fraction(3, 13))",
 )
 CALLS["verify_theorem12 moment:exp n<=10 N<=60"] = (
     "from probstirling.sums import verify_theorem12\n",

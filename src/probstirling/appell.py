@@ -74,12 +74,19 @@ def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
 
 def appell_eval(seed: AppellSeed, n: int, x: Fraction | int) -> Fraction:
     """A_n(x) = sum_d C(n, d) A_(n-d)(0) x^d, summed as integers: with the
-    seed's first n + 1 coefficients g_j = G_j / D over their lcm D and
-    x = u/v, C(n, d) A_(n-d)(0) = n!/d! g_(n-d), so
+    seed's coefficients g_j = G_j / D over their lcm D and x = u/v,
+    C(n, d) A_(n-d)(0) = n!/d! g_(n-d), so
     A_n(x) = sum_d n!/d! G_(n-d) u^d v^(n-d) / (D v^n), one Fraction in
-    all; n must not exceed the seed's truncation order."""
-    _order("n", n, seed.order)
-    g, g_den = _common_denominator(seed.g0.coeffs[: n + 1])
+    all; n must not exceed the seed's truncation order. The sum itself is
+    :func:`_appell_value`, on the pair (G, D), which the theorem12 grid
+    calls on the seed powers it holds in that form."""
+    return _appell_value(*_common_denominator(seed.g0.coeffs), n, x)
+
+
+def _appell_value(g: list[int], g_den: int, n: int, x: Fraction | int) -> Fraction:
+    """A_n(x) for the seed whose coefficients are g_j / g_den, summed as in
+    :func:`appell_eval`; n must not exceed the seed's order, len(g) - 1."""
+    _order("n", n, len(g) - 1)
     x = Fraction(x)
     u, v = x.numerator, x.denominator
     acc, weight = 0, 1  # weight = n!/d!, from d = n down

@@ -9,22 +9,25 @@ runtime), so all moments used here are finite.
 
 Moment lookups are memoized module-wide: raw moments E[Y^n]
 (:func:`moment`), partial-sum moments E[S_k^n] (:func:`sum_moment`, read
-from one row table per law, row k over n, grown in place by the
+from one row table per law, row k over n, grown by the
 convolution below without recursion, so no k is too deep for a cold
 lookup) and shifted partial-sum moments E[(x + S_k)^n]
 (:func:`shifted_sum_moment`, keyed on the value of x, so an int x and an
 equal Fraction share an entry). The caches are idempotent, and the row
 tables take a lock only while they grow.
 
-Both binomial convolutions run in integers: a new E[S_k^n] entry sums
-C(n, j) times the numerators of E[S_{k-1}^j] and E[Y^{n-j}] over the lcm
-of the law's moments and of the entries of row k - 1 that the growth
-reads, rescaled once per row that grows, and E[(x + S_k)^n] with
-x = a/b sums over the same numerators scaled by a^(n-j) b^j. Each result
-is one Fraction, so the only gcd is the one that stores it. Row 1 of a
-law's table, E[S_1^n] = E[Y^n], is where the convolutions and the S_Y
-engine read the law's moments: it grows by one :func:`moment` lookup per
-new entry, so a moment is looked up once per law, not on every widening.
+The tables the convolutions read are held as integers. Row k of a law's
+table is a pair (nums, den) with E[S_k^n] = nums[n] / den, reduced so that
+gcd(den, *nums) = 1. Row 1, E[S_1^n] = E[Y^n], is where the convolutions
+and the S_Y engine read the law's moments: it grows by one :func:`moment`
+lookup per new entry, so a moment is looked up once per law, not on every
+widening. A new entry of row k sums C(n, j) times the numerators of
+E[S_{k-1}^j] and E[Y^{n-j}] over the product of the two rows'
+denominators, and the row is reduced with one gcd each time it grows, not
+once per entry. E[(x + S_k)^n] with x = a/b sums the same numerators scaled
+by a^(n-j) b^j, so a Fraction is built only for a value handed to a caller.
+The moments of a shifted law Y + c are E[(c + Y)^n], one such sum over the
+base law's row 1.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
-from .exact_core import _common_denominator, _grow_rows, _order
-from .exact_core import bell_poly, binomial, double_factorial, stirling2
+from .exact_core import _GROW_LOCK, _order, bell_poly, double_factorial, stirling2
 
 __all__ = [
     "Distribution",
@@ -208,62 +210,99 @@ def moment(dist: Distribution, n: int) -> Fraction:
         case FiniteSupport(atoms=atoms):
             return sum((p * v**n for v, p in atoms), Fraction(0))
         case Shifted(base=base, offset=c):
-            return sum(
-                (binomial(n, j) * c ** (n - j) * moment(base, j) for j in range(n + 1)),
-                Fraction(0),
-            )
+            # E[(c + Y)^n]; the base is never shifted, so this does not recurse
+            return shifted_sum_moment(base, 1, n, c)
     raise TypeError(f"unknown distribution kind: {dist!r}")
 
 
-# law -> rows over k of E[S_k^n], each over n; row 0 holds the ints 1, 0,
-# 0, ..., and row 1, E[S_1^n] = E[Y^n], is the law's one row of raw moments
-_SUM_MOMENT_ROWS: dict[Distribution, list[list[Fraction]]] = {}
+# law -> rows over k of E[S_k^n], each a pair (nums, den) of integers with
+# E[S_k^n] = nums[n] / den and gcd(den, *nums) == 1, so den is the lcm of the
+# entries' denominators and a row's form does not depend on how it grew; row 0
+# is ([1, 0, 0, ...], 1), and row 1, E[S_1^n] = E[Y^n], is the law's one row
+# of raw moments. A row that grows is replaced by a new pair, never changed in
+# place, so a reader without the lock sees a whole row.
+_SUM_MOMENT_ROWS: dict[Distribution, list[tuple[list[int], int]]] = {}
 
 
 def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
-    """E[Y^j] for j < `width`, as integers over one denominator, read from
-    row 1 of the law's E[S_k^n] table after growing it by `moment` lookups
-    for the entries it lacks.
+    """Row 1 of the law's E[S_k^n] table as it is stored, E[Y^j] = nums[j] / den
+    for j < len(nums), after growing it to at least `width` entries by one
+    `moment` lookup per entry it lacks.
 
     The growth holds the tables' reentrant lock across those lookups. That
     is safe: a moment lookup takes no lock but that one (Poisson and
-    geometric moments grow the Stirling tables under it), so it can only
-    reenter it in the same thread.
+    geometric moments grow the Stirling tables under it, and a shifted
+    law's moments grow its base law's row 1), so it can only reenter it in
+    the same thread.
     """
     rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
-    row = _grow_rows(rows, 1, width, lambda i, row, prev: moment(dist, len(row)))
-    return _common_denominator(row[:width])
+    if len(rows) > 1 and len(rows[1][0]) >= width:
+        return rows[1]
+    with _GROW_LOCK:
+        if not rows:
+            rows.append(([1], 1))
+        if len(rows) == 1:
+            rows.append(([], 1))
+        nums, den = rows[1]
+        if len(nums) < width:
+            values = [moment(dist, j) for j in range(len(nums), width)]
+            # the lcm of the entries' denominators is a reduced row's den
+            new_den = lcm(den, *[v.denominator for v in values])
+            scale = new_den // den
+            nums = [c * scale for c in nums]
+            nums += [v.numerator * (new_den // v.denominator) for v in values]
+            rows[1] = (nums, new_den)
+        head, head_den = rows[0]
+        if len(head) < width:
+            rows[0] = (head + [0] * (width - len(head)), head_den)
+    return rows[1]
 
 
-def _sum_moment_row(dist: Distribution, k: int, n: int) -> list[Fraction]:
-    """Row k of the E[S_k^n] table of `dist`, at least n + 1 entries long."""
+def _sum_moment_row(dist: Distribution, k: int, n: int) -> tuple[list[int], int]:
+    """Row k of the E[S_k^n] table of `dist`, at least n + 1 entries long,
+    as the stored pair (nums, den).
+
+    Rows 2 and up grow by the binomial convolution
+    E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers over
+    den_{i-1} den_1. Row lengths never increase with the row index, so only
+    the rows from the first one shorter than n + 1 through row k grow, each
+    in order and each with one gcd: the table holds the rectangle below
+    every lookup made so far.
+    """
     _order("number of summands", k)
     _order("moment order", n)
     width = n + 1
     rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
-    if k < len(rows) and len(rows[k]) >= width:
+    if k < len(rows) and len(rows[k][0]) >= width:
         return rows[k]
     # this grows rows 0 and 1 to `width`, so the growth below convolves
     # only rows 2 and up
     mu, mu_den = _law_moments(dist, width)
-    # row i - 1 over one denominator, for the row i that grows: rows grow in
-    # order, each to `width`, so a row is rescaled once, not once per entry
-    scaled_for, p, p_den = None, [], 1
-
-    def convolve(i: int, row: list[Fraction], prev: list[Fraction]) -> Fraction:
-        # E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers
-        # over the lcm of row i - 1's first `width` entries; the table stores
-        # the entry as a Fraction, which normalises it, so no stored value
-        # depends on that lcm or on how far one call grows the row
-        nonlocal scaled_for, p, p_den
-        if scaled_for != i:
-            scaled_for = i
-            p, p_den = _common_denominator(prev[:width])
-        n = len(row)
-        acc = sum(comb(n, j) * p[j] * mu[n - j] for j in range(n + 1))
-        return Fraction(acc, p_den * mu_den)
-
-    return _grow_rows(rows, k, width, convolve)
+    with _GROW_LOCK:
+        # rows 0 and 1 are long enough now; the rest grow from the first row
+        # shorter than `width` through row k
+        low = min(k, len(rows))
+        while low > 2 and len(rows[low - 1][0]) < width:
+            low -= 1
+        for i in range(max(low, 2), k + 1):
+            if i == len(rows):
+                rows.append(([], 1))
+            old, old_den = rows[i]
+            if len(old) >= width:
+                continue
+            p, p_den = rows[i - 1]
+            # every entry of row i is an integer over den_{i-1} den_1, so the
+            # lcm of the stored entries' denominators, old_den, divides it
+            den = p_den * mu_den
+            scale = den // old_den
+            nums = [c * scale for c in old]
+            nums += [
+                sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1))
+                for m in range(len(old), width)
+            ]
+            g = gcd(den, *nums)
+            rows[i] = ([c // g for c in nums], den // g)
+    return rows[k]
 
 
 @lru_cache(maxsize=None)
@@ -272,18 +311,22 @@ def sum_moment(dist: Distribution, k: int, n: int) -> Fraction:
 
     Uses the binomial convolution E[S_k^n] = sum_j C(n, j) E[S_{k-1}^j] E[Y^{n-j}].
     """
-    return Fraction(_sum_moment_row(dist, k, n)[n])
+    nums, den = _sum_moment_row(dist, k, n)
+    return Fraction(nums[n], den)
 
 
 @lru_cache(maxsize=None)
 def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) -> Fraction:
     """Exact E[(x + S_k)^n], expanded binomially over powers of x."""
     x = Fraction(x)
-    row = _sum_moment_row(dist, k, n)
-    # x = a/b, so x^(n-j) = a^(n-j) b^j / b^n
-    p, p_den = _common_denominator(row[: n + 1])
+    p, p_den = _sum_moment_row(dist, k, n)
+    # x = a/b, so x^(n-j) = a^(n-j) b^j / b^n; Horner's rule over j, with
+    # acc = sum_{i<=j} C(n, i) p[i] a^(j-i) b^i after step j
     a, b = x.numerator, x.denominator
-    acc = sum(comb(n, j) * a ** (n - j) * b**j * p[j] for j in range(n + 1))
+    acc, b_j = 0, 1
+    for j in range(n + 1):
+        acc = acc * a + comb(n, j) * p[j] * b_j
+        b_j *= b
     return Fraction(acc, p_den * b**n)
 
 

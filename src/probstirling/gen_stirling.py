@@ -75,7 +75,10 @@ __all__ = [
 # those, which are charged with their own calls. Within a group, two routes
 # may enter in common only those tables and the helpers under "shared". Their
 # exact agreement is evidence of correctness only while that holds, and
-# tests/test_route_map.py checks it. Names are "module.function" strings.
+# tests/test_route_map.py checks it. The moment tables that they share are
+# checked against each law's moment generating function, which shares
+# nothing with them, in tests/test_mgf_oracle.py. Names are
+# "module.function" strings.
 _ROUTE_MAP = {
     "groups": (
         {"gen_stirling.sy_table": ("distributions._law_moments",),

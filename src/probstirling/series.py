@@ -9,16 +9,18 @@ Truncation order is always an explicit caller choice and is never widened
 implicitly; binary operations insist that both operands carry the same
 order.
 
-The Cauchy product puts each operand over the lcm of its denominators and
-convolves the integer numerators, so the only gcd per output coefficient
-is the one that stores it as a Fraction.
+The Cauchy product runs on a pair (nums, den) of integer numerators over
+one denominator: it convolves the numerators and reduces the result with
+one gcd, and a product of products, such as a power or the seed powers of
+the theorem12 grid in :mod:`~probstirling.sums`, stays in that form, so a
+Fraction is built only for a coefficient handed to a caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from operator import mul
 
 from .distributions import Distribution, moment
@@ -68,29 +70,39 @@ def series_scale(f: EGFSeries, c: Fraction | int) -> EGFSeries:
     return EGFSeries(tuple(a * c for a in f.coeffs))
 
 
+def _cauchy_product(a: list[int], a_den: int, b: list[int], b_den: int) -> tuple[list[int], int]:
+    """The Cauchy product of the series a / a_den and b / b_den, truncated
+    at the order of a, as integers over one denominator reduced by one gcd:
+    gcd(den, *nums) == 1, so den is the lcm of the coefficients'
+    denominators."""
+    nums = [sum(map(mul, a[: i + 1], b[i::-1])) for i in range(len(a))]
+    den = a_den * b_den
+    g = gcd(den, *nums)
+    return [c // g for c in nums], den // g
+
+
 def series_mul(f: EGFSeries, g: EGFSeries) -> EGFSeries:
     """Cauchy product, truncated at the common order."""
     _check_orders(f, g)
-    a, a_den = _common_denominator(f.coeffs)
-    b, b_den = _common_denominator(g.coeffs)
-    den = a_den * b_den
-    return EGFSeries(
-        tuple(Fraction(sum(map(mul, a[: i + 1], b[i::-1])), den) for i in range(f.order + 1))
-    )
+    a, b = _common_denominator(f.coeffs), _common_denominator(g.coeffs)
+    return _from_pair(*_cauchy_product(*a, *b))
+
+
+def _from_pair(nums: list[int], den: int) -> EGFSeries:
+    return EGFSeries(tuple(Fraction(c, den) for c in nums))
 
 
 def series_pow(f: EGFSeries, m: int) -> EGFSeries:
     """f^m by binary exponentiation; f^0 is the constant-1 series."""
     _order("m", m)
-    result = series_one(f.order)
-    base = f
+    result, base = ([1] + [0] * f.order, 1), _common_denominator(f.coeffs)
     while m:
         if m & 1:
-            result = series_mul(result, base)
+            result = _cauchy_product(*result, *base)
         m >>= 1
         if m:
-            base = series_mul(base, base)
-    return result
+            base = _cauchy_product(*base, *base)
+    return _from_pair(*result)
 
 
 def series_div(f: EGFSeries, g: EGFSeries) -> EGFSeries:

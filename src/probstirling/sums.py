@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .appell import AppellSeed, appell_eval, bernoulli_seed, family_seed
+from .appell import AppellSeed, _appell_value, appell_eval, bernoulli_seed, family_seed
 from .distributions import (
     Constant,
     Distribution,
@@ -33,6 +33,7 @@ from .distributions import (
 )
 from .exact_core import (
     Polynomial,
+    _common_denominator,
     _order,
     alternating_sum,
     bell_poly,
@@ -51,7 +52,7 @@ from .gen_stirling import (
     sy_via_uniform_rep,
 )
 from .polylog import li_conv_prob
-from .series import series_mul, series_one
+from .series import _cauchy_product
 
 # (n, the N values reported for that n) pairs, in report order
 Grid = Iterable[tuple[int, Sequence[int]]]
@@ -316,14 +317,18 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[Identity
 
 def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> list[IdentityReport]:
     """Two-sided Appell-family compression sums for one seed over a grid: the
-    k-th summand is A_n(k; x), read from the seed's k-th power, each power one
-    series product from the previous one and built once per grid."""
-    powers = [series_one(seed.order)]
+    k-th summand is A_n(k; x), read from the seed's k-th power. Each power is
+    one integer Cauchy product from the previous one, held as integers over
+    one reduced denominator and built once per grid, and each summand is one
+    integer Appell evaluation of it, so the grid builds a Fraction only for a
+    summand."""
+    seed_row = _common_denominator(seed.g0.coeffs)
+    powers = [([1] + [0] * seed.order, 1)]
 
     def term(n: int, x: Fraction, k: int) -> Fraction:
         while len(powers) <= k:
-            powers.append(series_mul(powers[-1], seed.g0))
-        return appell_eval(AppellSeed(seed.name, powers[k]), n, x)
+            powers.append(_cauchy_product(*powers[-1], *seed_row))
+        return _appell_value(*powers[k], n, x)
 
     label = lambda n, N, x: {"family": seed.name, "n": n, "N": N, "x": x}
     return triple_identity("theorem12", label, grid, term, None, xs)

@@ -1,6 +1,7 @@
 """Tests for the distribution catalog and its exact moment engine."""
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -260,8 +261,9 @@ def test_sum_moment_row_tables_match_recursive_reference(fresh_python, order):
 
 @pytest.mark.parametrize("dist", CATALOG, ids=repr)
 def test_sum_moment_row_does_not_depend_on_how_it_grew(dist, monkeypatch):
-    # one call rescales each growing row once over its first `width`
-    # entries; growing one width at a time rescales it at every width
+    # every stored row (nums, den) is reduced, so its form is fixed by its
+    # values: growing the rows at once and one width at a time store the
+    # same pairs, and each one equals the Fraction reference
     at_once, one_by_one = {}, {}
     monkeypatch.setattr(distributions, "_SUM_MOMENT_ROWS", at_once)
     distributions._sum_moment_row(dist, 5, 11)
@@ -269,8 +271,11 @@ def test_sum_moment_row_does_not_depend_on_how_it_grew(dist, monkeypatch):
     for n in range(12):
         distributions._sum_moment_row(dist, 5, n)
     assert at_once[dist] == one_by_one[dist]
-    assert [len(row) for row in at_once[dist]] == [12] * 6
-    assert at_once[dist][5] == [_sum_moment_reference(dist, 5, n) for n in range(12)]
+    assert [len(nums) for nums, _ in at_once[dist]] == [12] * 6
+    for k, (nums, den) in enumerate(at_once[dist]):
+        assert den > 0 and math.gcd(den, *nums) == 1, k
+        reference = [_sum_moment_reference(dist, k, n) for n in range(12)]
+        assert [Fraction(c, den) for c in nums] == reference
 
 
 def test_deep_sum_moment_from_cold_cache(fresh_python):

@@ -457,7 +457,7 @@ def test_row_tables_concurrent_cold_lookups(fresh_python):
     # six threads grow the Stirling tables and the E[S_k^n] tables of two
     # laws from cold, with thread switches forced as often as possible: the
     # Poisson moments read the Stirling table, and the shifted law's moments
-    # are Fractions, so its moment list is raced too
+    # grow its base law's table, so that is raced too
     snippet = (
         "import sys, threading\n"
         "from fractions import Fraction\n"
