@@ -22,8 +22,10 @@ perfbench's run record, and two row sets:
   for geom:1/2 at n <= 10 and x = 0, 1/2, every ``sy_via_uniform_rep``
   cell for geom:1/2 at n <= 14 and x = 1/2, every ``li_conv_direct``
   cell at q = 1/3, n <= 6, k <= 8, a Monte Carlo ``estimate_sum_moment``
-  of the normal law at k = 3, n = 5 and 500k samples, and
-  ``import probstirling.cli``, the imports that ``table`` runs. Every repeat runs in a fresh
+  of the normal law at k = 3, n = 5 and 500k samples, a cold
+  ``_law_moments`` (a law's row of raw moments) of poisson:5/7 and
+  geom:2/7 at widths 11 and 60 and of uniform and shift:2/9:exp at width
+  200, and ``import probstirling.cli``, the imports that ``table`` runs. Every repeat runs in a fresh
   interpreter, so every memo and row table starts empty and nothing is
   imported yet, and only the call itself is timed; the row also records
   how far the call raised the interpreter's peak RSS. The identity-sweep
@@ -114,6 +116,23 @@ CALLS["estimate_sum_moment normal k=3 n=5 samples=500000"] = (
     "from probstirling.distributions import StdNormal\n"
     "from probstirling.montecarlo import estimate_sum_moment\n",
     "estimate_sum_moment(StdNormal(), 3, 5, 500_000, 0)",
+)
+CALLS.update(
+    {
+        f"cold _law_moments {law} width={width}": (
+            "from probstirling.distributions import _law_moments, parse_distribution\n"
+            f"law = parse_distribution({law!r})\n",
+            f"_law_moments(law, {width})",
+        )
+        for law, width in (
+            ("poisson:5/7", 11),
+            ("poisson:5/7", 60),
+            ("geom:2/7", 11),
+            ("geom:2/7", 60),
+            ("uniform", 200),
+            ("shift:2/9:exp", 200),
+        )
+    }
 )
 CALLS["import probstirling.cli"] = ("", "import probstirling.cli")
 

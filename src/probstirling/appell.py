@@ -3,9 +3,10 @@
 A family A_n(x) is determined by the series of its initial values
 sum_n A_n(0) z^n / n!, the seed, which must have a nonzero constant term
 so that it is invertible among truncated series. Binomial convolution of
-two families multiplies their seeds; the k-fold convolution raises a seed
-to the k-th power. The families here are the classical Bernoulli, Euler,
-and probabilists' Hermite polynomials plus moment-generated families
+two families multiplies their seeds, so the k-fold convolution has the
+k-th power of the seed, which the theorem12 grid in :mod:`probstirling.sums`
+builds. The families here are the classical Bernoulli, Euler, and
+probabilists' Hermite polynomials plus moment-generated families
 E[(x + Y)^n] for catalog distributions.
 """
 
@@ -23,9 +24,7 @@ from .series import (
     egf_coefficient,
     series_div,
     series_from_moments,
-    series_mul,
     series_one,
-    series_pow,
     series_scale,
 )
 
@@ -33,10 +32,7 @@ __all__ = [
     "AppellSeed",
     "appell_eval",
     "appell_polynomial",
-    "binomial_convolve",
-    "kfold",
     "theorem12_check",
-    "identity_seed",
     "bernoulli_seed",
     "euler_seed",
     "hermite_seed",
@@ -96,22 +92,6 @@ def _appell_value(g: list[int], g_den: int, n: int, x: Fraction | int) -> Fracti
     return Fraction(acc, g_den * v**n)
 
 
-def binomial_convolve(a: AppellSeed, c: AppellSeed) -> AppellSeed:
-    """Binomial convolution of two families: the seed product."""
-    return AppellSeed(f"{a.name}*{c.name}", series_mul(a.g0, c.g0))
-
-
-def kfold(a: AppellSeed, k: int) -> AppellSeed:
-    """k-fold binomial convolution: the seed raised to the k-th power.
-    The 0-fold convolution is the identity family x^n."""
-    _order("k", k)
-    if k == 0:
-        return identity_seed(a.g0.order)
-    if k == 1:
-        return a
-    return AppellSeed(f"{a.name}^{k}", series_pow(a.g0, k))
-
-
 def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
     """Compare the full sum over k = 0..N of A_n(k; x) with the weighted
     short sum over k = 0..n; requires N >= n. Returns a two-sided
@@ -123,12 +103,6 @@ def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
     from .sums import _theorem12
 
     return _theorem12(seed, [(n, [N])], [x])[0]
-
-
-@lru_cache(maxsize=None)
-def identity_seed(order: int) -> AppellSeed:
-    """Seed of the identity family A_n(x) = x^n."""
-    return AppellSeed("identity", series_one(order))
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,12 @@ Exit codes: 0 when everything passes, 1 when a verified mathematical or
 statistical comparison fails, 2 on usage or parse errors, including
 negative bounds, an option the table kind or verify suite requires but
 is not given or does not read, Monte Carlo rows that are not finite in
-floating point, and an ``mc-check`` worker process killed from outside;
-141, the status a shell reports for a writer killed by SIGPIPE, when the
-reader closes stdout before the output ends.
+floating point, and an ``mc-check`` worker process killed from outside,
+and on any other failure: running out of memory (one line naming the
+size options to lower) or an unexpected exception (one line, then its
+traceback); 130 on an interrupt; 141, the status a shell reports for a
+writer killed by SIGPIPE, when the reader closes stdout before the
+output ends.
 
 Each command imports only what it runs: ``verify`` alone loads ``sums``
 (with ``appell``, ``series`` and ``polylog``), on which its runners look
@@ -34,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -384,6 +388,10 @@ def _emit_mc_rows(args, rows: list[tuple[int, int]], results) -> int:
     return 0 if all_pass else 1
 
 
+# the options that size a command's work, named when it runs out of memory
+_SIZES = ("n", "N", "n_max", "N_max", "k_max", "samples")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # exact values may pass the int <-> str digit limit; in-process callers keep theirs
     with _unlimited_digits():
@@ -398,6 +406,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             # exit cannot raise again, and exit as a writer killed by SIGPIPE
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 141
+        except KeyboardInterrupt:
+            return 130
+        except MemoryError:
+            pass  # reported below, once the frames that filled memory are freed
+        except Exception as exc:
+            # a bug: one error line, then the traceback that locates it
+            print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+            traceback.print_exc()
+            return 2
+    sizes = [_flag(dest) for dest in _SIZES if getattr(args, dest, None) is not None]
+    print(f"error: out of memory; lower {' or '.join(sizes)}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -2,32 +2,26 @@
 
 Each distribution is an immutable value object with rational parameters;
 raw moments E[Y^n], moments of the k-fold independent sum S_k, and shifted
-variants E[(x + S_k)^n] are exact Fractions computed by per-kind closed
-forms plus binomial convolution. Every catalog member has a finite moment
-generating function near 0 (checked analytically per kind, not at
-runtime), so all moments used here are finite.
+variants E[(x + S_k)^n] are exact Fractions. Every catalog member has a
+finite moment generating function M(z) near 0 (checked analytically per
+kind, not at runtime), so all moments used here are finite.
 
-Moment lookups are memoized module-wide: raw moments E[Y^n]
-(:func:`moment`), partial-sum moments E[S_k^n] (:func:`sum_moment`, read
-from one row table per law, row k over n, grown by the
-convolution below without recursion, so no k is too deep for a cold
-lookup) and shifted partial-sum moments E[(x + S_k)^n]
-(:func:`shifted_sum_moment`, keyed on the value of x, so an int x and an
-equal Fraction share an entry). The caches are idempotent, and the row
+The moments live in one row table per law, row k over n: a pair of
+integers (nums, den) with E[S_k^n] = nums[n] / den and gcd(den, *nums) = 1.
+Row 1, E[Y^n], is the one place a law's raw moments are computed. It grows
+one entry at a time from the entries before it, by M's recurrence for a
+Poisson (M' = lam e^z M) or geometric (M (1 - q e^z) = 1 - q) law and by a
+closed form for the others; a shifted law Y + c sums E[(c + Y)^n] over its
+base law's row 1. Row k >= 2 grows by the binomial convolution of rows
+k - 1 and 1, summed as integers and reduced with one gcd each time it
+grows, without recursion, so no k is too deep for a cold lookup.
+E[(x + S_k)^n] with x = a/b sums the same numerators scaled by
+a^(n-j) b^j, so a Fraction is built only for a value handed to a caller.
+
+:func:`moment`, :func:`sum_moment` and :func:`shifted_sum_moment` (keyed on
+the value of x, so an int x and an equal Fraction share an entry) are
+memoized views of the tables. The caches are idempotent, and the row
 tables take a lock only while they grow.
-
-The tables the convolutions read are held as integers. Row k of a law's
-table is a pair (nums, den) with E[S_k^n] = nums[n] / den, reduced so that
-gcd(den, *nums) = 1. Row 1, E[S_1^n] = E[Y^n], is where the convolutions
-and the S_Y engine read the law's moments: it grows by one :func:`moment`
-lookup per new entry, so a moment is looked up once per law, not on every
-widening. A new entry of row k sums C(n, j) times the numerators of
-E[S_{k-1}^j] and E[Y^{n-j}] over the product of the two rows'
-denominators, and the row is reduced with one gcd each time it grows, not
-once per entry. E[(x + S_k)^n] with x = a/b sums the same numerators scaled
-by a^(n-j) b^j, so a Fraction is built only for a value handed to a caller.
-The moments of a shifted law Y + c are E[(c + Y)^n], one such sum over the
-base law's row 1.
 """
 
 from __future__ import annotations
@@ -35,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
-from .exact_core import _GROW_LOCK, _order, bell_poly, double_factorial, stirling2
+from .exact_core import _GROW_LOCK, _order, double_factorial
 
 __all__ = [
     "Distribution",
@@ -185,20 +179,28 @@ class Shifted(Distribution):
 
 @lru_cache(maxsize=None)
 def moment(dist: Distribution, n: int) -> Fraction:
-    """Exact raw moment E[Y^n]."""
+    """Exact raw moment E[Y^n], read from row 1 of the law's table."""
     _order("moment order", n)
-    if n == 0:
-        return Fraction(1)
+    nums, den = _law_moments(dist, n + 1)
+    return Fraction(nums[n], den)
+
+
+def _next_moment(dist: Distribution, nums: list[int], den: int) -> Fraction:
+    """E[Y^n] for n = len(nums) >= 1, given E[Y^j] = nums[j] / den for j < n."""
+    n = len(nums)
     match dist:
         case Constant(value=a):
             return a**n
         case Bernoulli(p=p):
             return p
         case Poisson(rate=lam):
-            return Fraction(bell_poly(n, lam))
+            # M' = lam e^z M: E[Y^n] = lam sum_{j<n} C(n-1, j) E[Y^j]
+            s = sum(comb(n - 1, j) * c for j, c in enumerate(nums))
+            return Fraction(lam.numerator * s, lam.denominator * den)
         case Geometric(q=q):
-            # through the factorial moments E[(Y)_r] = r! (q/p)^r, like bell_poly for Poisson
-            return sum(stirling2(n, r) * factorial(r) * (q / (1 - q)) ** r for r in range(n + 1))
+            # M (1 - q e^z) = 1 - q: E[Y^n] = q/(1-q) sum_{j<n} C(n, j) E[Y^j]
+            s = sum(comb(n, j) * c for j, c in enumerate(nums))
+            return Fraction(q.numerator * s, (q.denominator - q.numerator) * den)
         case Exponential():
             return Fraction(factorial(n))
         case Uniform01():
@@ -226,32 +228,29 @@ _SUM_MOMENT_ROWS: dict[Distribution, list[tuple[list[int], int]]] = {}
 
 def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
     """Row 1 of the law's E[S_k^n] table as it is stored, E[Y^j] = nums[j] / den
-    for j < len(nums), after growing it to at least `width` entries by one
-    `moment` lookup per entry it lacks.
+    for j < len(nums), after growing it to at least `width` entries, each
+    new one from the entries before it by the law's rule in `_next_moment`.
 
-    The growth holds the tables' reentrant lock across those lookups. That
-    is safe: a moment lookup takes no lock but that one (Poisson and
-    geometric moments grow the Stirling tables under it, and a shifted
-    law's moments grow its base law's row 1), so it can only reenter it in
-    the same thread.
+    The growth holds the tables' reentrant lock. Only a shifted law's rule
+    takes it again, to grow its base law's row 1, so it is only reentered
+    in the same thread.
     """
     rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
     if len(rows) > 1 and len(rows[1][0]) >= width:
         return rows[1]
     with _GROW_LOCK:
-        if not rows:
+        while len(rows) < 2:  # E[S_0^0] = E[Y^0] = 1
             rows.append(([1], 1))
-        if len(rows) == 1:
-            rows.append(([], 1))
         nums, den = rows[1]
-        if len(nums) < width:
-            values = [moment(dist, j) for j in range(len(nums), width)]
-            # the lcm of the entries' denominators is a reduced row's den
-            new_den = lcm(den, *[v.denominator for v in values])
-            scale = new_den // den
-            nums = [c * scale for c in nums]
-            nums += [v.numerator * (new_den // v.denominator) for v in values]
-            rows[1] = (nums, new_den)
+        nums = nums[:]  # a copy, since the row is replaced whole
+        while len(nums) < width:
+            value = _next_moment(dist, nums, den)
+            if den % value.denominator:  # a new lcm: rescale the row
+                scale = value.denominator // gcd(den, value.denominator)
+                nums = [c * scale for c in nums]
+                den *= scale
+            nums.append(value.numerator * (den // value.denominator))
+        rows[1] = (nums, den)
         head, head_den = rows[0]
         if len(head) < width:
             rows[0] = (head + [0] * (width - len(head)), head_den)

@@ -1,4 +1,4 @@
-"""Tests for Appell families: seeds, convolution, k-fold powers, and the
+"""Tests for Appell families: seeds, k-fold powers, and the
 weighted power-sum compression identity."""
 
 from fractions import Fraction
@@ -15,12 +15,9 @@ from probstirling.appell import (
     appell_moment_link,
     appell_polynomial,
     bernoulli_seed,
-    binomial_convolve,
     euler_seed,
     family_seed,
     hermite_seed,
-    identity_seed,
-    kfold,
     theorem12_check,
 )
 from probstirling.distributions import (
@@ -31,7 +28,7 @@ from probstirling.distributions import (
 )
 from probstirling.exact_core import Polynomial, double_factorial
 from probstirling.gen_stirling import hermite_at_zero
-from probstirling.series import EGFSeries, egf_coefficient, series_mul, series_one
+from probstirling.series import EGFSeries, egf_coefficient, series_pow
 
 from catalog import HALF
 
@@ -94,7 +91,8 @@ FAMILIES = ["bernoulli", "euler", "hermite", "moment:exp", "moment:normal", "mom
 def test_appell_eval_is_the_polynomial_value(family, k, n, x):
     # the integer kernel against Horner's rule on the Fraction coefficients,
     # on the family and on the k-fold powers that theorem12 reads
-    seed = kfold(family_seed(family, 12), k)
+    seed = family_seed(family, 12)
+    seed = AppellSeed(seed.name, series_pow(seed.g0, k))
     assert appell_eval(seed, n, x) == appell_polynomial(seed, n)(x)
 
 
@@ -105,32 +103,18 @@ def test_derivative_property():
             assert appell_polynomial(seq, n).derivative() == n * appell_polynomial(seq, n - 1)
 
 
-def test_binomial_convolve():
-    b = bernoulli_seed(6)
-    e = euler_seed(6)
-    assert binomial_convolve(b, identity_seed(6)).g0 == b.g0
-    assert binomial_convolve(b, e).g0 == binomial_convolve(e, b).g0
-    assert binomial_convolve(b, b).g0 == kfold(b, 2).g0
-    with pytest.raises(ValueError):
-        binomial_convolve(bernoulli_seed(4), euler_seed(5))
-
-
-def test_kfold():
-    b = bernoulli_seed(5)
-    assert kfold(b, 1).g0 == b.g0
-    zero_fold = kfold(b, 0)
+def test_zero_fold_family_is_x_to_the_n():
+    # the seed's 0th power is series_one, the seed of the identity family
+    zero_fold = AppellSeed("identity", series_pow(bernoulli_seed(5).g0, 0))
     for n in range(6):
         for x in (Fraction(0), Fraction(2), Fraction(-1, 3)):
             assert appell_eval(zero_fold, n, x) == x**n
-    for j in range(4):
-        for k in range(4):
-            assert kfold(b, j + k).g0 == series_mul(kfold(b, j).g0, kfold(b, k).g0)
 
 
 def test_hermite_kfold_initial_values():
     # the k-fold Hermite family scales the even initial values by k^h
     for k in range(5):
-        seq = kfold(hermite_seed(8), k)
+        seq = AppellSeed("hermite", series_pow(hermite_seed(8).g0, k))
         for h in range(4):
             sign = -1 if h % 2 else 1
             assert appell_eval(seq, 2 * h, 0) == sign * k**h * double_factorial(2 * h - 1)

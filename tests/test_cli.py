@@ -461,6 +461,69 @@ def test_mc_check_killed_worker_exits_2_without_hanging():
     _assert_no_process_left(proc)
 
 
+def test_mc_check_worker_exception_meets_the_exit_code_boundary():
+    # the worker that draws row (1, 2) fails with a bug; the pool raises it here
+    before = (
+        "compare = montecarlo.compare_moment\n"
+        "def row(dist, k, n, *rest):\n"
+        "    if (k, n) == (1, 2):\n"
+        "        raise RuntimeError('row (1, 2)')\n"
+        "    return compare(dist, k, n, *rest)\n"
+        "montecarlo.compare_moment = row\n"
+    )
+    argv = ["mc-check", "--dist", "exp", "--k-max", "2", "--n-max", "3", "--samples", "1000"]
+    with _run_pinned(argv, 2, before) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert len(out.splitlines()) == 4 + 2  # the rows before (1, 2)
+    lines = err.decode().splitlines()
+    assert lines[0] == "error: unexpected RuntimeError: row (1, 2)"
+    # the worker's own traceback comes first, as the cause
+    assert lines[1] == "concurrent.futures.process._RemoteTraceback: "
+    assert lines[-1] == "RuntimeError: row (1, 2)"
+    _assert_no_process_left(proc)
+
+
+def test_exhausted_memory_exits_2_with_one_line(fresh_python):
+    # the child caps its address space at 64 MB past what it holds after its
+    # imports; the moments 2^j of const:2 alone need n^2 / 16 bytes
+    out = fresh_python(
+        "import contextlib, io, resource\n"
+        "from probstirling import cli\n"
+        "with open('/proc/self/status') as status:\n"
+        "    held = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+        "cap = held * 1024 + 64 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "stdout, stderr = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+        "    status = cli.main(['table', 'sy', '--dist', 'const:2', '--n', '1000000', '--m', '1'])\n"
+        "print(status, repr(stdout.getvalue()))\n"
+        "print(stderr.getvalue(), end='')"
+    )
+    assert out.splitlines() == ["2 ''", "error: out of memory; lower --n"]
+
+
+def test_unexpected_exception_exits_2_with_its_traceback(capsys, monkeypatch):
+    def builder(n, m):
+        raise RuntimeError("boom")
+
+    # the table builders look stirling2 up on the cli module at call time
+    monkeypatch.setattr(cli, "stirling2", builder)
+    code, out, err = run_cli(capsys, "table", "stirling2", "--n", "2")
+    lines = err.splitlines()
+    assert (code, out) == (2, "")
+    assert lines[:2] == ["error: unexpected RuntimeError: boom", "Traceback (most recent call last):"]
+    assert lines[-1] == "RuntimeError: boom"
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def builder(n, m):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "stirling2", builder)
+    assert run_cli(capsys, "table", "stirling2", "--n", "2") == (130, "", "")
+
+
 def test_worker_count_is_bounded_by_cpus_rows_and_free_memory(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
     monkeypatch.setattr(cli, "_free_memory", lambda: 10**9)
@@ -828,6 +891,8 @@ def test_cli_grammar_fuzz(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
+    # a traceback would be a bug that the exit-code boundary reported
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
     records = []
     if argv[0] != "table" or "--format=json" in argv:
         lines = out.getvalue().splitlines()

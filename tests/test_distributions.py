@@ -288,6 +288,25 @@ def test_deep_sum_moment_from_cold_cache(fresh_python):
     assert out.split() == ["640800"]
 
 
+def test_poisson_and_geometric_moments_read_no_stirling_number(fresh_python):
+    # row 1 of these laws grows by their generating functions' recurrences,
+    # so the engine and the routes that read it leave the Stirling tables cold
+    out = fresh_python(
+        "from fractions import Fraction\n"
+        "from probstirling import exact_core\n"
+        "from probstirling.distributions import Geometric, Poisson, moment, sum_moment\n"
+        "from probstirling.gen_stirling import sy, sy_table\n"
+        "from probstirling.polylog import li_conv_direct, li_conv_prob\n"
+        "for law in (Poisson(Fraction(5, 7)), Geometric(Fraction(2, 7))):\n"
+        "    moment(law, 30), sum_moment(law, 4, 12), sy_table(law, 16, Fraction(1, 2))\n"
+        "    sy(law, 8, 3, Fraction(-1, 3))\n"
+        "li_conv_direct(6, 3, Fraction(1, 3)), li_conv_prob(6, 3, Fraction(1, 3))\n"
+        "print(exact_core.stirling2.cache_info().misses)\n"
+        "print(exact_core._STIRLING2_ROWS, exact_core._STIRLING1_ROWS)"
+    )
+    assert out.splitlines() == ["0", "[] []"]
+
+
 # -------------------------------------------------------------------- syntax
 
 

@@ -10,7 +10,7 @@ import functools
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -498,7 +498,8 @@ def test_cold_lookups_need_no_recursion(fresh_python):
     out = fresh_python(
         "import inspect, sys\n"
         "from fractions import Fraction\n"
-        "from probstirling.distributions import Exponential, Poisson, shifted_sum_moment, sum_moment\n"
+        "from probstirling.distributions import Exponential, Geometric, Poisson, moment\n"
+        "from probstirling.distributions import shifted_sum_moment, sum_moment\n"
         "from probstirling.exact_core import partitions, stirling1, stirling2\n"
         "from probstirling.polylog import li_conv_direct\n"
         "sys.setrecursionlimit(len(inspect.stack()) + 40)\n"
@@ -508,14 +509,21 @@ def test_cold_lookups_need_no_recursion(fresh_python):
         "print(stirling1(300, 290))\n"
         "print(next(partitions(600, 600)) == (1,) * 600)\n"
         "print(sum(1 for _ in partitions(600, 2)))\n"
-        "print(li_conv_direct(1, 300, Fraction(1, 2)))"
+        "print(li_conv_direct(1, 300, Fraction(1, 2)))\n"
+        "print(moment(Poisson(Fraction(1, 3)), 400))\n"
+        "print(moment(Geometric(Fraction(2, 7)), 400))"
     )
     # S_400 is Poisson(400/3), whose 6th moment is the Bell polynomial
     # B_6(400/3); S_300 is Gamma(300), E[S^j] the rising factorial (300)_j;
     # 600 splits into at most two parts as 600 or a + b with 1 <= a <= b;
-    # the convolution of k copies of Li_{-1}(1/2) = 2 at n = 1 is 2k
+    # the convolution of k copies of Li_{-1}(1/2) = 2 at n = 1 is 2k; the
+    # raw moments of Poisson(1/3) and of Geometric(2/7), which grow by their
+    # generating functions' recurrences, are read through the Stirling
+    # numbers: the Bell polynomial B_400(1/3), and the factorial moments
+    # E[(Y)_r] = r! (q/(1-q))^r summed over S(400, r)
     rate = Fraction(400, 3)
     half = Fraction(1, 2)
+    ratio = Fraction(2, 5)
     expected = [
         sum(int(stirling(6, j)) * rate**j for j in range(7)),
         sum(binomial(4, j) * half ** (4 - j) * rising_factorial(300, j) for j in range(5)),
@@ -524,5 +532,7 @@ def test_cold_lookups_need_no_recursion(fresh_python):
         True,
         301,
         600,
+        sum(stirling2(400, j) * Fraction(1, 3) ** j for j in range(401)),
+        sum(stirling2(400, r) * factorial(r) * ratio**r for r in range(401)),
     ]
     assert out.split() == [str(value) for value in expected]

@@ -14,10 +14,9 @@ from itertools import combinations
 
 from probstirling.gen_stirling import _ROUTE_MAP
 
-# Each route's cells, as the tail of a comprehension. The Poisson and
-# geometric moments read the Stirling table, and the shifted law's moments
-# read its base law's shifted sum moments, a table that other routes read
-# directly.
+# Each route's cells, as the tail of a comprehension. The shifted law's
+# moments read its base law's shifted sum moments, a table that other
+# routes read directly.
 SY_CELLS = "for law in LAWS for n in range(6) for x in XS"
 TRIANGLE = f"{SY_CELLS} for m in range(n + 1)"
 SUM_CELLS = "for law in LAWS for n in range(5) for N in (-1, 2, 6) for x in XS"
