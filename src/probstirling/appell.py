@@ -60,8 +60,11 @@ class AppellSeed:
 
 
 def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
-    """A_n as a polynomial in x: A_n(x) = sum_k C(n, k) A_k(0) x^(n-k); n
-    must not exceed the seed's truncation order."""
+    """A_n as a polynomial in x: A_n(x) = sum_k C(n, k) A_k(0) x^(n-k), the
+    expansion of the generating function g(z) e^(xz) with g the seed; n
+    must not exceed the seed's truncation order. It is the second route for
+    :func:`appell_eval`, which sums the same expansion as integers, and the
+    tests check the two against each other."""
     _order("n", n, seed.order)
     return Polynomial(
         [binomial(n, d) * egf_coefficient(seed.g0, n - d) for d in range(n + 1)]
@@ -109,6 +112,7 @@ def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
 def bernoulli_seed(order: int) -> AppellSeed:
     """Seed z/(e^z - 1), built by inverting (e^z - 1)/z, whose coefficients
     1/(j+1)! start from an invertible constant term."""
+    _order("order", order)
     ratio = EGFSeries(tuple(Fraction(1, factorial(j + 1)) for j in range(order + 1)))
     return AppellSeed("bernoulli", series_div(series_one(order), ratio))
 
@@ -117,6 +121,7 @@ def bernoulli_seed(order: int) -> AppellSeed:
 def euler_seed(order: int) -> AppellSeed:
     """Seed 2/(e^z + 1), the classical Euler normalization. A numerator of z
     instead of 2 would kill the constant term and admit no Appell seed."""
+    _order("order", order)
     denom = EGFSeries(
         tuple(Fraction(2) if j == 0 else Fraction(1, factorial(j)) for j in range(order + 1))
     )
@@ -126,6 +131,7 @@ def euler_seed(order: int) -> AppellSeed:
 @lru_cache(maxsize=None)
 def hermite_seed(order: int) -> AppellSeed:
     """Seed e^(-z^2/2): the probabilists' Hermite polynomials."""
+    _order("order", order)
     coeffs = [Fraction(0)] * (order + 1)
     for k in range(order // 2 + 1):
         coeffs[2 * k] = Fraction((-1) ** k, 2**k * factorial(k))
@@ -134,12 +140,14 @@ def hermite_seed(order: int) -> AppellSeed:
 
 def appell_moment_link(dist: Distribution, order: int) -> AppellSeed:
     """Seed of the moment family A_n(x) = E[(x + Y)^n] for a catalog law."""
+    _order("order", order)
     return AppellSeed(f"moment:{format_distribution(dist)}", series_from_moments(dist, order))
 
 
 def family_seed(name: str, order: int) -> AppellSeed:
     """Parse the family string syntax used by the CLI: ``bernoulli``,
     ``euler``, ``hermite``, or ``moment:<dist>``."""
+    _order("order", order)
     if name == "bernoulli":
         return bernoulli_seed(order)
     if name == "euler":

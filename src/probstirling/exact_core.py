@@ -1,8 +1,9 @@
 """Exact combinatorial kernel.
 
-Factorials, binomials, Stirling numbers of both kinds, integer partitions
-with the count of weak compositions each one stands for, difference
-operators on dense rational polynomials, single-variable Bell polynomials,
+Binomials, rising and double factorials, multinomials, Stirling numbers
+of both kinds, integer partitions with the count of weak compositions each
+one stands for, the m-th alternating binomial difference, dense rational
+polynomials with the forward difference, single-variable Bell polynomials,
 and the integer weight family that compresses power sums over arithmetic
 progressions.
 
@@ -34,18 +35,15 @@ __all__ = [
     "CnNTable",
     "binomial",
     "rising_factorial",
-    "falling_factorial",
     "double_factorial",
     "multinomial",
     "partitions",
     "arrangements",
     "stirling2",
     "stirling1",
-    "stirling2_poly",
     "alternating_sum",
     "bell_poly",
     "forward_diff",
-    "iterated_diff",
     "cnn_table",
     "cnn_alternating",
 ]
@@ -89,15 +87,6 @@ def rising_factorial(x: Fraction | int, n: int) -> Fraction | int:
     out: Fraction | int = 1
     for i in range(n):
         out *= x + i
-    return out
-
-
-def falling_factorial(x: Fraction | int, n: int) -> Fraction | int:
-    """Descending product x (x-1) ... (x-n+1); the empty product is 1."""
-    _order("n", n)
-    out: Fraction | int = 1
-    for i in range(n):
-        out *= x - i
     return out
 
 
@@ -250,18 +239,6 @@ def stirling1(n: int, k: int) -> int:
     return _grow_rows(_STIRLING1_ROWS, k, n - k + 1, _stirling1_entry)[n - k]
 
 
-def stirling2_poly(n: int, m: int, x: Fraction | int) -> Fraction:
-    """Value at x of the Stirling polynomial of the second kind: the m-th
-    forward difference of t^n, evaluated at x, divided by m!.
-
-    Identically 0 once m exceeds n, because the difference operator kills
-    polynomials of lower degree; no special-casing is needed.
-    """
-    _order("n", n)
-    _order("m", m)
-    return Fraction(alternating_sum(m, [(x + k) ** n for k in range(m + 1)])) / factorial(m)
-
-
 def alternating_sum(m: int, values: Sequence[Fraction | int]) -> Fraction | int:
     """The m-th alternating binomial difference of a sequence:
     sum over k = 0..m of (-1)^(m-k) C(m, k) values[k]."""
@@ -301,24 +278,6 @@ class Polynomial:
         _order("n", n)
         return cls([0] * n + [1])
 
-    @classmethod
-    def rising(cls, n: int) -> "Polynomial":
-        """x (x+1) ... (x+n-1) as a polynomial in x."""
-        _order("n", n)
-        p = cls([1])
-        for i in range(n):
-            p = p * cls([i, 1])
-        return p
-
-    @classmethod
-    def falling(cls, n: int) -> "Polynomial":
-        """x (x-1) ... (x-n+1) as a polynomial in x."""
-        _order("n", n)
-        p = cls([1])
-        for i in range(n):
-            p = p * cls([-i, 1])
-        return p
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -347,21 +306,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def shift(self, c: Fraction | int) -> "Polynomial":
         """The composed polynomial p(x + c)."""
         c = Fraction(c)
@@ -374,9 +318,6 @@ class Polynomial:
                 out[j] += a * comb(i, j) * power
                 power *= c
         return Polynomial(out)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([j * c for j, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -391,19 +332,6 @@ def forward_diff(p: Polynomial, m: int = 1) -> Polynomial:
             break
         p = p.shift(1) - p
     return p
-
-
-def iterated_diff(p: Polynomial, ys: Sequence[Fraction | int], x: Fraction | int) -> Fraction:
-    """Value at x after applying one difference step q -> q(. + y) - q per
-    increment y in ys.
-
-    The steps commute, so the order of ys is irrelevant; an empty ys returns
-    p(x) unchanged, and the result is identically 0 as soon as len(ys)
-    exceeds the degree of p.
-    """
-    for y in ys:
-        p = p.shift(y) - p
-    return p(x)
 
 
 @dataclass(frozen=True)
@@ -435,11 +363,16 @@ def cnn_table(n: int, N: int) -> CnNTable:
 
 
 def cnn_alternating(n: int, N: int, k: int) -> int:
-    """Closed form for the weight c[k], valid only on N > n.
+    """The paper's closed form for the weight c[k] of the short power-sum
+    member, valid only on N > n:
+    c[k] = 1 + (-1)^(n-k) sum_{i < N-n} C(n+1+i, k) C(n-k+i, n-k).
+    The tests check it against :func:`cnn_table`, the double-binomial
+    alternating sum.
 
     Inputs with N <= n are rejected rather than extrapolated; the closed
     form is not stated there (the table itself is all ones in that range).
     """
+    _order("n", n)
     if N <= n:
         raise ValueError(f"closed form requires N > n, got n={n}, N={N}")
     _order("k", k, n)

@@ -160,8 +160,12 @@ def sy_table(
 
 
 def sy_poly(dist: Distribution, n: int, m: int) -> Polynomial:
-    """The generalized Stirling polynomial in x, of exact degree n - m
-    whenever E[Y] is nonzero; requires m <= n."""
+    """S_Y(n, m; x) as a polynomial in x, read off the production engine at
+    x = 0: the factor e^(xz) of the generating function gives
+    S_Y(n, m; x) = sum_d C(n, d) S_Y(n - d, m; 0) x^d, of exact degree
+    n - m whenever E[Y] is nonzero; requires m <= n. The tests check its
+    values against :func:`sy`."""
+    _order("n", n)
     _order("m", m, n)
     rows = sy_table(dist, n, 0, m)
     coeffs = [binomial(n, d) * rows[n - d][m] for d in range(n - m + 1)]
@@ -192,6 +196,7 @@ def sy_via_uniform_rep(dist: Distribution, n: int, m: int, x: Fraction | int = 0
     p(n - m - e) terms per power e, against C(n, m) weak compositions in
     all. It serves only as an oracle.
     """
+    _order("n", n)
     _order("m", m, n)
     x = Fraction(x)
     # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
@@ -242,6 +247,7 @@ def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) 
 def sy_closed_exponential(n: int, m: int) -> Fraction:
     """Unit-rate exponential law: C(n, m) times the ascending product of
     n - m terms starting at m."""
+    _order("n", n)
     _order("m", m, n)
     return Fraction(binomial(n, m) * rising_factorial(m, n - m))
 
@@ -252,6 +258,7 @@ def sy_closed_poisson(n: int, m: int, rate: Fraction | int) -> Fraction:
     A polynomial identity in the rate; negative rational rates remain valid
     even though no Poisson law exists there.
     """
+    _order("n", n)
     _order("m", m, n)
     rate = Fraction(rate)
     return sum((stirling2(n, r) * stirling2(r, m) * rate**r for r in range(m, n + 1)), Fraction(0))
@@ -260,6 +267,7 @@ def sy_closed_poisson(n: int, m: int, rate: Fraction | int) -> Fraction:
 def sy_closed_geometric_shifted(n: int, m: int, q: Fraction | int) -> Fraction:
     """Geometric law shifted by 1 (support starting at 1): the finite sum
     q^(-m) sum_r C(r, m) <m>_(r-m) S(n, r) (q/p)^r with p = 1 - q."""
+    _order("n", n)
     _order("m", m, n)
     q = Geometric(q).q
     ratio = q / (1 - q)
@@ -271,8 +279,9 @@ def sy_closed_geometric_shifted(n: int, m: int, q: Fraction | int) -> Fraction:
 
 
 def hermite_at_zero(n: int) -> Fraction:
-    """Value at 0 of the probabilists' Hermite polynomial: 0 for odd n and
-    (-1)^(n/2) (n-1)!! for even n."""
+    """Value at 0 of the probabilists' Hermite polynomial H_n, the Appell
+    family of the standard normal law: 0 for odd n and (-1)^(n/2) (n-1)!!
+    for even n. The tests check it against the Hermite seed e^(-z^2/2)."""
     _order("n", n)
     if n % 2:
         return Fraction(0)
@@ -281,16 +290,15 @@ def hermite_at_zero(n: int) -> Fraction:
 
 
 def sy_closed_normal(n_power: int, m: int) -> Fraction:
-    """Standard normal law: 0 at odd powers; at power 2h the value is
-    (-1)^h H_(2h)(0) S(h, m) with H the probabilists' Hermite family, which
-    collapses to (2h-1)!! S(h, m)."""
+    """The paper's standard normal example: 0 at odd powers; at power 2h the
+    value is (-1)^h H_(2h)(0) S(h, m) with H the probabilists' Hermite
+    family, which is (2h-1)!! S(h, m). The tests check it against
+    :func:`sy`."""
     _order("n_power", n_power)
     _order("m", m)
     if n_power % 2:
         return Fraction(0)
-    half = n_power // 2
-    sign = -1 if half % 2 else 1
-    return Fraction(sign) * hermite_at_zero(n_power) * stirling2(half, m)
+    return Fraction(double_factorial(n_power - 1) * stirling2(n_power // 2, m))
 
 
 def _uniform_closed(n: int, m: int, stirling) -> Fraction:
@@ -299,30 +307,35 @@ def _uniform_closed(n: int, m: int, stirling) -> Fraction:
     C(n+m, n+k) = C(m, k) (n+m)! k! / (m! (n+k)!), so this is n!/m! times
     the m-th alternating sum of k! stirling(n+k, k) / (n+k)!.
     """
+    _order("n", n)
     _order("m", m, n)
     values = [Fraction(factorial(k) * stirling(n + k, k), factorial(n + k)) for k in range(m + 1)]
     return Fraction(factorial(n), factorial(m)) * alternating_sum(m, values)
 
 
 def sy_closed_uniform(n: int, m: int) -> Fraction:
-    """Uniform law on [0, 1]: n!/(n+m)! times an alternating binomial sum of
-    classical Stirling numbers S(n+k, k). The k = 0 term vanishes for
-    n >= 1 but is kept as stated."""
+    """The paper's uniform example, the law on [0, 1]: n!/(n+m)! times an
+    alternating binomial sum of classical Stirling numbers S(n+k, k). The
+    k = 0 term vanishes for n >= 1 but is kept as stated. The tests check
+    it against :func:`sy`."""
     return _uniform_closed(n, m, stirling2)
 
 
 def sy_closed_ut(n: int, m: int) -> Fraction:
-    """Product of independent uniform and exponential factors: the uniform
-    closed form with S(n+k, k) replaced by signed Stirling numbers of the
-    first kind and an overall sign (-1)^n."""
+    """The paper's example of a product of independent uniform and
+    exponential factors: the uniform closed form with S(n+k, k) replaced by
+    signed Stirling numbers of the first kind and an overall sign (-1)^n.
+    The tests check it against :func:`sy`."""
     value = _uniform_closed(n, m, stirling1)
     return -value if n % 2 else value
 
 
 def whitney(alpha: Fraction | int, n: int, m: int, x: Fraction | int = 0) -> Fraction:
-    """Whitney numbers of the second kind with rational parameter alpha,
-    realized as the constant-law value rescaled by alpha^(-m), read from
-    the production engine."""
+    """Whitney numbers of the second kind with rational parameter alpha, the
+    paper's constant-law example: S_Y(n, m; x) for Y = alpha, rescaled by
+    alpha^(-m), read from the production engine. At alpha = 1 they are the
+    classical Stirling polynomials. The tests check them against :func:`sy`
+    and against sympy's Stirling numbers."""
     alpha = Fraction(alpha)
     if alpha == 0:
         raise ValueError("Whitney rescaling requires a nonzero parameter")

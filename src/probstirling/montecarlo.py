@@ -4,8 +4,7 @@ This is the one module that touches floating point: it samples the
 continuous and discrete catalog laws, estimates E[S_k^n] empirically, and
 compares against the exact rational value at a configurable number of
 standard errors. That comparison is made in one place,
-:func:`compare_moment`, which :func:`check_moment` and the CLI
-``mc-check`` both call: it refuses a z that gives no verdict and a row
+:func:`compare_moment`, which the CLI ``mc-check`` calls: it refuses a z that gives no verdict and a row
 that is not finite in floating point, so an overflow is never reported
 as a statistical pass or failure.
 
@@ -64,7 +63,6 @@ __all__ = [
     "SplitMixStream",
     "estimate_sum_moment",
     "compare_moment",
-    "check_moment",
     "NonFiniteError",
     "SampleMemoryError",
 ]
@@ -295,7 +293,9 @@ def compare_moment(
     z: float = 6.0,
 ) -> tuple[SampleEstimate, Fraction, bool]:
     """The one statistical gate: the estimate of E[S_k^n], the exact
-    rational moment, and whether |estimate - exact| <= z * stderr.
+    rational moment, and whether |estimate - exact| <= z * stderr. At the
+    default z = 6 with a million samples a failure indicates a real
+    discrepancy, not noise.
 
     A z that gives no verdict (nan; inf, as 0 * inf is nan; or z < 0)
     raises ValueError; a row whose exact value, estimate or standard error
@@ -316,18 +316,3 @@ def compare_moment(
         )
     return estimate, exact, abs(estimate.mean - exact_float) <= z * estimate.stderr
 
-
-def check_moment(
-    dist: Distribution,
-    k: int,
-    n: int,
-    samples: int,
-    seed: int,
-    z: float = 6.0,
-) -> bool:
-    """True iff the estimate sits within z standard errors of the exact
-    rational moment, as :func:`compare_moment` decides. At the default
-    z = 6 with a million samples a failure indicates a real discrepancy,
-    not noise. A negative or non-finite z, or a row that is not finite in
-    floating point, raises ValueError."""
-    return compare_moment(dist, k, n, samples, seed, z)[2]

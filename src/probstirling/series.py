@@ -93,7 +93,9 @@ def _from_pair(nums: list[int], den: int) -> EGFSeries:
 
 
 def series_pow(f: EGFSeries, m: int) -> EGFSeries:
-    """f^m by binary exponentiation; f^0 is the constant-1 series."""
+    """f^m by binary exponentiation; f^0 is the constant-1 series. The m-th
+    power of an Appell seed is the seed of the m-fold family, E[(x + S_m)^n]
+    for a moment seed, which the tests check against the moment engine."""
     _order("m", m)
     result, base = ([1] + [0] * f.order, 1), _common_denominator(f.coeffs)
     while m:
@@ -127,6 +129,7 @@ def series_div(f: EGFSeries, g: EGFSeries) -> EGFSeries:
 def series_from_moments(dist: Distribution, order: int) -> EGFSeries:
     """Exact moment series of a catalog distribution: coefficient of z^n is
     E[Y^n] / n!, i.e. the truncated series of E[e^(zY)]."""
+    _order("order", order)
     return EGFSeries(tuple(Fraction(moment(dist, n)) / factorial(n) for n in range(order + 1)))
 
 

@@ -182,10 +182,12 @@ def _poly_mean(p: Polynomial, dist: Distribution, k: int, x: Fraction) -> Fracti
 
 
 def sum_poly(p: Polynomial, dist: Distribution, N: int, x: Fraction | int = 0) -> IdentityReport:
-    """Three-way comparison of the polynomial version of the identity:
-    long sum of E[p(x + S_k)], binomial-weighted sum of expected iterated
-    differences, and the short c-weighted sum. Rejects the zero polynomial
-    (the identity is stated for exact degree n)."""
+    """Three-way comparison of the paper's polynomial version of the
+    power-sum formula, with a polynomial p of exact degree n in place of
+    t^n: long sum of E[p(x + S_k)], binomial-weighted sum of expected
+    iterated differences, and the short c-weighted sum, each member a check
+    on the others. Rejects the zero polynomial (the identity is stated for
+    exact degree n)."""
     if not p:
         raise ValueError("requires a nonzero polynomial")
     x = Fraction(x)
@@ -223,9 +225,11 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[Identit
 
 
 def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> IdentityReport:
-    """The classical baseline: the power sum over an arithmetic progression
-    against its forward-difference form and the Bernoulli-polynomial
-    difference divided by n + 1."""
+    """The classical formula for sums of powers on an arithmetic progression,
+    which the paper extends: the power sum against its forward-difference
+    form and the Bernoulli-polynomial difference divided by n + 1, each
+    member a check on the others. The one-instance form of
+    :func:`verify_bernoulli_classic`."""
     _order("n", n)
     return _bernoulli_classic([(n, [N])], [x])[0]
 

@@ -1,7 +1,8 @@
 """Shared test data: the catalog laws that law-wise checks run over, the
 weak-composition enumeration that the library's partition sums are checked
-against, the whole-array sampler that the chunked Monte Carlo sampler is
-checked against, and a digit-limit helper."""
+against, the classical Stirling polynomials from sympy, the iterated
+difference with arbitrary increments, the whole-array sampler that the
+chunked Monte Carlo sampler is checked against, and a digit-limit helper."""
 
 import contextlib
 import math
@@ -9,9 +10,10 @@ import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import sub
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
+from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.distributions import (
     Bernoulli,
@@ -26,7 +28,7 @@ from probstirling.distributions import (
     Uniform01,
     UniformTimesExponential,
 )
-from probstirling.exact_core import _order
+from probstirling.exact_core import Polynomial, _order
 from probstirling.montecarlo import SplitMixStream, _poisson_table, _stream_seed
 
 HALF = Fraction(1, 2)
@@ -62,6 +64,28 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # cut points in 0..total, whose lexicographic order is that of the parts
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+
+
+def classical_stirling_poly(n: int, m: int, x: Fraction | int) -> Fraction:
+    """The classical Stirling polynomial of the second kind at x,
+    S(n, m; x) = sum_j C(n, j) S(j, m) x^(n - j), from sympy's Stirling
+    numbers: the value S_Y takes for the unit constant law, computed with
+    nothing from the library; 0 for m > n."""
+    return sum((math.comb(n, j) * int(stirling(j, m)) * x ** (n - j) for j in range(n + 1)), Fraction(0))
+
+
+def iterated_diff(p: Polynomial, ys: Sequence[Fraction | int], x: Fraction | int) -> Fraction:
+    """Value at x after applying one difference step q -> q(. + y) - q per
+    increment y in ys: with the m copies of a finite law as increments, the
+    expected value over the atoms is m! S_Y(n, m; x) for p = t^n.
+
+    The steps commute, so the order of ys is irrelevant; an empty ys returns
+    p(x) unchanged, and the result is identically 0 as soon as len(ys)
+    exceeds the degree of p.
+    """
+    for y in ys:
+        p = p.shift(y) - p
+    return p(x)
 
 
 def _uniform(stream: SplitMixStream, count: int) -> np.ndarray:

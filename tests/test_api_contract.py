@@ -14,13 +14,16 @@ from math import comb, factorial
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
-from sympy import Rational, bell, expand_func, factorial2, ff, polylog, rf
+from sympy import Rational, bell, expand_func, factorial2, polylog, rf
 from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.appell import (
     AppellSeed,
     appell_moment_link,
     appell_polynomial,
+    bernoulli_seed,
+    euler_seed,
+    family_seed,
     hermite_seed,
     theorem12_check,
 )
@@ -45,13 +48,11 @@ from probstirling.exact_core import (
     cnn_alternating,
     cnn_table,
     double_factorial,
-    falling_factorial,
     forward_diff,
     partitions,
     rising_factorial,
     stirling1,
     stirling2,
-    stirling2_poly,
 )
 from probstirling.gen_stirling import (
     hermite_at_zero,
@@ -88,7 +89,7 @@ from probstirling.sums import (
     verify_paths,
 )
 
-from catalog import CATALOG, HALF, weak_compositions
+from catalog import CATALOG, HALF, classical_stirling_poly, weak_compositions
 
 orders = st.integers(-3, 10)
 laws = st.sampled_from(CATALOG)
@@ -131,16 +132,18 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 @example(Exponential(), -2, 0, Fraction(0))  # sy_via_factorial gave 0
 @example(Exponential(), 2, -1, Fraction(0))  # sy_via_gf: IndexError; sy: factorial()
 @example(Exponential(), 3, -1, Fraction(0))  # sy_poly: IndexError
-@example(Exponential(), -1, 0, Fraction(0))  # sy_table gave no rows
+@example(Exponential(), -1, 0, Fraction(0))  # sy_table gave no rows; sy_poly named m
 def test_sy_routes_refuse_or_agree_with_the_engine(dist, n, m, x):
     contract(lambda: sy_table(dist, n, x), n >= 0, lambda: sy_table(dist, n, x, n), "n")
     # S_Y(n, m; x) vanishes for m > n
     expected = lambda: sy_table(dist, n, x)[n][m] if m <= n else 0
+    # a negative n is refused under its own name, before any bound on m
+    refused = "n" if n < 0 else "m"
     for route in (sy, sy_via_gf, sy_via_factorial):
-        contract(lambda: route(dist, n, m, x), n >= 0 and m >= 0, expected, "n", "m")
+        contract(lambda: route(dist, n, m, x), n >= 0 and m >= 0, expected, refused)
     in_triangle = 0 <= m <= n
-    contract(lambda: sy_via_uniform_rep(dist, n, m, x), in_triangle, expected, "m")
-    contract(lambda: sy_poly(dist, n, m)(x), in_triangle, expected, "m")
+    contract(lambda: sy_via_uniform_rep(dist, n, m, x), in_triangle, expected, refused)
+    contract(lambda: sy_poly(dist, n, m)(x), in_triangle, expected, refused)
 
 
 @fuzz
@@ -148,11 +151,13 @@ def test_sy_routes_refuse_or_agree_with_the_engine(dist, n, m, x):
 @example(-2, 0, Fraction(1), Fraction(0), HALF)  # hermite_at_zero gave -1
 @example(-3, 0, Fraction(1), Fraction(0), HALF)  # sy_closed_normal gave 0
 @example(2, -1, Fraction(2), Fraction(0), HALF)  # whitney: factorial()
+@example(-1, 0, Fraction(1), Fraction(0), HALF)  # the closed forms named m
 def test_closed_forms_refuse_or_agree_with_the_engine(n, m, alpha, x, q):
     def engine(dist, x=0):
         return lambda: sy_table(dist, n, x)[n][m] if m <= n else 0
 
     in_triangle = 0 <= m <= n
+    refused = "n" if n < 0 else "m"
     rate = abs(alpha)
     for closed, dist in [
         (sy_closed_exponential, Exponential()),
@@ -161,14 +166,13 @@ def test_closed_forms_refuse_or_agree_with_the_engine(n, m, alpha, x, q):
         (lambda n, m: sy_closed_poisson(n, m, rate), Poisson(rate)),
         (lambda n, m: sy_closed_geometric_shifted(n, m, q), Shifted(Geometric(q), 1)),
     ]:
-        contract(lambda: closed(n, m), in_triangle, engine(dist), "m")
+        contract(lambda: closed(n, m), in_triangle, engine(dist), refused)
     contract(lambda: sy_closed_normal(n, m), n >= 0 and m >= 0, engine(StdNormal()), "n_power", "m")
     contract(
         lambda: whitney(alpha, n, m, x),
         n >= 0 and m >= 0,
         lambda: sy(Constant(alpha), n, m, x) / alpha**m,
-        "n",
-        "m",
+        refused,
     )
     hermite = lambda: appell_polynomial(hermite_seed(n), n)(0)
     contract(lambda: hermite_at_zero(n), n >= 0, hermite, "n")
@@ -199,8 +203,8 @@ def test_moment_engine_refuses_or_agrees_across_routes(dist, k, n, x):
 
 @fuzz
 @given(orders, orders, rationals)
-@example(-1, 0, Fraction(1))  # stirling2, bell_poly gave 0; stirling2_poly gave 1
-@example(-1, -1, Fraction(2))  # stirling1 gave 0; rising/falling factorial gave 1
+@example(-1, 0, Fraction(1))  # stirling2, bell_poly gave 0
+@example(-1, -1, Fraction(2))  # stirling1 gave 0; rising_factorial gave 1
 @example(-3, 2, Fraction(2))  # double_factorial gave 1
 @example(2, -1, Fraction(1))  # forward_diff gave the polynomial back
 @example(1, -1, Fraction(1))  # alternating_sum(-1, [1, 2]) gave 0
@@ -213,17 +217,15 @@ def test_kernel_refuses_or_agrees_with_sympy(n, m, x):
     contract(lambda: stirling1(n, m), n >= 0, signed, "n")
     contract(lambda: binomial(n, m), n >= 0, lambda: comb(n, m) if in_triangle else 0, "n")
     contract(lambda: rising_factorial(x, n), n >= 0, lambda: exact(rf(X, n)), "n")
-    contract(lambda: falling_factorial(x, n), n >= 0, lambda: exact(ff(X, n)), "n")
     contract(lambda: double_factorial(n), n >= -1, lambda: factorial2(n), "n")
     contract(lambda: bell_poly(n, x), n >= 0, lambda: exact(bell(n, X)), "n")
     contract(lambda: Polynomial.monomial(n)(x), n >= 0, lambda: x**n, "n")
-    contract(lambda: Polynomial.rising(n)(x), n >= 0, lambda: exact(rf(X, n)), "n")
-    contract(lambda: Polynomial.falling(n)(x), n >= 0, lambda: exact(ff(X, n)), "n")
-    # the classical Stirling polynomial is S_Y for the unit constant law
-    unit = lambda: sy(Constant(1), n, m, x)
-    contract(lambda: stirling2_poly(n, m, x), n >= 0 and m >= 0, unit, "n", "m")
+    # S_Y is the classical Stirling polynomial S(n, m; x) for the unit constant law
+    classical = lambda: classical_stirling_poly(n, m, x)
+    contract(lambda: sy(Constant(1), n, m, x), n >= 0 and m >= 0, classical, "n" if n < 0 else "m")
     power = abs(n)
-    differences = lambda: factorial(m) * stirling2_poly(power, m, x)
+    # the m-th difference of t^n at x is m! S(n, m; x)
+    differences = lambda: factorial(m) * classical_stirling_poly(power, m, x)
     contract(lambda: forward_diff(Polynomial.monomial(power), m)(x), m >= 0, differences, "m")
     values = [(x + k) ** power for k in range(abs(m) + 1)]
     contract(lambda: alternating_sum(m, values), m >= 0, differences, "m")
@@ -237,6 +239,7 @@ def test_kernel_refuses_or_agrees_with_sympy(n, m, x):
 @fuzz
 @given(orders, orders, orders)
 @example(-1, 2, 0)  # cnn_table gave an empty table
+@example(-2, 0, 0)  # cnn_alternating named k
 def test_cnn_weights_refuse_or_agree_with_the_closed_form(n, N, k):
     def weights():
         if N <= n:  # all ones, and no entry for N < 0
@@ -245,7 +248,8 @@ def test_cnn_weights_refuse_or_agree_with_the_closed_form(n, N, k):
 
     contract(lambda: cnn_table(n, N).values, n >= 0, weights, "n")
     if N > n:
-        contract(lambda: cnn_alternating(n, N, k), 0 <= k <= n, lambda: cnn_table(n, N).values[k], "k")
+        refused = "n" if n < 0 else "k"
+        contract(lambda: cnn_alternating(n, N, k), 0 <= k <= n, lambda: cnn_table(n, N).values[k], refused)
 
 
 @fuzz
@@ -284,6 +288,23 @@ def test_power_sums_refuse_or_agree_across_forms(dist, n, N, x):
     # a grid bound below 0 is an empty grid, not a refusal
     if n < 0:
         assert verify_corollary8(dist, n, N, [x]) == verify_paths(dist, n, [x]) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        bernoulli_seed,
+        euler_seed,
+        hermite_seed,
+        lambda order: series_from_moments(Exponential(), order),
+        lambda order: appell_moment_link(Exponential(), order),
+        lambda order: family_seed("moment:exp", order),
+    ],
+    ids=["bernoulli_seed", "euler_seed", "hermite_seed", "series_from_moments", "appell_moment_link", "family_seed"],
+)
+def test_seed_builders_refuse_negative_orders(build):
+    with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):
+        build(-1)
 
 
 @pytest.mark.parametrize("k, n, name", [(-1, 2, "k"), (2, -1, "n")])

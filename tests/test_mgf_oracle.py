@@ -13,11 +13,13 @@ shifts of any of them.
 
 For a finite law a second oracle reads no moment and no series: S_Y(n, m; x)
 is the expected m-fold iterated difference of t^n, with m independent
-copies of Y as the increments, divided by m!.
+copies of Y as the increments, divided by m!. The iterated difference
+(``catalog.iterated_diff``) is itself checked first, against the unit-step
+forward difference and an inclusion-exclusion sum over the increments.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -41,10 +43,10 @@ from probstirling.distributions import (
     moment,
     shifted_sum_moment,
 )
-from probstirling.exact_core import Polynomial, iterated_diff
+from probstirling.exact_core import Polynomial, forward_diff
 from probstirling.gen_stirling import sy_table
 
-from catalog import CATALOG
+from catalog import CATALOG, iterated_diff
 
 R, z = ring("z", QQ)
 XS = (Fraction(0), Fraction(1, 2), Fraction(-7, 3))
@@ -128,6 +130,80 @@ def check_sy_table(dist, n_max: int, xs) -> None:
             assert [table[n][m] for n in range(m, n_max + 1)] == [
                 egf(series, n) for n in range(m, n_max + 1)
             ], (m, x)
+
+
+# ------------------------------------------------- the iterated difference
+
+X = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def subset_expansion(p: Polynomial, ys, x) -> Fraction:
+    """Inclusion-exclusion oracle for the iterated difference: sum over all
+    subsets J of the increments of (-1)^(m-|J|) p(x + sum of J)."""
+    m = len(ys)
+    total = Fraction(0)
+    for k in range(m + 1):
+        for idx in combinations(range(m), k):
+            value = p(x + sum((ys[i] for i in idx), Fraction(0)))
+            total += value if (m - k) % 2 == 0 else -value
+    return total
+
+
+def test_iterated_diff_examples():
+    sq = Polynomial.monomial(2)
+    assert iterated_diff(sq, [1, 1], Fraction(0)) == 2
+    assert iterated_diff(Polynomial.monomial(1), [Fraction(5, 3)], Fraction(7)) == Fraction(5, 3)
+    assert iterated_diff(sq, [1, 2, 3], Fraction(0)) == 0
+    assert iterated_diff(sq, [], Fraction(3)) == 9
+
+
+def test_iterated_diff_matches_forward_diff_on_unit_steps():
+    for n in range(9):
+        p = Polynomial.monomial(n)
+        for m in range(9):
+            for x in X:
+                assert iterated_diff(p, [1] * m, x) == forward_diff(p, m)(x)
+
+
+@given(
+    coeffs=st.lists(rationals, min_size=1, max_size=5),
+    ys=st.lists(rationals, min_size=0, max_size=5),
+    x=rationals,
+)
+@settings(max_examples=60, deadline=None)
+def test_iterated_diff_matches_subset_expansion(coeffs, ys, x):
+    p = Polynomial(coeffs)
+    assert iterated_diff(p, ys, x) == subset_expansion(p, ys, x)
+
+
+@given(
+    coeffs=st.lists(rationals, min_size=1, max_size=5),
+    ys=st.lists(rationals, min_size=2, max_size=4),
+    x=rationals,
+)
+@settings(max_examples=40, deadline=None)
+def test_iterated_diff_is_symmetric_in_increments(coeffs, ys, x):
+    p = Polynomial(coeffs)
+    reference = iterated_diff(p, ys, x)
+    for perm in permutations(ys):
+        assert iterated_diff(p, list(perm), x) == reference
+
+
+@given(
+    coeffs=st.lists(rationals, min_size=1, max_size=4),
+    x=rationals,
+    ys=st.lists(rationals, min_size=4, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_iterated_diff_kills_low_degree(coeffs, x, ys):
+    p = Polynomial(coeffs)
+    if len(ys) > p.degree:
+        assert iterated_diff(p, ys, x) == 0
+
+
+# ------------------------------------------------------- the finite laws
 
 
 def finite_sy(dist: FiniteSupport, n: int, m: int, x: Fraction) -> Fraction:

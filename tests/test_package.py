@@ -1,9 +1,14 @@
 """The package root: it serves each library module's ``__all__``, and
-nothing else, as the modules' own objects."""
+nothing else, as the modules' own objects; and each public name has a
+reader in the library, the CLI or the benchmark, or states a result of the
+paper."""
 
+import ast
 import importlib
 import pkgutil
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +52,74 @@ def test_star_import_and_dir_list_every_public_name():
 def test_unknown_and_private_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(probstirling, name)
+
+
+# public names that only the tests read: each states a result of the paper,
+# and its docstring names the second route that the tests check it against
+PAPER_API = {
+    "cnn_alternating",
+    "sy_poly",
+    "whitney",
+    "sy_closed_normal",
+    "sy_closed_uniform",
+    "sy_closed_ut",
+    "hermite_at_zero",
+    "appell_polynomial",
+    "sum_poly",
+    "series_pow",
+    "classical_bernoulli_check",
+}
+
+PACKAGE = Path(probstirling.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def names_read(node: ast.AST, docstrings: set[int]) -> set[str]:
+    """The names that code reads: loaded names, attributes and imports, and
+    the last part of each "module.function" string, the form in which the
+    benchmark's tracer looks up what it times. Docstrings are not read."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and id(sub) not in docstrings:
+            if match := re.fullmatch(r"\w+\.(\w+)", sub.value):
+                out.add(match[1])
+    return out
+
+
+def readers() -> list[tuple[Path, str | None, set[str]]]:
+    """Every top-level statement of the package and the benchmark, as its
+    file, the function or class it defines, if any, and the names it reads."""
+    out = []
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        out += [(path, getattr(stmt, "name", None), names_read(stmt, docstrings)) for stmt in tree.body]
+    return out
+
+
+def test_each_public_name_has_a_reader_or_states_a_kept_result():
+    # the benchmark must be there to be read
+    assert (PERFBENCH / "child.py").is_file()
+    statements = readers()
+    # a name's own definition does not count as a reader of it
+    unread = {
+        name
+        for name, module in PUBLIC.items()
+        if not any(
+            name in read and (path, defined) != (Path(module.__file__), name)
+            for path, defined, read in statements
+        )
+    }
+    assert sorted(unread - PAPER_API) == []
+    assert PAPER_API <= PUBLIC.keys()
