@@ -25,10 +25,12 @@ perfbench's run record, and two row sets:
   of the normal law at k = 3, n = 5 and 500k samples, a cold
   ``_law_moments`` (a law's row of raw moments) of poisson:5/7 and
   geom:2/7 at widths 11 and 60 and of uniform and shift:2/9:exp at width
-  200, and ``import probstirling.cli``, the imports that ``table`` runs. Every repeat runs in a fresh
-  interpreter, so every memo and row table starts empty and nothing is
-  imported yet, and only the call itself is timed; the row also records
-  how far the call raised the interpreter's peak RSS. The identity-sweep
+  200, a cold ``stirling2(600, 300)`` and ``stirling1(600, 300)`` (both
+  Stirling row tables), and ``import probstirling.cli``, the imports that
+  ``table`` runs. Every repeat runs in a fresh interpreter, so every memo
+  and row table starts empty and nothing is imported yet, and only the
+  call itself is timed; the row also records how far the call raised the
+  interpreter's peak RSS. The identity-sweep
   row is the summed per-query latency of the seed-0 identity stream, run
   by ``perfbench/child.py sweep``.
 
@@ -133,6 +135,10 @@ CALLS.update(
             ("shift:2/9:exp", 200),
         )
     }
+)
+CALLS["cold stirling2(600, 300) and stirling1(600, 300)"] = (
+    "from probstirling.exact_core import stirling1, stirling2\n",
+    "stirling2(600, 300), stirling1(600, 300)",
 )
 CALLS["import probstirling.cli"] = ("", "import probstirling.cli")
 

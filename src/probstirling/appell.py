@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .distributions import Distribution, format_distribution, parse_distribution
@@ -108,7 +107,6 @@ def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
     return _theorem12(seed, [(n, [N])], [x])[0]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_seed(order: int) -> AppellSeed:
     """Seed z/(e^z - 1), built by inverting (e^z - 1)/z, whose coefficients
     1/(j+1)! start from an invertible constant term."""
@@ -117,7 +115,6 @@ def bernoulli_seed(order: int) -> AppellSeed:
     return AppellSeed("bernoulli", series_div(series_one(order), ratio))
 
 
-@lru_cache(maxsize=None)
 def euler_seed(order: int) -> AppellSeed:
     """Seed 2/(e^z + 1), the classical Euler normalization. A numerator of z
     instead of 2 would kill the constant term and admit no Appell seed."""
@@ -128,7 +125,6 @@ def euler_seed(order: int) -> AppellSeed:
     return AppellSeed("euler", series_div(series_scale(series_one(order), 2), denom))
 
 
-@lru_cache(maxsize=None)
 def hermite_seed(order: int) -> AppellSeed:
     """Seed e^(-z^2/2): the probabilists' Hermite polynomials."""
     _order("order", order)

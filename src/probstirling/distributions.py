@@ -7,14 +7,16 @@ finite moment generating function M(z) near 0 (checked analytically per
 kind, not at runtime), so all moments used here are finite.
 
 The moments live in one row table per law, row k over n: a pair of
-integers (nums, den) with E[S_k^n] = nums[n] / den and gcd(den, *nums) = 1.
-Row 1, E[Y^n], is the one place a law's raw moments are computed. It grows
-one entry at a time from the entries before it, by M's recurrence for a
-Poisson (M' = lam e^z M) or geometric (M (1 - q e^z) = 1 - q) law and by a
-closed form for the others; a shifted law Y + c sums E[(c + Y)^n] over its
-base law's row 1. Row k >= 2 grows by the binomial convolution of rows
-k - 1 and 1, summed as integers and reduced with one gcd each time it
-grows, without recursion, so no k is too deep for a cold lookup.
+integers (nums, den) with E[S_k^n] = nums[n] / den and gcd(den, *nums) = 1,
+grown by the Stirling triangles' grower, ``exact_core._grow_rows``, by this
+module's rule for one row. Row 1, E[Y^n], is the one place a law's raw
+moments are computed. It grows one entry at a time from E[Y^0] = 1, by
+M's recurrence for a Poisson (M' = lam e^z M) or geometric
+(M (1 - q e^z) = 1 - q) law and by a closed form for the others; a shifted
+law Y + c sums E[(c + Y)^n] over its base law's row 1. Row k >= 2 grows
+by the binomial convolution of rows k - 1 and 1, summed as integers and
+reduced with one gcd each time it grows, without recursion, so no k is too
+deep for a cold lookup.
 E[(x + S_k)^n] with x = a/b sums the same numerators scaled by
 a^(n-j) b^j, so a Fraction is built only for a value handed to a caller.
 
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, gcd
 
-from .exact_core import _GROW_LOCK, _order, double_factorial
+from .exact_core import _grow_rows, _order, double_factorial
 
 __all__ = [
     "Distribution",
@@ -217,32 +219,40 @@ def _next_moment(dist: Distribution, nums: list[int], den: int) -> Fraction:
     raise TypeError(f"unknown distribution kind: {dist!r}")
 
 
-# law -> rows over k of E[S_k^n], each a pair (nums, den) of integers with
-# E[S_k^n] = nums[n] / den and gcd(den, *nums) == 1, so den is the lcm of the
-# entries' denominators and a row's form does not depend on how it grew; row 0
-# is ([1, 0, 0, ...], 1), and row 1, E[S_1^n] = E[Y^n], is the law's one row
-# of raw moments. A row that grows is replaced by a new pair, never changed in
-# place, so a reader without the lock sees a whole row.
+# law -> rows over k of E[S_k^n], grown by `exact_core._grow_rows`: each a
+# pair (nums, den) of integers with E[S_k^n] = nums[n] / den and
+# gcd(den, *nums) == 1, so den is the lcm of the entries' denominators and a
+# row's form does not depend on how it grew; row 0 is ([1, 0, 0, ...], 1),
+# and row 1, E[S_1^n] = E[Y^n], is the law's one row of raw moments. A row
+# that grows is replaced by a new pair, never changed in place.
 _SUM_MOMENT_ROWS: dict[Distribution, list[tuple[list[int], int]]] = {}
 
 
 def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
     """Row 1 of the law's E[S_k^n] table as it is stored, E[Y^j] = nums[j] / den
-    for j < len(nums), after growing it to at least `width` entries, each
-    new one from the entries before it by the law's rule in `_next_moment`.
+    for j < len(nums), after growing it to at least `width` entries. Only a
+    shifted law's growth reenters the lock, in the same thread, to grow its
+    base law's row 1."""
+    return _grow_rows(_SUM_MOMENT_ROWS.setdefault(dist, []), 1, width, partial(_grow_moments, dist))
 
-    The growth holds the tables' reentrant lock. Only a shifted law's rule
-    takes it again, to grow its base law's row 1, so it is only reentered
-    in the same thread.
-    """
-    rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
-    if len(rows) > 1 and len(rows[1][0]) >= width:
-        return rows[1]
-    with _GROW_LOCK:
-        while len(rows) < 2:  # E[S_0^0] = E[Y^0] = 1
-            rows.append(([1], 1))
-        nums, den = rows[1]
-        nums = nums[:]  # a copy, since the row is replaced whole
+
+def _sum_moment_row(dist: Distribution, k: int, n: int) -> tuple[list[int], int]:
+    """Row k of the E[S_k^n] table of `dist`, at least n + 1 entries long,
+    as the stored pair (nums, den)."""
+    _order("number of summands", k)
+    _order("moment order", n)
+    return _grow_rows(_SUM_MOMENT_ROWS.setdefault(dist, []), k, n + 1, partial(_grow_moments, dist))
+
+
+def _grow_moments(dist: Distribution, i: int, rows: list, width: int) -> tuple[list[int], int]:
+    """Row i >= 1 of the law's E[S_k^n] table grown to `width` entries: row 1
+    entry by entry from E[Y^0] = 1 by the law's rule in `_next_moment`, and
+    row i >= 2 by the binomial convolution
+    E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers over
+    den_{i-1} den_1 and reduced with one gcd."""
+    old, old_den = rows[i]
+    if i == 1:
+        nums, den = old[:] or [1], old_den  # a copy, since the row is replaced whole
         while len(nums) < width:
             value = _next_moment(dist, nums, den)
             if den % value.denominator:  # a new lcm: rescale the row
@@ -250,58 +260,19 @@ def _law_moments(dist: Distribution, width: int) -> tuple[list[int], int]:
                 nums = [c * scale for c in nums]
                 den *= scale
             nums.append(value.numerator * (den // value.denominator))
-        rows[1] = (nums, den)
-        head, head_den = rows[0]
-        if len(head) < width:
-            rows[0] = (head + [0] * (width - len(head)), head_den)
-    return rows[1]
-
-
-def _sum_moment_row(dist: Distribution, k: int, n: int) -> tuple[list[int], int]:
-    """Row k of the E[S_k^n] table of `dist`, at least n + 1 entries long,
-    as the stored pair (nums, den).
-
-    Rows 2 and up grow by the binomial convolution
-    E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers over
-    den_{i-1} den_1. Row lengths never increase with the row index, so only
-    the rows from the first one shorter than n + 1 through row k grow, each
-    in order and each with one gcd: the table holds the rectangle below
-    every lookup made so far.
-    """
-    _order("number of summands", k)
-    _order("moment order", n)
-    width = n + 1
-    rows = _SUM_MOMENT_ROWS.setdefault(dist, [])
-    if k < len(rows) and len(rows[k][0]) >= width:
-        return rows[k]
-    # this grows rows 0 and 1 to `width`, so the growth below convolves
-    # only rows 2 and up
-    mu, mu_den = _law_moments(dist, width)
-    with _GROW_LOCK:
-        # rows 0 and 1 are long enough now; the rest grow from the first row
-        # shorter than `width` through row k
-        low = min(k, len(rows))
-        while low > 2 and len(rows[low - 1][0]) < width:
-            low -= 1
-        for i in range(max(low, 2), k + 1):
-            if i == len(rows):
-                rows.append(([], 1))
-            old, old_den = rows[i]
-            if len(old) >= width:
-                continue
-            p, p_den = rows[i - 1]
-            # every entry of row i is an integer over den_{i-1} den_1, so the
-            # lcm of the stored entries' denominators, old_den, divides it
-            den = p_den * mu_den
-            scale = den // old_den
-            nums = [c * scale for c in old]
-            nums += [
-                sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1))
-                for m in range(len(old), width)
-            ]
-            g = gcd(den, *nums)
-            rows[i] = ([c // g for c in nums], den // g)
-    return rows[k]
+        return nums, den
+    (p, p_den), (mu, mu_den) = rows[i - 1], rows[1]
+    # every entry of row i is an integer over den_{i-1} den_1, so the lcm
+    # of the stored entries' denominators, old_den, divides it
+    den = p_den * mu_den
+    scale = den // old_den
+    nums = [c * scale for c in old]
+    nums += [
+        sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1))
+        for m in range(len(old), width)
+    ]
+    g = gcd(den, *nums)
+    return [c // g for c in nums], den // g
 
 
 @lru_cache(maxsize=None)

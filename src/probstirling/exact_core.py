@@ -10,11 +10,12 @@ progressions.
 Every scalar is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds. All values are immutable and all functions pure.
 
-The Stirling triangles are stored sheared, by rows: row j holds the
-entries (j + d, j) for d = 0, 1, ..., and each entry reads the one before
-it and the one above it. A lookup grows the rows below it in place, under
-a lock, with no recursion, so a cold lookup at any depth costs one pass
-over that rectangle. The public functions are ``lru_cache`` memos over
+Every row table, the Stirling triangles here and the E[S_k^n] tables of
+:mod:`probstirling.distributions`, grows through ``_grow_rows``, under one
+lock and with no recursion, so a cold lookup at any depth costs one pass
+over its rectangle. The Stirling triangles are stored sheared: row j holds
+the entries (j + d, j) for d = 0, 1, ..., each read from the one before it
+and the one above it. The public functions are ``lru_cache`` memos over
 those tables.
 """
 
@@ -176,47 +177,52 @@ def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], in
 _GROW_LOCK = threading.RLock()
 
 
-def _grow_rows(rows: list[list], k: int, width: int, entry: Callable) -> list:
-    """Row k of a recurrence table stored by rows, grown in place first, if
-    need be, to hold at least `width` entries.
+def _grow_rows(rows: list, k: int, width: int, grow: Callable) -> tuple:
+    """Row k of a recurrence table stored by rows, each a pair (nums, den)
+    with entries nums[j] / den, grown first, if need be, to `width` entries.
 
-    Row 0 is 1, 0, 0, ...; for i > 0, ``entry(i, row, prev)`` is the next
-    entry of row i given its entries so far and row i - 1, which is already
-    at least that long. Row lengths never increase with the row index, so
-    only the rows from the first one shorter than `width` through row k
-    grow: the table holds the rectangle below every lookup made so far, and
-    each new entry costs one `entry` call. Growth holds a module-wide
-    reentrant lock; stored entries never change, so reading them takes none.
+    Row 0 is 1, 0, 0, ...; for i > 0, ``grow(i, rows, width)`` returns row i
+    at least `width` long, given that row i - 1 already is. Row lengths
+    never increase with the row index, so only the rows from the first one
+    shorter than `width` through row k grow: the table holds the rectangle
+    below every lookup made so far. Growth holds a module-wide reentrant
+    lock; stored entries never change, and a row whose denominator changes
+    is replaced whole, so reading a row takes none.
     """
-    if k < len(rows) and len(rows[k]) >= width:
+    if k < len(rows) and len(rows[k][0]) >= width:
         return rows[k]
     with _GROW_LOCK:
         while len(rows) <= k:
-            rows.append([])
+            rows.append(([], 1))
         low = k
-        while low > 0 and len(rows[low - 1]) < width:
+        while low > 0 and len(rows[low - 1][0]) < width:
             low -= 1
         for i in range(low, k + 1):
-            row = rows[i]
-            while len(row) < width:
-                row.append(entry(i, row, rows[i - 1]) if i else int(not row))
+            if len(rows[i][0]) < width:  # another thread may have grown it
+                rows[i] = grow(i, rows, width) if i else ([1] + [0] * (width - 1), 1)
     return rows[k]
 
 
-# row j holds S(j + d, j) for d = 0, 1, ..., and likewise s(j + d, j)
-_STIRLING2_ROWS: list[list[int]] = []
-_STIRLING1_ROWS: list[list[int]] = []
+# row j holds S(j + d, j) for d = 0, 1, ..., and likewise s(j + d, j), over
+# den 1; rows grow in place, since a copy per growth makes a triangle O(n^3)
+_STIRLING2_ROWS: list[tuple[list[int], int]] = []
+_STIRLING1_ROWS: list[tuple[list[int], int]] = []
 
 
-def _stirling2_entry(j: int, row: list[int], prev: list[int]) -> int:
-    # S(j + d, j) = j S(j + d - 1, j) + S(j + d - 1, j - 1)
-    return j * row[-1] + prev[len(row)] if row else prev[0]
+def _grow_stirling2(j: int, rows: list, width: int) -> tuple:
+    # S(j, j) = S(j - 1, j - 1); S(j + d, j) = j S(j + d - 1, j) + S(j + d - 1, j - 1)
+    row, prev = rows[j][0], rows[j - 1][0]
+    for d in range(len(row), width):
+        row.append(j * row[-1] + prev[d] if d else prev[0])
+    return rows[j]
 
 
-def _stirling1_entry(j: int, row: list[int], prev: list[int]) -> int:
-    # s(j + d, j) = s(j + d - 1, j - 1) - (j + d - 1) s(j + d - 1, j)
-    d = len(row)
-    return prev[d] - (j + d - 1) * row[-1] if row else prev[0]
+def _grow_stirling1(j: int, rows: list, width: int) -> tuple:
+    # s(j, j) = s(j - 1, j - 1); s(j + d, j) = s(j + d - 1, j - 1) - (j + d - 1) s(j + d - 1, j)
+    row, prev = rows[j][0], rows[j - 1][0]
+    for d in range(len(row), width):
+        row.append(prev[d] - (j + d - 1) * row[-1] if d else prev[0])
+    return rows[j]
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +232,7 @@ def stirling2(n: int, m: int) -> int:
     _order("n", n)
     if m < 0 or m > n:
         return 0
-    return _grow_rows(_STIRLING2_ROWS, m, n - m + 1, _stirling2_entry)[n - m]
+    return _grow_rows(_STIRLING2_ROWS, m, n - m + 1, _grow_stirling2)[0][n - m]
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +242,7 @@ def stirling1(n: int, k: int) -> int:
     _order("n", n)
     if k < 0 or k > n:
         return 0
-    return _grow_rows(_STIRLING1_ROWS, k, n - k + 1, _stirling1_entry)[n - k]
+    return _grow_rows(_STIRLING1_ROWS, k, n - k + 1, _grow_stirling1)[0][n - k]
 
 
 def alternating_sum(m: int, values: Sequence[Fraction | int]) -> Fraction | int:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -293,9 +294,10 @@ def compare_moment(
     z: float = 6.0,
 ) -> tuple[SampleEstimate, Fraction, bool]:
     """The one statistical gate: the estimate of E[S_k^n], the exact
-    rational moment, and whether |estimate - exact| <= z * stderr. At the
-    default z = 6 with a million samples a failure indicates a real
-    discrepancy, not noise.
+    rational moment, and whether |estimate - exact| <= z * stderr plus the
+    float64 rounding bound (k + n + log2(samples) + 2) * eps * |exact|, so
+    that rounding alone fails no zero-variance law. At the default z = 6
+    with a million samples a failure indicates a real discrepancy, not noise.
 
     A z that gives no verdict (nan; inf, as 0 * inf is nan; or z < 0)
     raises ValueError; a row whose exact value, estimate or standard error
@@ -314,5 +316,6 @@ def compare_moment(
             f"row k={k}, n={n} is not finite in floating point "
             f"(exact {exact_float}, estimate {estimate.mean}, stderr {estimate.stderr})"
         )
-    return estimate, exact, abs(estimate.mean - exact_float) <= z * estimate.stderr
+    rounding = (k + n + math.log2(samples) + 2) * sys.float_info.epsilon * abs(exact_float)
+    return estimate, exact, abs(estimate.mean - exact_float) <= z * estimate.stderr + rounding
 

@@ -206,10 +206,11 @@ def sum_poly(p: Polynomial, dist: Distribution, N: int, x: Fraction | int = 0) -
 
 
 def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[IdentityReport]:
-    """The classical baseline over a grid (see :func:`classical_bernoulli_check`)."""
+    """The classical baseline over a grid (see :func:`classical_bernoulli_check`),
+    reading one Bernoulli seed, of the grid's largest order n + 1."""
+    seed = bernoulli_seed(max((n for n, _ in grid), default=-1) + 1)
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
-        seed = bernoulli_seed(n + 1)
         # a negative N sums no summand, as in the long member
         return (appell_eval(seed, n + 1, x + max(N + 1, 0)) - appell_eval(seed, n + 1, x)) / (n + 1)
 
@@ -344,7 +345,8 @@ def verify_theorem12(
     """Appell-family compression sums for one family string (see
     :func:`family_seed`) over n <= N <= N_max and every x."""
     grid = [(n, range(n, N_max + 1)) for n in range(n_max + 1)]
-    return _theorem12(family_seed(family, n_max), grid, xs)
+    # a negative n_max is an empty grid, read from a seed of order 0
+    return _theorem12(family_seed(family, max(n_max, 0)), grid, xs)
 
 
 def _sy_cells(

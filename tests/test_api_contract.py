@@ -85,8 +85,15 @@ from probstirling.sums import (
     sum_direct,
     sum_via_cnn,
     sum_via_stirling,
+    verify_bernoulli_classic,
     verify_corollary8,
+    verify_gf,
     verify_paths,
+    verify_theorem1,
+    verify_theorem9,
+    verify_theorem10,
+    verify_theorem11,
+    verify_theorem12,
 )
 
 from catalog import CATALOG, HALF, classical_stirling_poly, weak_compositions
@@ -285,9 +292,20 @@ def test_power_sums_refuse_or_agree_across_forms(dist, n, N, x):
         contract(lambda: form(dist, n, N, x), n >= 0, lambda: other(dist, n, N, x), "n")
     passed = lambda: classical_bernoulli_check(n, N, x).passed
     contract(passed, n >= 0, lambda: True, "n")
-    # a grid bound below 0 is an empty grid, not a refusal
+    # a grid bound below 0 is an empty grid, not a refusal, in every grid
     if n < 0:
-        assert verify_corollary8(dist, n, N, [x]) == verify_paths(dist, n, [x]) == []
+        grids = [
+            verify_corollary8(dist, n, N, [x]),
+            verify_theorem1(n, N, [x]),
+            verify_theorem9(n, N),
+            verify_theorem10(x, n, N),
+            verify_theorem11(HALF, n, N),
+            verify_theorem12("hermite", n, N, [x]),
+            verify_gf(dist, n, [x]),
+            verify_paths(dist, n, [x]),
+            verify_bernoulli_classic(n, N, [x]),
+        ]
+        assert grids == [[]] * 9
 
 
 @pytest.mark.parametrize(

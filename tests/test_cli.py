@@ -157,6 +157,14 @@ def test_mc_check_constant(capsys):
     assert len(records) == 9
     assert all(r["stderr"] == 0.0 for r in records)
     assert all(r["pass"] for r in records)
+    # a constant that float64 holds inexactly has a standard error of pure
+    # rounding noise, and the gate allows for the rounding
+    for law in ("const:1/10", "shift:1/3:const:0"):
+        code, out, _ = run_cli(
+            capsys, "mc-check", "--dist", law, "--k-max", "3", "--n-max", "2", "--samples", "100"
+        )
+        assert code == 0
+        assert all(r["pass"] for r in jsonl(out))
 
 
 def test_mc_check_deterministic(capsys):
@@ -595,12 +603,12 @@ def test_mc_check_workers_inherit_the_exact_table(fresh_python):
         "import contextlib, io, os\n"
         "from probstirling import cli, distributions\n"
         "cli._worker_count = lambda rows, samples: 2\n"
-        "parent, law_moments = os.getpid(), distributions._law_moments\n"
+        "parent, grow_moments = os.getpid(), distributions._grow_moments\n"
         "def grow(*args):\n"
         "    if os.getpid() != parent:\n"
         "        raise ValueError('a worker grew the table')\n"
-        "    return law_moments(*args)\n"
-        "distributions._law_moments = grow\n"
+        "    return grow_moments(*args)\n"
+        "distributions._grow_moments = grow\n"
         "stdout, stderr = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
         f"    status = cli.main({argv!r})\n"

@@ -140,6 +140,16 @@ def test_constant_estimates_are_exact():
     assert est.mean == float(Fraction(9, 4)) and est.stderr == 0.0
 
 
+def test_zero_variance_rows_pass_despite_rounding():
+    # 1/10 and 1/3 are not float64 values: each estimate misses the exact
+    # moment by rounding alone, with a standard error of pure rounding
+    # noise, and the gate passes them even at z = 0
+    for dist in (Constant(Fraction(1, 10)), Shifted(Constant(0), Fraction(1, 3))):
+        estimate, exact, passed = compare_moment(dist, 1, 1, 100, seed=0, z=0)
+        assert estimate.mean != float(exact) and 0 < estimate.stderr < 1e-16
+        assert passed
+
+
 def test_compare_moment_statistical():
     dists = [
         Exponential(),
