@@ -12,7 +12,6 @@ E[(x + Y)^n] for catalog distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -40,17 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AppellSeed:
     """Generating seed of an Appell family: the truncated series of initial
     values A_n(0) z^n / n!, required to have a nonzero constant term."""
 
-    name: str
-    g0: EGFSeries
+    __slots__ = ("name", "g0")
 
-    def __post_init__(self):
-        if self.g0.coeffs[0] == 0:
+    def __init__(self, name: str, g0: EGFSeries):
+        if g0.coeffs[0] == 0:
             raise ValueError("Appell seed requires a nonzero constant term")
+        self.name, self.g0 = name, g0
 
     @property
     def order(self) -> int:

@@ -21,7 +21,9 @@ output ends.
 Each command imports only what it runs: ``verify`` alone loads ``sums``
 (with ``appell``, ``series`` and ``polylog``), on which its runners look
 their suite functions up at call time, and ``mc-check`` alone loads numpy
-and, when it forks workers, the modules of its worker pool.
+and, when it forks workers, the modules of its worker pool. ``json`` is
+loaded only to print JSON, and ``traceback`` only for an unexpected
+exception.
 
 ``mc-check`` runs its rows on W = min(CPUs, rows) forked worker processes
 and prints them in row order; every row owns its random stream, so the
@@ -34,13 +36,11 @@ the free memory, and a run too small to pay for its workers (fewer than
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
 
 from .distributions import Distribution, _sum_moment_row, format_distribution, parse_distribution
 from .exact_core import _unlimited_digits, bell_poly, cnn_table, stirling1, stirling2
@@ -181,6 +181,8 @@ def _render(value):
 
 
 def _emit_json(obj) -> None:
+    import json  # here, so that a csv table does not load it
+
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -411,7 +413,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except MemoryError:
             pass  # reported below, once the frames that filled memory are freed
         except Exception as exc:
-            # a bug: one error line, then the traceback that locates it
+            # a bug: one error line, then the traceback that locates it;
+            # traceback is imported here, as no other path prints one
+            import traceback
+
             print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
             traceback.print_exc()
             return 2

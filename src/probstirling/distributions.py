@@ -28,7 +28,6 @@ tables take a lock only while they grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
@@ -62,92 +61,134 @@ def _rational(value, what: str) -> Fraction:
         raise ValueError(f"{what} must be rational, got {value!r}") from exc
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """Base class for catalog distributions; instances are hashable values."""
+    """Base class for catalog laws, which are immutable, hashable values.
+
+    A law names its parameters once, in ``__match_args__``, which are also
+    its slots; its ``__init__`` checks them and stores them with
+    :meth:`_freeze`, which also keeps them as one tuple and computes its
+    hash once, since every memo keyed on a law hashes it on each lookup.
+    Two laws are equal when they are of the same class with equal
+    parameters.
+    """
+
+    __slots__ = ("_params", "_hash")
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self):
+        self._freeze()
+
+    def _freeze(self, *params) -> None:
+        """Store the parameters, in ``__match_args__`` order, and their hash."""
+        for name, value in zip(self.__match_args__, params):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_hash", hash(params))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._params == other._params
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={v!r}" for name, v in zip(self.__match_args__, self._params))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a law that is unpickled, as in
+        # an mc-check worker, or copied is checked again
+        return type(self), self._params
 
 
-@dataclass(frozen=True)
 class Constant(Distribution):
     """Degenerate law concentrated at a fixed rational value."""
 
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _rational(self.value, "constant value"))
+    def __init__(self, value):
+        self._freeze(_rational(value, "constant value"))
 
 
-@dataclass(frozen=True)
 class Bernoulli(Distribution):
     """P(Y = 1) = p and P(Y = 0) = 1 - p, with 0 < p <= 1."""
 
-    p: Fraction
+    __slots__ = __match_args__ = ("p",)
 
-    def __post_init__(self):
-        p = _rational(self.p, "Bernoulli p")
+    def __init__(self, p):
+        p = _rational(p, "Bernoulli p")
         if not 0 < p <= 1:
             raise ValueError(f"Bernoulli requires 0 < p <= 1, got {p}")
-        object.__setattr__(self, "p", p)
+        self._freeze(p)
 
 
-@dataclass(frozen=True)
 class Poisson(Distribution):
     """Poisson law with rational mean rate >= 0."""
 
-    rate: Fraction
+    __slots__ = __match_args__ = ("rate",)
 
-    def __post_init__(self):
-        rate = _rational(self.rate, "Poisson rate")
+    def __init__(self, rate):
+        rate = _rational(rate, "Poisson rate")
         if rate < 0:
             raise ValueError(f"Poisson requires rate >= 0, got {rate}")
-        object.__setattr__(self, "rate", rate)
+        self._freeze(rate)
 
 
-@dataclass(frozen=True)
 class Geometric(Distribution):
     """Failures before the first success: P(Y = j) = (1-q) q^j, 0 < q < 1."""
 
-    q: Fraction
+    __slots__ = __match_args__ = ("q",)
 
-    def __post_init__(self):
-        q = _rational(self.q, "Geometric q")
+    def __init__(self, q):
+        q = _rational(q, "Geometric q")
         if not 0 < q < 1:
             raise ValueError(f"Geometric requires 0 < q < 1, got {q}")
-        object.__setattr__(self, "q", q)
+        self._freeze(q)
 
 
-@dataclass(frozen=True)
 class Exponential(Distribution):
     """Unit-rate exponential law; E[Y^n] = n!."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Uniform01(Distribution):
     """Uniform law on [0, 1]; E[Y^n] = 1/(n+1)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class StdNormal(Distribution):
     """Standard normal law; odd moments vanish, E[Y^(2n)] = (2n-1)!!."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class UniformTimesExponential(Distribution):
     """Product of independent Uniform01 and Exponential factors;
     E[Y^n] = n!/(n+1)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class FiniteSupport(Distribution):
     """Arbitrary finite rational law, as (value, probability) atoms with
     positive probabilities summing to 1."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = __match_args__ = ("atoms",)
 
-    def __post_init__(self):
+    def __init__(self, atoms):
         atoms = tuple(
             (_rational(v, "atom value"), _rational(p, "atom probability"))
-            for v, p in self.atoms
+            for v, p in atoms
         )
         if not atoms:
             raise ValueError("finite law needs at least one atom")
@@ -156,27 +197,24 @@ class FiniteSupport(Distribution):
         total = sum(p for _, p in atoms)
         if total != 1:
             raise ValueError(f"atom probabilities must sum to 1, got {total}")
-        object.__setattr__(self, "atoms", atoms)
+        self._freeze(atoms)
 
 
-@dataclass(frozen=True)
 class Shifted(Distribution):
     """The law of Y + c for a catalog base law Y and rational offset c."""
 
-    base: Distribution
-    offset: Fraction
+    __slots__ = __match_args__ = ("base", "offset")
 
-    def __post_init__(self):
-        if not isinstance(self.base, Distribution):
-            raise ValueError(f"shift base must be a distribution, got {self.base!r}")
-        offset = _rational(self.offset, "shift offset")
+    def __init__(self, base, offset):
+        if not isinstance(base, Distribution):
+            raise ValueError(f"shift base must be a distribution, got {base!r}")
+        offset = _rational(offset, "shift offset")
         # a shifted base is already flat, so one step folds Y + a + b into
         # Y + (a + b) and no law nests: hashing, formatting, moments and
         # sampling never recurse more than one level
-        if isinstance(self.base, Shifted):
-            offset += self.base.offset
-            object.__setattr__(self, "base", self.base.base)
-        object.__setattr__(self, "offset", offset)
+        if isinstance(base, Shifted):
+            base, offset = base.base, offset + base.offset
+        self._freeze(base, offset)
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +386,7 @@ def _parse_base(text: str) -> Distribution:
     head, sep, rest = text.partition(":")
     if head in _NAMED_LAWS:
         law = _NAMED_LAWS[head]
-        if not fields(law):
+        if not law.__match_args__:
             if sep:
                 raise ValueError(f"{head!r} takes no parameter: {text!r}")
             return law()
@@ -377,5 +415,5 @@ def format_distribution(dist: Distribution) -> str:
             return f"shift:{c}:{format_distribution(base)}"
     for name, law in _NAMED_LAWS.items():
         if isinstance(dist, law):
-            return ":".join([name, *(str(getattr(dist, f.name)) for f in fields(law))])
+            return ":".join([name, *(str(getattr(dist, field)) for field in law.__match_args__)])
     raise TypeError(f"unknown distribution kind: {dist!r}")

@@ -8,7 +8,7 @@ and the integer weight family that compresses power sums over arithmetic
 progressions.
 
 Every scalar is an ``int`` or a ``fractions.Fraction``; nothing here ever
-rounds. All values are immutable and all functions pure.
+rounds. No function changes a value in place, and all are pure.
 
 Every row table, the Stirling triangles here and the E[S_k^n] tables of
 :mod:`probstirling.distributions`, grows through ``_grow_rows``, under one
@@ -24,12 +24,11 @@ from __future__ import annotations
 import sys
 import threading
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
-from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "Polynomial",
@@ -261,7 +260,6 @@ def bell_poly(n: int, x: Fraction | int) -> Fraction | int:
     return sum(stirling2(n, j) * x**j for j in range(n + 1))
 
 
-@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -270,13 +268,17 @@ class Polynomial:
     degree -1. Instances are immutable.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def monomial(cls, n: int) -> "Polynomial":
@@ -312,6 +314,11 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
     def shift(self, c: Fraction | int) -> "Polynomial":
         """The composed polynomial p(x + c)."""
         c = Fraction(c)
@@ -340,7 +347,6 @@ def forward_diff(p: Polynomial, m: int = 1) -> Polynomial:
     return p
 
 
-@dataclass(frozen=True)
 class CnNTable:
     """Integer weights c[k], k = 0..min(n, N), rewriting the power sum of
     N+1 shifted n-th powers as a weighted sum of min(n, N)+1 of them.
@@ -348,9 +354,10 @@ class CnNTable:
     The row always sums to N+1, and every entry is 1 when N <= n.
     """
 
-    n: int
-    N: int
-    values: tuple[int, ...]
+    __slots__ = ("n", "N", "values")
+
+    def __init__(self, n: int, N: int, values: tuple[int, ...]):
+        self.n, self.N, self.values = n, N, values
 
 
 @lru_cache(maxsize=None)

@@ -95,11 +95,11 @@ _ROUTE_MAP = {
         "exact_core._order": "the order check: it refuses an argument and computes nothing",
         "exact_core.alternating_sum": "the difference S_Y is defined by; sy_table and "
         "sy_via_uniform_rep, which do not call it, check it",
-        "distributions.__create_fn__.<locals>.__hash__": "the hash dataclasses give a law, "
-        "which every memo keyed on the law calls",
+        "distributions.Distribution.__hash__": "a law's hash, computed when it is built, "
+        "which every memo keyed on the law reads",
         **dict.fromkeys(
-            ("distributions.__create_fn__.<locals>.__init__",
-             "distributions.Geometric.__post_init__", "distributions._rational"),
+            ("distributions.Geometric.__init__",
+             "distributions.Distribution._freeze", "distributions._rational"),
             "building the law whose moment tables both polylog routes read",
         ),
     },

@@ -36,9 +36,8 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -223,15 +222,21 @@ def _mean_and_std(a: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(np.add.reduce(a) / (a.size - 1)))
 
 
-@dataclass(frozen=True)
 class SampleEstimate:
     """Empirical mean of S_k^n with its standard error; floating-point
     overflow can make either infinite or nan, which :attr:`finite` reports."""
 
-    mean: float
-    stderr: float
-    samples: int
-    seed: int
+    __slots__ = ("mean", "stderr", "samples", "seed")
+
+    def __init__(self, mean: float, stderr: float, samples: int, seed: int):
+        self.mean, self.stderr, self.samples, self.seed = mean, stderr, samples, seed
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleEstimate):
+            return NotImplemented
+        return (self.mean, self.stderr, self.samples, self.seed) == (
+            other.mean, other.stderr, other.samples, other.seed
+        )
 
     @property
     def finite(self) -> bool:

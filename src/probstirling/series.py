@@ -18,7 +18,6 @@ Fraction is built only for a coefficient handed to a caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
@@ -38,21 +37,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EGFSeries:
     """Power series truncated at z^order; ``coeffs[j]`` is the ordinary
     coefficient of z^j, so ``order == len(coeffs) - 1``."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    def __init__(self, coeffs):
+        self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a truncated series stores at least the constant term")
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, EGFSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
 
 def series_one(order: int) -> EGFSeries:

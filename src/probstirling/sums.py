@@ -17,11 +17,10 @@ read and share is stated in ``probstirling.gen_stirling._ROUTE_MAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 from math import factorial
-from typing import Callable, Iterable, Sequence
 
 from .appell import AppellSeed, _appell_value, appell_eval, bernoulli_seed, family_seed
 from .distributions import (
@@ -83,7 +82,6 @@ __all__ = [
 UNIFORM_REP_DEFAULT_CAP = 4
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """Exact comparison of the members of one identity instance.
 
@@ -91,12 +89,23 @@ class IdentityReport:
     then means lhs == rhs, otherwise exact triple equality.
     """
 
-    identity: str
-    params: dict
-    lhs: Fraction
-    middle: Fraction | None
-    rhs: Fraction
-    passed: bool
+    __slots__ = ("identity", "params", "lhs", "middle", "rhs", "passed")
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict,
+        lhs: Fraction,
+        middle: Fraction | None,
+        rhs: Fraction,
+        passed: bool,
+    ):
+        self.identity, self.params = identity, params
+        self.lhs, self.middle, self.rhs, self.passed = lhs, middle, rhs, passed
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({fields})"
 
 
 def make_report(

@@ -305,6 +305,14 @@ def _refuses_samples_past_memory(fresh_python, workers):
     ]
 
 
+# prints which of the stdlib modules that no command runs a snippet has
+# loaded since it recorded `before` (this interpreter's site may preload some)
+PRINT_UNUSED_STDLIB = (
+    "print([m for m in ('dataclasses', 'inspect', 'traceback', 'typing')\n"
+    "       if m in sys.modules and m not in before])\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -321,18 +329,43 @@ def _refuses_samples_past_memory(fresh_python, workers):
 def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
     # sums imports appell, series and polylog, which only verify needs;
     # only mc-check needs numpy, and it loads the worker pool's modules
-    # only for a run large enough to fork workers, which this one is not
+    # only for a run large enough to fork workers, which this one is not;
+    # no command loads a stdlib module it does not run, except what numpy
+    # itself imports
     out = fresh_python(
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from probstirling import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = cli.main({argv!r})\n"
         "modules = [m for m in ('sums', 'appell', 'series', 'polylog')\n"
         "           if 'probstirling.' + m in sys.modules]\n"
         "print(status, modules, 'numpy' in sys.modules)\n"
-        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        + PRINT_UNUSED_STDLIB
     )
-    assert out == f"0 {loaded}\n[]\n"
+    numpy_loads = "[]\n"
+    if loaded.endswith("True"):
+        numpy_loads = fresh_python("import sys\nbefore = set(sys.modules)\nimport numpy\n" + PRINT_UNUSED_STDLIB)
+    assert out == f"0 {loaded}\n[]\n{numpy_loads}"
+
+
+@pytest.mark.parametrize("fmt, loaded", [("csv", "False"), ("json", "True")])
+def test_only_json_output_loads_json(fresh_python, fmt, loaded):
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "from probstirling import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main(['table', 'sy', '--dist', 'poisson:1/3', '--n', '3', '--format', {fmt!r}])\n"
+        "print('json' in sys.modules)"
+    )
+    assert out == f"{loaded}\n"
+
+
+def test_library_import_loads_no_unused_stdlib(fresh_python):
+    # the modules that verify imports
+    out = fresh_python("import sys\nbefore = set(sys.modules)\nimport probstirling.sums\n" + PRINT_UNUSED_STDLIB)
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize(

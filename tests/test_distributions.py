@@ -1,7 +1,9 @@
 """Tests for the distribution catalog and its exact moment engine."""
 
+import copy
 import functools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,39 @@ def test_nested_shifts_fold_into_one():
     assert deep == Shifted(Exponential(), 5000) and hash(deep) == hash(Shifted(Exponential(), 5000))
     assert format_distribution(deep) == "shift:5000:exp"
     assert moment(deep, 2) == moment(Shifted(Exponential(), 5000), 2)
+
+
+@pytest.mark.parametrize("dist", CATALOG, ids=repr)
+def test_laws_are_values(dist):
+    # an mc-check worker receives its law pickled
+    for twin in (pickle.loads(pickle.dumps(dist)), copy.deepcopy(dist)):
+        assert twin is not dist and twin == dist and hash(twin) == hash(dist)
+    for name in (*dist.__match_args__, "offset"):
+        with pytest.raises(AttributeError):
+            setattr(dist, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            delattr(dist, name)
+
+
+def test_law_reprs_and_equality():
+    # the reprs are test ids, so they keep their form
+    assert repr(Poisson(HALF)) == "Poisson(rate=Fraction(1, 2))"
+    finite = FiniteSupport(((0, HALF), (2, Fraction(1, 4)), (-1, Fraction(1, 4))))
+    assert repr(finite) == (
+        "FiniteSupport(atoms=((Fraction(0, 1), Fraction(1, 2)), "
+        "(Fraction(2, 1), Fraction(1, 4)), (Fraction(-1, 1), Fraction(1, 4))))"
+    )
+    folded = Shifted(Shifted(Geometric(HALF), 1), Fraction(-1, 3))
+    assert repr(folded) == "Shifted(base=Geometric(q=Fraction(1, 2)), offset=Fraction(2, 3))"
+    assert Poisson(HALF) != Bernoulli(HALF) and not Poisson(HALF) == Bernoulli(HALF)
+
+
+def test_unpickled_law_is_checked_again():
+    law = Geometric(HALF)
+    # a stored parameter that no constructor accepts, as a corrupt pickle could carry
+    object.__setattr__(law, "_params", (Fraction(2),))
+    with pytest.raises(ValueError, match="Geometric requires 0 < q < 1"):
+        pickle.loads(pickle.dumps(law))
 
 
 def test_parameter_validation():

@@ -375,8 +375,9 @@ def test_memo_counters_count_public_lookups(fresh_python):
 def test_row_tables_concurrent_cold_lookups(fresh_python):
     # six threads grow the Stirling tables and the E[S_k^n] tables of two
     # laws from cold, with thread switches forced as often as possible: the
-    # Poisson moments read the Stirling table, and the shifted law's moments
-    # grow its base law's table, so that is raced too
+    # Stirling and moment tables race only through the one lock they grow
+    # under, as no moment reads a Stirling number, and the shifted law's
+    # moments grow its base law's table, so that is raced too
     snippet = (
         "import sys, threading\n"
         "from fractions import Fraction\n"
