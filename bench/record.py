@@ -19,8 +19,11 @@ perfbench's run record, and two row sets:
   n = 10, N = 30, x = 7/11, a cold ``theorem12_check`` of the Hermite
   seed at n = 10, N = 30, x = 3/13, the theorem12 and bernoulli-classic
   verify grids at n <= 10, N <= 60, the all-route ``verify_paths`` grid
-  for geom:1/2 at n <= 10 and x = 0, 1/2, every ``sy_via_uniform_rep``
-  cell for geom:1/2 at n <= 14 and x = 1/2, every ``li_conv_direct``
+  for geom:1/2 at n <= 10 and x = 0, 1/2 (each grid collected into a
+  list, as a grid is an iterator that computes nothing until read), the
+  corollary8 grid of poisson:1/3 at n <= 12, N <= 1500, x = 1/2, each
+  report dropped once read, as ``verify`` drops it once printed, every
+  ``sy_via_uniform_rep`` cell for geom:1/2 at n <= 14 and x = 1/2, every ``li_conv_direct``
   cell at q = 1/3, n <= 6, k <= 8, a Monte Carlo ``estimate_sum_moment``
   of the normal law at k = 3, n = 5 and 500k samples, a cold
   ``_law_moments`` (a law's row of raw moments) of poisson:5/7 and
@@ -91,17 +94,24 @@ CALLS["cold theorem12_check hermite_seed(10) n=10 N=30 x=3/13"] = (
 )
 CALLS["verify_theorem12 moment:exp n<=10 N<=60"] = (
     "from probstirling.sums import verify_theorem12\n",
-    'verify_theorem12("moment:exp", 10, 60)',
+    'list(verify_theorem12("moment:exp", 10, 60))',
 )
 CALLS["verify_bernoulli_classic n<=10 N<=60"] = (
     "from probstirling.sums import verify_bernoulli_classic\n",
-    "verify_bernoulli_classic(10, 60)",
+    "list(verify_bernoulli_classic(10, 60))",
 )
 CALLS["verify_paths geom:1/2 n<=10 x=0,1/2"] = (
     "from fractions import Fraction\n"
     "from probstirling.distributions import Geometric\n"
     "from probstirling.sums import verify_paths\n",
-    "verify_paths(Geometric(Fraction(1, 2)), 10, [0, Fraction(1, 2)])",
+    "list(verify_paths(Geometric(Fraction(1, 2)), 10, [0, Fraction(1, 2)]))",
+)
+CALLS["verify_corollary8 poisson:1/3 n<=12 N<=1500 x=1/2 consumed"] = (
+    "from collections import deque\n"
+    "from fractions import Fraction\n"
+    "from probstirling.distributions import Poisson\n"
+    "from probstirling.sums import verify_corollary8\n",
+    "deque(verify_corollary8(Poisson(Fraction(1, 3)), 12, 1500, [Fraction(1, 2)]), 0)",
 )
 CALLS["sy_via_uniform_rep geom:1/2 n<=14 x=1/2 every cell"] = (
     "from fractions import Fraction\n"

@@ -102,7 +102,7 @@ def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
         raise ValueError(f"requires N >= n, got n={n}, N={N}")
     from .sums import _theorem12
 
-    return _theorem12(seed, [(n, [N])], [x])[0]
+    return next(_theorem12(seed, [(n, [N])], [x]))
 
 
 def bernoulli_seed(order: int) -> AppellSeed:

@@ -3,9 +3,11 @@ the Monte Carlo cross-check.
 
 Output contract: tables are headerless CSV (or a single JSON object with
 ``--format json``); verification suites and the Monte Carlo check emit one
-JSON object per line. Rational values are always rendered losslessly as
-``num/den`` strings (bare integers when the denominator is 1), never as
-floats; only Monte Carlo estimates and standard errors are floating point.
+JSON object per line, through one loop that prints each record the moment
+it is made, so a run that stops partway keeps the records it printed.
+Rational values are always rendered losslessly as ``num/den`` strings
+(bare integers when the denominator is 1), never as floats; only Monte
+Carlo estimates and standard errors are floating point.
 
 Exit codes: 0 when everything passes, 1 when a verified mathematical or
 statistical comparison fails, 2 on usage or parse errors, including
@@ -186,18 +188,25 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _emit_report(report) -> None:
-    _emit_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "identity": report.identity,
-            "params": {k: _render(v) for k, v in report.params.items()},
-            "lhs": str(report.lhs),
-            "middle": None if report.middle is None else str(report.middle),
-            "rhs": str(report.rhs),
-            "pass": report.passed,
-        }
-    )
+def _emit_records(records) -> int:
+    """Print each (record, passed) pair as one JSON line, stamped with the
+    schema, the moment it is made; 0 when every record passes, else 1."""
+    all_pass = True
+    for record, passed in records:
+        _emit_json({"schema": SCHEMA_VERSION, **record, "pass": passed})
+        all_pass = all_pass and passed
+    return 0 if all_pass else 1
+
+
+def _report_record(report) -> tuple[dict, bool]:
+    record = {
+        "identity": report.identity,
+        "params": {k: _render(v) for k, v in report.params.items()},
+        "lhs": str(report.lhs),
+        "middle": None if report.middle is None else str(report.middle),
+        "rhs": str(report.rhs),
+    }
+    return record, report.passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,20 +283,17 @@ def _handle_verify(args) -> int:
     # sums loads appell, series and polylog, which no other command needs
     from . import sums
 
-    reports = run(sums, args)
-    for report in reports:
-        _emit_report(report)
-    return 0 if all(r.passed for r in reports) else 1
+    return _emit_records(map(_report_record, run(sums, args)))
 
 
-def _compare_row(job: tuple, row: tuple[int, int]):
-    """compare_moment on row (k, n) of the mc-check whose law, --samples,
-    --seed and --z are `job`, with its refusals worded for the command
-    line; it is looked up on ``montecarlo`` at call time, so replacing it
-    there takes effect."""
+def _compare_row(job: tuple, row: tuple[int, int]) -> tuple[dict, bool]:
+    """The record and verdict of compare_moment on row (k, n) of the
+    mc-check whose law, formatted law, --samples, --seed and --z are `job`,
+    with its refusals worded for the command line; compare_moment is looked
+    up on ``montecarlo`` at call time, so replacing it there takes effect."""
     from . import montecarlo
 
-    dist, samples, seed, z = job
+    dist, law, samples, seed, z = job
     k, n = row
     try:
         estimate, exact, passed = montecarlo.compare_moment(dist, k, n, samples, seed, z)
@@ -295,7 +301,14 @@ def _compare_row(job: tuple, row: tuple[int, int]):
         raise ValueError(f"mc-check {exc}; lower --k-max or --n-max") from exc
     except montecarlo.SampleMemoryError as exc:
         raise ValueError(f"mc-check {exc}; lower --samples") from exc
-    return estimate.mean, estimate.stderr, exact, passed
+    record = {
+        "check": "mc",
+        "params": {"dist": law, "k": k, "n": n, "samples": samples, "seed": seed, "z": z},
+        "estimate": estimate.mean,
+        "stderr": estimate.stderr,
+        "exact": str(exact),
+    }
+    return record, passed
 
 
 # the cgroup v2 files of this process, as a cgroup namespace shows them
@@ -338,10 +351,11 @@ def _worker_count(rows: int, samples: int) -> int:
 def _handle_mc(args) -> int:
     _check_bounds(k_max=args.k_max, n_max=args.n_max)
     rows = [(k, n) for k in range(args.k_max + 1) for n in range(args.n_max + 1)]
-    compare = partial(_compare_row, (args.dist, args.samples, args.seed, args.z))
+    law = format_distribution(args.dist)
+    compare = partial(_compare_row, (args.dist, law, args.samples, args.seed, args.z))
     workers = _worker_count(len(rows), args.samples)
     if workers == 1:
-        return _emit_mc_rows(args, rows, map(compare, rows))
+        return _emit_records(map(compare, rows))
     # the pool's modules, which nothing else needs
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -354,40 +368,13 @@ def _handle_mc(args) -> int:
     try:
         # map submits every row, which forks all the workers at once, before
         # this process loads numpy: forking once its BLAS threads run is unsafe
-        return _emit_mc_rows(args, rows, pool.map(compare, rows))
+        return _emit_records(pool.map(compare, rows))
     except BrokenProcessPool as exc:
         raise ValueError(f"mc-check lost a worker process: {exc}") from exc
     finally:
         # rows not yet started are dropped; the running ones finish, and
         # every worker is joined before the command returns
         pool.shutdown(cancel_futures=True)
-
-
-def _emit_mc_rows(args, rows: list[tuple[int, int]], results) -> int:
-    """Print each row's record as its result arrives, in row order; 0 when
-    every row passes, else 1."""
-    all_pass = True
-    for (k, n), (mean, stderr, exact, passed) in zip(rows, results):
-        all_pass = all_pass and passed
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "check": "mc",
-                "params": {
-                    "dist": format_distribution(args.dist),
-                    "k": k,
-                    "n": n,
-                    "samples": args.samples,
-                    "seed": args.seed,
-                    "z": args.z,
-                },
-                "estimate": mean,
-                "stderr": stderr,
-                "exact": str(exact),
-                "pass": passed,
-            }
-        )
-    return 0 if all_pass else 1
 
 
 # the options that size a command's work, named when it runs out of memory

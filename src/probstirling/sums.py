@@ -10,14 +10,18 @@ baseline); a one-instance check is a one-cell grid. It evaluates each summand
 and middle term once per (n, x) and reads the long member off a running sum,
 so a grid costs O(N_max) evaluations per (n, x); the middle member keeps its
 own formula. Reports carry every member value, not just a flag, so a failure
-localizes which expression diverged. What the three power-sum forms
-:func:`sum_direct`, :func:`sum_via_stirling` and :func:`sum_via_cnn` may
-read and share is stated in ``probstirling.gen_stirling._ROUTE_MAP``.
+localizes which expression diverged. Every ``verify_*`` grid returns an
+iterator that makes each report when it is asked for, so ``verify`` prints
+each record as soon as it is made and a grid holds no list of its reports; a
+parameter the suite refuses is still refused by the call itself. What the
+three power-sum forms :func:`sum_direct`, :func:`sum_via_stirling` and
+:func:`sum_via_cnn` may read and share is stated in
+``probstirling.gen_stirling._ROUTE_MAP``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 from math import factorial
@@ -138,8 +142,8 @@ def triple_identity(
     middle_term: Callable[[int, Fraction, int], Fraction] | None,
     xs: Sequence[Fraction | int] = (0,),
     short: Callable[[int, int, Fraction], Fraction] | None = None,
-) -> list[IdentityReport]:
-    """One report per (n, N, x) of the grid and xs, in that order, labelled
+) -> Iterator[IdentityReport]:
+    """Yield one report per (n, N, x) of the grid and xs, in that order, labelled
     label(n, N, x): the long sum of term(n, x, k) over k = 0..N, the
     binomial-weighted sum of middle_term(n, x, m) over m = 0..min(n, N) (None
     if two-sided) and short(n, N, x), by default the c-weighted sum of the
@@ -148,7 +152,6 @@ def triple_identity(
     suite without an evaluation point keeps the default x and leaves it out
     of its labels."""
     xs = [Fraction(x) for x in xs]
-    reports = []
     for n, Ns in grid:
         top = max(Ns, default=-1)  # an empty N range evaluates nothing
         terms = {x: [term(n, x, k) for k in range(top + 1)] for x in dict.fromkeys(xs)}
@@ -159,8 +162,7 @@ def triple_identity(
             middle = None if middle_term is None else _binomial_weighted(n, N, mids[x].__getitem__)
             rhs = _cnn_weighted(n, N, terms[x]) if short is None else short(n, N, x)
             lhs = partial[x][max(N + 1, 0)]  # a negative N sums no summand
-            reports.append(make_report(identity, label(n, N, x), lhs, middle, rhs))
-    return reports
+            yield make_report(identity, label(n, N, x), lhs, middle, rhs)
 
 
 def sum_direct(dist: Distribution, n: int, N: int, x: Fraction | int = 0) -> Fraction:
@@ -204,17 +206,19 @@ def sum_poly(p: Polynomial, dist: Distribution, N: int, x: Fraction | int = 0) -
     poly, law = [str(c) for c in p.coeffs], format_distribution(dist)
     # E of the m-fold iterated difference with random increments equals
     # the alternating binomial sum over E[p(x + S_k)]
-    return triple_identity(
-        "poly-sum",
-        lambda n, N, x: {"poly": poly, "dist": law, "N": N, "x": x},
-        [(p.degree, [N])],
-        lambda n, x, k: means[k],
-        lambda n, x, m: alternating_sum(m, means),
-        [x],
-    )[0]
+    return next(
+        triple_identity(
+            "poly-sum",
+            lambda n, N, x: {"poly": poly, "dist": law, "N": N, "x": x},
+            [(p.degree, [N])],
+            lambda n, x, k: means[k],
+            lambda n, x, m: alternating_sum(m, means),
+            [x],
+        )
+    )
 
 
-def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> list[IdentityReport]:
+def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[IdentityReport]:
     """The classical baseline over a grid (see :func:`classical_bernoulli_check`),
     reading one Bernoulli seed, of the grid's largest order n + 1."""
     seed = bernoulli_seed(max((n for n, _ in grid), default=-1) + 1)
@@ -241,7 +245,7 @@ def classical_bernoulli_check(n: int, N: int, x: Fraction | int = 0) -> Identity
     member a check on the others. The one-instance form of
     :func:`verify_bernoulli_classic`."""
     _order("n", n)
-    return _bernoulli_classic([(n, [N])], [x])[0]
+    return next(_bernoulli_classic([(n, [N])], [x]))
 
 
 def _sy_tables(
@@ -253,7 +257,7 @@ def _sy_tables(
 
 def _moment_grid(
     identity: str, dist: Distribution, n_max: int, N_max: int, xs: Sequence[Fraction | int]
-) -> list[IdentityReport]:
+) -> Iterator[IdentityReport]:
     """The moment-driven triple identity over the full (n, N, x) grid; the
     middle member reads one engine table per x."""
     label = format_distribution(dist)
@@ -273,18 +277,20 @@ def verify_corollary8(
     n_max: int,
     N_max: int,
     xs: Sequence[Fraction | int] = (0,),
-) -> list[IdentityReport]:
+) -> Iterator[IdentityReport]:
     """Triple-identity sweep over the full (n, N, x) grid."""
     return _moment_grid("corollary8", dist, n_max, N_max, xs)
 
 
-def verify_theorem1(n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)) -> list[IdentityReport]:
+def verify_theorem1(
+    n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)
+) -> Iterator[IdentityReport]:
     """The classical specialization: the triple identity for the unit
     constant law, whose summands are plain shifted powers."""
     return _moment_grid("theorem1", Constant(1), n_max, N_max, xs)
 
 
-def verify_theorem9(n_max: int, N_max: int) -> list[IdentityReport]:
+def verify_theorem9(n_max: int, N_max: int) -> Iterator[IdentityReport]:
     """Rising-factorial sums: the sum over k = 0..N of <k>_n against the
     binomial-weighted exponential-law closed form and the c-weighted short
     form, computed from factorials alone (no moment engine). Requires
@@ -298,7 +304,7 @@ def verify_theorem9(n_max: int, N_max: int) -> list[IdentityReport]:
     )
 
 
-def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
+def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> Iterator[IdentityReport]:
     """Bell-polynomial sums: the sum over k = 0..N of B_n(k rate) against
     the binomial-weighted double-Stirling closed form and the c-weighted
     short form. Requires N >= n."""
@@ -312,7 +318,7 @@ def verify_theorem10(rate: Fraction | int, n_max: int, N_max: int) -> list[Ident
     )
 
 
-def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[IdentityReport]:
+def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> Iterator[IdentityReport]:
     """Polylogarithm-convolution sums: the sum over k = 0..N of
     (p/q)^k Li*k at order -n, each convolution taken through the moment
     engine (:func:`li_conv_prob`), against the binomial-weighted
@@ -329,7 +335,7 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> list[Identity
     )
 
 
-def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> list[IdentityReport]:
+def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[IdentityReport]:
     """Two-sided Appell-family compression sums for one seed over a grid: the
     k-th summand is A_n(k; x), read from the seed's k-th power. Each power is
     one integer Cauchy product from the previous one, held as integers over
@@ -350,7 +356,7 @@ def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> li
 
 def verify_theorem12(
     family: str, n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)
-) -> list[IdentityReport]:
+) -> Iterator[IdentityReport]:
     """Appell-family compression sums for one family string (see
     :func:`family_seed`) over n <= N <= N_max and every x."""
     grid = [(n, range(n, N_max + 1)) for n in range(n_max + 1)]
@@ -373,33 +379,30 @@ def _sy_cells(
 
 def verify_gf(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int] = (0,)
-) -> list[IdentityReport]:
+) -> Iterator[IdentityReport]:
     """The defining alternating sum against the production engine's
     generating-function extraction."""
-    return [
+    return (
         make_report("gf", params, sy(dist, n, m, x), None, engine)
         for params, n, m, x, engine in _sy_cells(dist, n_max, xs)
-    ]
+    )
 
 
 def verify_paths(
     dist: Distribution, n_max: int, xs: Sequence[Fraction | int] = (0,)
-) -> list[IdentityReport]:
+) -> Iterator[IdentityReport]:
     """All-route agreement: the alternating sum against the production
     engine's generating function and the factorial-moment oracle, plus the
     uniform-representation oracle on the cells m <= UNIFORM_REP_DEFAULT_CAP."""
-    reports = []
     for params, n, m, x, engine in _sy_cells(dist, n_max, xs):
         base = sy(dist, n, m, x)
-        reports.append(make_report("paths", params, base, engine, sy_via_factorial(dist, n, m, x)))
+        yield make_report("paths", params, base, engine, sy_via_factorial(dist, n, m, x))
         if m <= UNIFORM_REP_DEFAULT_CAP:
-            uniform = sy_via_uniform_rep(dist, n, m, x)
-            reports.append(make_report("paths-uniform", params, base, None, uniform))
-    return reports
+            yield make_report("paths-uniform", params, base, None, sy_via_uniform_rep(dist, n, m, x))
 
 
 def verify_bernoulli_classic(
     n_max: int, N_max: int, xs: Sequence[Fraction | int] = (0,)
-) -> list[IdentityReport]:
+) -> Iterator[IdentityReport]:
     """Classical power-sum baseline over the full grid."""
     return _bernoulli_classic([(n, range(N_max + 1)) for n in range(n_max + 1)], xs)

@@ -143,7 +143,7 @@ def test_criterion_05_triple_sum_identity():
 
 def test_criterion_06_specialized_sums():
     started = time.perf_counter()
-    reports = verify_theorem9(6, 12)
+    reports = list(verify_theorem9(6, 12))
     for rate in (Fraction(1), HALF):
         reports += verify_theorem10(rate, 6, 12)
     reports += verify_theorem11(HALF, 4, 12)

@@ -295,15 +295,15 @@ def test_power_sums_refuse_or_agree_across_forms(dist, n, N, x):
     # a grid bound below 0 is an empty grid, not a refusal, in every grid
     if n < 0:
         grids = [
-            verify_corollary8(dist, n, N, [x]),
-            verify_theorem1(n, N, [x]),
-            verify_theorem9(n, N),
-            verify_theorem10(x, n, N),
-            verify_theorem11(HALF, n, N),
-            verify_theorem12("hermite", n, N, [x]),
-            verify_gf(dist, n, [x]),
-            verify_paths(dist, n, [x]),
-            verify_bernoulli_classic(n, N, [x]),
+            list(verify_corollary8(dist, n, N, [x])),
+            list(verify_theorem1(n, N, [x])),
+            list(verify_theorem9(n, N)),
+            list(verify_theorem10(x, n, N)),
+            list(verify_theorem11(HALF, n, N)),
+            list(verify_theorem12("hermite", n, N, [x])),
+            list(verify_gf(dist, n, [x])),
+            list(verify_paths(dist, n, [x])),
+            list(verify_bernoulli_classic(n, N, [x])),
         ]
         assert grids == [[]] * 9
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import probstirling.cli as cli
-from probstirling import sums
+from probstirling import montecarlo, sums
 from probstirling.distributions import Poisson, format_distribution, parse_distribution
 from probstirling.exact_core import binomial, rising_factorial
 from probstirling.montecarlo import compare_moment
@@ -137,13 +137,50 @@ def test_verify_theorem12_requires_family(capsys):
 
 
 def test_verify_exit_1_on_mismatch(capsys, monkeypatch):
-    bad = make_report("corollary8", {"n": 1}, Fraction(1), Fraction(1), Fraction(2))
-    monkeypatch.setattr(sums, "verify_corollary8", lambda *a, **k: [bad])
+    # the rhs alone differs, then the middle alone
+    for members in ((1, 1, 2), (1, 2, 1)):
+        bad = make_report("corollary8", {"n": 1}, *map(Fraction, members))
+        assert bad.passed is False
+        monkeypatch.setattr(sums, "verify_corollary8", lambda *a, **k: [bad])
+        code, out, _ = run_cli(capsys, "verify", "corollary8", "--dist", "exp")
+        assert code == 1
+        record = jsonl(out)[0]
+        assert record["pass"] is False
+        assert (record["lhs"], record["middle"], record["rhs"]) == tuple(map(str, members))
+
+
+def test_verify_exit_1_when_only_the_first_record_fails(capsys, monkeypatch):
+    def runner(*args, **kwargs):
+        yield make_report("corollary8", {"n": 0}, Fraction(1), Fraction(1), Fraction(2))
+        yield make_report("corollary8", {"n": 1}, Fraction(1), Fraction(1), Fraction(1))
+
+    monkeypatch.setattr(sums, "verify_corollary8", runner)
     code, out, _ = run_cli(capsys, "verify", "corollary8", "--dist", "exp")
     assert code == 1
-    record = jsonl(out)[0]
-    assert record["pass"] is False
-    assert record["lhs"] == "1" and record["rhs"] == "2"
+    assert [r["pass"] for r in jsonl(out)] == [False, True]
+
+
+def test_verify_keeps_the_records_printed_before_a_refusal(capsys, monkeypatch):
+    # a runner that refuses after its first report
+    def runner(*args, **kwargs):
+        yield make_report("corollary8", {"n": 0}, Fraction(1), Fraction(1), Fraction(1))
+        raise ValueError("refused partway")
+
+    monkeypatch.setattr(sums, "verify_corollary8", runner)
+    code, out, err = run_cli(capsys, "verify", "corollary8", "--dist", "exp")
+    assert (code, err) == (2, "error: refused partway\n")
+    assert [r["pass"] for r in jsonl(out)] == [True]
+
+    # a suite grid that refuses at n = 1, once the n = 0 reports are printed
+    def summand(k, n):
+        if n == 1:
+            raise ValueError("refused at n = 1")
+        return rising_factorial(k, n)
+
+    monkeypatch.setattr(sums, "rising_factorial", summand)
+    code, out, err = run_cli(capsys, "verify", "theorem9", "--n-max", "2", "--N-max", "3")
+    assert (code, err) == (2, "error: refused at n = 1\n")
+    assert [(r["params"]["n"], r["params"]["N"]) for r in jsonl(out)] == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
 def test_mc_check_constant(capsys):
@@ -178,6 +215,21 @@ def test_mc_check_deterministic(capsys):
     assert out1 == out2
 
 
+def test_mc_check_exit_1_when_only_the_first_row_fails(capsys, monkeypatch):
+    compare = montecarlo.compare_moment
+
+    def first_row_fails(dist, k, n, *rest):
+        estimate, exact, passed = compare(dist, k, n, *rest)
+        return estimate, exact, passed and (k, n) != (0, 0)
+
+    monkeypatch.setattr(montecarlo, "compare_moment", first_row_fails)
+    code, out, _ = run_cli(
+        capsys, "mc-check", "--dist", "const:2", "--k-max", "1", "--n-max", "1", "--samples", "100"
+    )
+    assert code == 1
+    assert [r["pass"] for r in jsonl(out)] == [False, True, True, True]
+
+
 def test_mc_check_statistical_failure_exits_1(capsys):
     # an absurdly tight z forces a statistical failure on a nondegenerate law
     code, out, _ = run_cli(
@@ -200,7 +252,12 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize(
-    "argv", [["table", "stirling2", "--n", "150"], ["verify", "theorem11", "--n-max", "1", "--N-max", "2000"]]
+    "argv",
+    [
+        ["table", "stirling2", "--n", "150"],
+        ["verify", "theorem11", "--n-max", "1", "--N-max", "2000"],
+        ["verify", "corollary8", "--dist", "poisson:1/3", "--n-max", "12", "--N-max", "1500", "--x", "1/2"],
+    ],
 )
 def test_closed_pipe_exits_141_without_traceback(argv):
     # a reader such as `head -1` closes the pipe while the output is still

@@ -150,6 +150,17 @@ def test_zero_variance_rows_pass_despite_rounding():
         assert passed
 
 
+@pytest.mark.parametrize("factor, passed", [(0.9, True), (1.1, False)])
+def test_compare_moment_gate_is_z_stderr_plus_rounding(monkeypatch, factor, passed):
+    # const:10 at k = 1, n = 3 has the exact moment 1000; 1024 samples give
+    # the rounding term (k + n + log2(samples) + 2) eps |exact| = 16 eps 1000
+    stderr, z = 1e-12, 6.0
+    bound = z * stderr + 16 * sys.float_info.epsilon * 1000
+    estimate = SampleEstimate(1000 + factor * bound, stderr, 1024, 0)
+    monkeypatch.setattr(montecarlo, "estimate_sum_moment", lambda *args: estimate)
+    assert compare_moment(Constant(10), 1, 3, 1024, 0, z) == (estimate, 1000, passed)
+
+
 def test_compare_moment_statistical():
     dists = [
         Exponential(),

@@ -179,18 +179,18 @@ def test_classical_bernoulli_grid():
 
 
 def test_verify_corollary8():
-    reports = verify_corollary8(Shifted(Geometric(HALF), 1), 4, 10, [Fraction(0)])
+    reports = list(verify_corollary8(Shifted(Geometric(HALF), 1), 4, 10, [Fraction(0)]))
     assert len(reports) == 5 * 11
     assert all(r.passed for r in reports)
     fuzz = FiniteSupport(((Fraction(0), HALF), (Fraction(2), HALF)))
     assert all(r.passed for r in verify_corollary8(fuzz, 3, 8, [Fraction(0), Fraction(1)]))
-    trivial = verify_corollary8(Uniform01(), 0, 5, [Fraction(0)])
+    trivial = list(verify_corollary8(Uniform01(), 0, 5, [Fraction(0)]))
     assert all(r.passed for r in trivial)
     assert all(r.lhs == r.params["N"] + 1 for r in trivial)
 
 
 def test_verify_theorem1_matches_classical():
-    reports = verify_theorem1(5, 12, X)
+    reports = list(verify_theorem1(5, 12, X))
     assert all(r.passed for r in reports)
     for r in reports:
         check = classical_bernoulli_check(r.params["n"], r.params["N"], r.params["x"])
@@ -198,7 +198,7 @@ def test_verify_theorem1_matches_classical():
 
 
 def test_verify_theorem9():
-    reports = verify_theorem9(6, 12)
+    reports = list(verify_theorem9(6, 12))
     assert all(r.passed for r in reports)
     spot = [r for r in reports if r.params == {"n": 2, "N": 3}]
     assert spot and spot[0].lhs == 20
@@ -253,7 +253,7 @@ def test_verify_theorem11():
 def test_verify_gf_and_paths():
     for dist in (Poisson(1), Uniform01()):
         assert all(r.passed for r in verify_gf(dist, 5, X))
-        reports = verify_paths(dist, 5, [Fraction(0), Fraction(1)])
+        reports = list(verify_paths(dist, 5, [Fraction(0), Fraction(1)]))
         assert all(r.passed for r in reports)
         assert {r.identity for r in reports} == {"paths", "paths-uniform"}
         # the uniform-representation route runs exactly up to its default cap
@@ -265,7 +265,7 @@ def test_verify_gf_and_paths():
 @pytest.mark.parametrize("dist", [Geometric(HALF), Shifted(Poisson(Fraction(1, 3)), HALF)], ids=repr)
 def test_verify_gf_and_paths_read_the_one_cell_gf_values(dist):
     xs = [0, HALF, Fraction(-7, 3)]
-    gf = verify_gf(dist, 6, xs)
+    gf = list(verify_gf(dist, 6, xs))
     paths = [r for r in verify_paths(dist, 6, xs) if r.identity == "paths"]
     assert len(gf) == len(paths) == 28 * 3
     for gf_report, paths_report in zip(gf, paths):
@@ -280,7 +280,7 @@ def test_verify_bernoulli_classic_suite():
 
 
 def test_report_fields():
-    report = verify_corollary8(Exponential(), 2, 2, [HALF])[0]
+    report = list(verify_corollary8(Exponential(), 2, 2, [HALF]))[0]
     assert report.identity == "corollary8"
     assert report.middle is not None
     assert isinstance(report.params, dict)
@@ -352,9 +352,9 @@ GRID_SIZES = [(3, 5), (4, 2), (0, 0)]
 @pytest.mark.parametrize("xs", GRID_XS, ids=repr)
 def test_moment_grids_match_the_per_instance_formula(n_max, N_max, xs):
     for dist in (Poisson(HALF), Shifted(Geometric(Fraction(1, 3)), HALF)):
-        got = verify_corollary8(dist, n_max, N_max, xs)
+        got = list(verify_corollary8(dist, n_max, N_max, xs))
         assert repr(got) == repr(_reference_moment_grid("corollary8", dist, n_max, N_max, xs))
-    got = verify_theorem1(n_max, N_max, xs)
+    got = list(verify_theorem1(n_max, N_max, xs))
     assert repr(got) == repr(_reference_moment_grid("theorem1", Constant(1), n_max, N_max, xs))
 
 
@@ -372,7 +372,7 @@ def test_closed_form_grids_match_the_per_instance_formula(n_max, N_max):
         )
         for n, N in upper
     ]
-    assert repr(verify_theorem9(n_max, N_max)) == repr(t9)
+    assert repr(list(verify_theorem9(n_max, N_max))) == repr(t9)
     rate = Fraction(2, 3)
     t10 = [
         _reference_triple(
@@ -385,7 +385,7 @@ def test_closed_form_grids_match_the_per_instance_formula(n_max, N_max):
         )
         for n, N in upper
     ]
-    assert repr(verify_theorem10(rate, n_max, N_max)) == repr(t10)
+    assert repr(list(verify_theorem10(rate, n_max, N_max))) == repr(t10)
     q = Fraction(1, 3)
     t11 = [
         _reference_triple(
@@ -398,7 +398,7 @@ def test_closed_form_grids_match_the_per_instance_formula(n_max, N_max):
         )
         for n, N in upper
     ]
-    assert repr(verify_theorem11(q, n_max, N_max)) == repr(t11)
+    assert repr(list(verify_theorem11(q, n_max, N_max))) == repr(t11)
 
 
 @pytest.mark.parametrize("n_max, N_max", GRID_SIZES)
@@ -412,14 +412,14 @@ def test_theorem12_and_bernoulli_grids_match_the_per_instance_formula(n_max, N_m
             for N in range(n, N_max + 1)
             for x in xs
         ]
-        assert repr(verify_theorem12(family, n_max, N_max, xs)) == repr(expected)
+        assert repr(list(verify_theorem12(family, n_max, N_max, xs))) == repr(expected)
     expected = [
         _reference_bernoulli(n, N, x)
         for n in range(n_max + 1)
         for N in range(N_max + 1)
         for x in xs
     ]
-    assert repr(verify_bernoulli_classic(n_max, N_max, xs)) == repr(expected)
+    assert repr(list(verify_bernoulli_classic(n_max, N_max, xs))) == repr(expected)
 
 
 @pytest.mark.parametrize("N", [-3, -1, 0, 1, 3, 6])
@@ -451,7 +451,7 @@ def test_theorem12_grid_builds_each_seed_power_once(monkeypatch):
         return _cauchy_product(*operands)
 
     monkeypatch.setattr(sums, "_cauchy_product", counting_product)
-    reports = verify_theorem12("moment:exp", 4, 9, [0, HALF, HALF])
+    reports = list(verify_theorem12("moment:exp", 4, 9, [0, HALF, HALF]))
     assert len(reports) == 3 * sum(10 - n for n in range(5))
     assert len(calls) == 9
     calls.clear()
@@ -463,3 +463,11 @@ def test_theorem11_refuses_q_outside_the_unit_interval():
     for q in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(ValueError, match="0 < q < 1"):
             verify_theorem11(q, 2, 3)
+
+
+def test_lazy_grids_refuse_their_parameters_at_call_time():
+    # no report is asked for, so each refusal comes from the call itself
+    with pytest.raises(ValueError, match="unknown Appell family"):
+        verify_theorem12("bogus", 2, 3)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        verify_theorem10("x", 2, 3)
