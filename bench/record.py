@@ -23,9 +23,11 @@ perfbench's run record, and two row sets:
   list, as a grid is an iterator that computes nothing until read), the
   corollary8 grid of poisson:1/3 at n <= 12, N <= 1500, x = 1/2, each
   report dropped once read, as ``verify`` drops it once printed, every
-  ``sy_via_uniform_rep`` cell for geom:1/2 at n <= 14 and x = 1/2, every ``li_conv_direct``
-  cell at q = 1/3, n <= 6, k <= 8, a Monte Carlo ``estimate_sum_moment``
-  of the normal law at k = 3, n = 5 and 500k samples, a cold
+  ``sy_via_uniform_rep`` cell for geom:1/2 at n <= 14 and x = 1/2, every
+  ``sy_via_factorial`` cell and every ``sy`` cell for geom:2/3 at n <= 14
+  and x = -1/2, every ``li_conv_direct`` cell at q = 1/3, n <= 6, k <= 8,
+  a Monte Carlo ``estimate_sum_moment`` of the normal law at k = 3,
+  n = 5 and 500k samples, a cold
   ``_law_moments`` (a law's row of raw moments) of poisson:5/7 and
   geom:2/7 at widths 11 and 60 and of uniform and shift:2/9:exp at width
   200, a cold ``stirling2(600, 300)`` and ``stirling1(600, 300)`` (both
@@ -119,6 +121,18 @@ CALLS["sy_via_uniform_rep geom:1/2 n<=14 x=1/2 every cell"] = (
     "from probstirling.gen_stirling import sy_via_uniform_rep\n"
     "law = Geometric(Fraction(1, 2))\n",
     "[sy_via_uniform_rep(law, n, m, Fraction(1, 2)) for n in range(15) for m in range(n + 1)]",
+)
+CALLS.update(
+    {
+        f"{route} geom:2/3 n<=14 x=-1/2 every cell": (
+            "from fractions import Fraction\n"
+            "from probstirling.distributions import Geometric\n"
+            f"from probstirling.gen_stirling import {route}\n"
+            "law = Geometric(Fraction(2, 3))\n",
+            f"[{route}(law, n, m, Fraction(-1, 2)) for n in range(15) for m in range(n + 1)]",
+        )
+        for route in ("sy_via_factorial", "sy")
+    }
 )
 CALLS["li_conv_direct q=1/3 n<=6 k<=8"] = (
     "from fractions import Fraction\n"

@@ -23,7 +23,12 @@ the CLI ``table sy`` and the power-sum identities read its rows and columns.
 Three oracle routes check the engine: :func:`sy`, the defining
 alternating moment sum; :func:`sy_via_factorial`, through falling-factorial
 moments; and :func:`sy_via_uniform_rep`, a product representation over
-independent uniform variables. Every production value, :func:`whitney`
+independent uniform variables. Each holds the part of its sum that does
+not depend on n in a memo of its own, which its docstring names and
+prices; the rows of ``sy`` and ``sy_via_factorial`` are integers over one
+denominator, extended when a cell asks for a wider one, so one of their
+cells costs O(n) integer products and one ``Fraction``. Every production
+value, :func:`whitney`
 included, comes from the engine or from a named closed form; the oracles
 only check it. What they,
 the power-sum forms of :mod:`~probstirling.sums` and the polylogarithm
@@ -35,12 +40,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from .distributions import Constant, Distribution, Geometric, moment, shifted_sum_moment
 from .distributions import _law_moments
 from .exact_core import (
     Polynomial,
+    _common_denominator,
     _order,
     alternating_sum,
     arrangements,
@@ -95,6 +101,11 @@ _ROUTE_MAP = {
         "exact_core._order": "the order check: it refuses an argument and computes nothing",
         "exact_core.alternating_sum": "the difference S_Y is defined by; sy_table and "
         "sy_via_uniform_rep, which do not call it, check it",
+        **dict.fromkeys(
+            ("gen_stirling._grown", "exact_core._common_denominator"),
+            "holding an oracle's memo row as integers over one denominator, which "
+            "computes no value; sy_table and sy_via_uniform_rep, which do not call it, check it",
+        ),
         "distributions.Distribution.__hash__": "a law's hash, computed when it is built, "
         "which every memo keyed on the law reads",
         **dict.fromkeys(
@@ -106,6 +117,29 @@ _ROUTE_MAP = {
 }
 
 
+# the oracles' memo rows, each read by one route and grown by `_grown`:
+# E[(x + S_k)^n] over k per (law, n, x) for `sy`; and per (law, x) for
+# `sy_via_factorial`, two dicts of rows over i: E[(x + S_k)_i] by k, and their
+# m-th differences at k = 0 by m
+_SY_COLUMNS: dict = {}
+_FACTORIAL_ROWS: dict = {}
+
+
+def _grown(memo: dict, key, width: int, tail) -> tuple[list[int], int]:
+    """The oracle row ``memo[key]``, (nums, den) with entries nums[i] / den,
+    first grown to `width` entries by ``tail(start, width)``, the entries from
+    `start` on over a denominator of their own; the held entries are rescaled
+    to the lcm of the two, and the row is replaced whole, so reads take no lock."""
+    nums, den = memo.get(key, ((), 1))
+    if len(nums) < width:
+        new, new_den = tail(len(nums), width)
+        common = lcm(den, new_den)
+        nums = [c * (common // den) for c in nums] + [c * (common // new_den) for c in new]
+        den = common
+        memo[key] = nums, den
+    return nums, den
+
+
 def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """The defining route: (1/m!) sum_k C(m, k) (-1)^(m-k) E[(x + S_k)^n].
 
@@ -113,11 +147,19 @@ def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     an m-fold iterated difference of a degree-n polynomial, which the
     operator annihilates. The cancellation is exact, so no special case is
     needed (or wanted; it is tested as a theorem).
+
+    ``_SY_COLUMNS`` holds E[(x + S_k)^n] per (law, n, x), extended to
+    k <= m as cells ask, so a cell costs m + 1 products of a binomial with
+    an O(n log n)-bit integer, and one ``Fraction``.
     """
     _order("n", n)
     _order("m", m)
-    moments = [shifted_sum_moment(dist, k, n, x) for k in range(m + 1)]
-    return alternating_sum(m, moments) / factorial(m)
+
+    def column(start, width):
+        return _common_denominator([shifted_sum_moment(dist, k, n, x) for k in range(start, width)])
+
+    nums, den = _grown(_SY_COLUMNS, (dist, n, x), m + 1, column)
+    return Fraction(alternating_sum(m, nums), den * factorial(m))
 
 
 def sy_table(
@@ -187,58 +229,85 @@ def sy_via_uniform_rep(dist: Distribution, n: int, m: int, x: Fraction | int = 0
     """Uniform-product route: C(n, m) E[Y_1 ... Y_m (x + Y_1 U_1 + ... +
     Y_m U_m)^(n-m)] with independent uniform U_j on [0, 1].
 
-    The power is expanded multinomially; independence factors each term
-    into moments of Y and of U, with E[U^a] = 1/(a+1). The m pairs
-    (Y_j, U_j) are exchangeable, so for each power e of x the terms are
-    summed once per partition of n - m - e into at most m positive parts,
-    weighted by its :func:`~probstirling.exact_core.arrangements` among the
-    m pairs; the pairs left out each contribute E[Y]. That is at most
-    p(n - m - e) terms per power e, against C(n, m) weak compositions in
-    all. It serves only as an oracle.
+    The power is expanded binomially in x; the power e of x leaves
+    :func:`_orbits` of t = n - m - e, memoized per (law, t, m), so a cell
+    costs n - m + 1 ``Fraction`` products of O(n log n) bits. It serves only
+    as an oracle.
     """
     _order("n", n)
     _order("m", m, n)
     x = Fraction(x)
-    # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
-    factors = [moment(dist, a + 1) / (a + 1) for a in range(n - m + 1)]
-    total = Fraction(0)
-    for e in range(n - m + 1):
-        # e counts the x factors; the parts, the exponents a of the Y_j U_j factors
-        orbits = Fraction(0)
-        for parts in partitions(n - m - e, m):
-            term = arrangements(parts, m) * multinomial(parts) * factors[0] ** (m - len(parts))
-            for a in parts:
-                term *= factors[a]
-            orbits += term
-        total += binomial(n - m, e) * x**e * orbits
-    return binomial(n, m) * total
+    u, v, t = x.numerator, x.denominator, n - m
+    # x^e = u^e v^(t-e) / v^t
+    terms = (comb(t, e) * u**e * v ** (t - e) * _orbits(dist, t - e, m) for e in range(t + 1))
+    return comb(n, m) * sum(terms, Fraction(0)) / v**t
 
 
 @lru_cache(maxsize=None)
-def _falling_moment(dist: Distribution, k: int, i: int, x: Fraction | int) -> Fraction:
-    """E[(x + S_k)_i], the falling-factorial moment, from the shifted power
-    moments through signed Stirling numbers of the first kind."""
-    return sum(
-        (stirling1(i, j) * shifted_sum_moment(dist, k, j, x) for j in range(i + 1)),
-        Fraction(0),
-    )
+def _orbits(dist: Distribution, t: int, m: int) -> Fraction:
+    """E[Y_1 ... Y_m (Y_1 U_1 + ... + Y_m U_m)^t], expanded
+    multinomially; independence factors each term into moments of Y and of
+    U, with E[U^a] = 1/(a+1). The m pairs (Y_j, U_j) are exchangeable, so
+    the terms are summed once per partition of t into at most m positive
+    parts, weighted by its :func:`~probstirling.exact_core.arrangements`
+    among the m pairs; the pairs left out each contribute E[Y]. That is at
+    most p(t) terms of m + 1 ``Fraction`` products each, against
+    C(t + m - 1, t) weak compositions."""
+    # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
+    factors = [moment(dist, a + 1) / (a + 1) for a in range(t + 1)]
+    total = Fraction(0)
+    for parts in partitions(t, m):
+        term = arrangements(parts, m) * multinomial(parts) * factors[0] ** (m - len(parts))
+        for a in parts:
+            term *= factors[a]
+        total += term
+    return total
+
+
+def _falling_row(dist: Distribution, x, rows: dict, k: int, width: int) -> tuple[list[int], int]:
+    """E[(x + S_k)_i] for i < width, the falling-factorial moments, held in
+    `rows`, from the shifted power moments through signed Stirling numbers
+    of the first kind."""
+
+    def tail(start, width):
+        powers, den = _common_denominator([shifted_sum_moment(dist, k, j, x) for j in range(width)])
+        return [
+            sum(stirling1(i, j) * powers[j] for j in range(i + 1)) for i in range(start, width)
+        ], den
+
+    return _grown(rows, k, width, tail)
+
+
+def _difference_row(dist: Distribution, m: int, x, width: int) -> tuple[list[int], int]:
+    """D_m[i] = sum_k (-1)^(m-k) C(m, k) E[(x + S_k)_i] for i < width."""
+    falling, differences = _FACTORIAL_ROWS.setdefault((dist, x), ({}, {}))
+
+    def tail(start, width):
+        rows = [_falling_row(dist, x, falling, k, width) for k in range(m + 1)]
+        den = lcm(*[d for _, d in rows])
+        scaled = [(nums, den // d) for nums, d in rows]
+        return [
+            alternating_sum(m, [nums[i] * s for nums, s in scaled]) for i in range(start, width)
+        ], den
+
+    return _grown(differences, m, width, tail)
 
 
 def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     """Factorial-moment route: expand t^n over falling factorials with
     classical Stirling numbers of the second kind, take the falling-factorial
     moments E[(x + S_k)_i] of the shifted partial sums, and apply the
-    alternating binomial sum."""
+    alternating binomial sum: S_Y(n, m; x) = (1/m!) sum_i S(n, i) D_m[i].
+
+    Its rows, in ``_FACTORIAL_ROWS`` per (law, x) and grown to i <= n: the
+    falling-factorial moments per k, at O(n^2) products of a Stirling number
+    with an O(n log n)-bit integer, and D_m per m, at m + 1 products an
+    entry. A cell costs n + 1 more, and one ``Fraction``.
+    """
     _order("n", n)
     _order("m", m)
-    total = Fraction(0)
-    for i in range(n + 1):
-        s2 = stirling2(n, i)
-        if s2 == 0:
-            continue
-        falling_moments = [_falling_moment(dist, k, i, x) for k in range(m + 1)]
-        total += s2 * alternating_sum(m, falling_moments)
-    return total / factorial(m)
+    diffs, den = _difference_row(dist, m, x, n + 1)
+    return Fraction(sum(stirling2(n, i) * diffs[i] for i in range(n + 1)), den * factorial(m))
 
 
 # ----------------------------------------------------------- closed forms

@@ -371,9 +371,10 @@ def _sy_cells(
     n, m, x and the production value, read from one table per x."""
     label = format_distribution(dist)
     tables = _sy_tables(dist, n_max, xs)
+    xs = [Fraction(x) for x in xs]
     for n in range(n_max + 1):
         for m in range(n + 1):
-            for x in map(Fraction, xs):
+            for x in xs:
                 yield {"dist": label, "n": n, "m": m, "x": x}, n, m, x, tables[x][n][m]
 
 

@@ -178,13 +178,93 @@ def test_oracles_agree_without_engine_or_series(dist, monkeypatch):
                     assert sy_via_uniform_rep(dist, n, m, x) == base
 
 
+# each route's cells in an order that grows its memo rows by extension,
+# with x = 0 given as an int and then as an equal Fraction, which share the
+# rows, and then x = -7/3; a Poisson rate of 1/3 makes the rows' common
+# denominators grow with their width, so a row extended without rescaling
+# its old entries gives wrong cells
+GROWTH_ORDER = (12, 3, 7, 15)
+GROWTH_CHILD = """
+from fractions import Fraction
+from probstirling.distributions import Poisson
+from probstirling.gen_stirling import sy, sy_via_factorial, sy_via_uniform_rep
+law = Poisson(Fraction(1, 3))
+for x in (0, Fraction(0), Fraction(-7, 3)):
+    for n in {order}:
+        print(x, n, *(route(law, n, 2, x) for route in (sy, sy_via_factorial, sy_via_uniform_rep)))
+    print(x, "m > n", sy(law, 3, 5, x), sy_via_factorial(law, 3, 5, x))
+"""
+COLD_SY_CHILD = """
+from fractions import Fraction
+from probstirling.distributions import Poisson
+from probstirling.gen_stirling import sy
+print(sy(Poisson(Fraction(1, 3)), {n}, 2, Fraction({x!r})))
+"""
+
+
+def test_oracle_memos_grow_to_the_cold_values(fresh_python):
+    lines = fresh_python(GROWTH_CHILD.format(order=GROWTH_ORDER)).splitlines()
+    cold = {
+        (x, n): fresh_python(COLD_SY_CHILD.format(n=n, x=x)).strip()
+        for x in ("0", "-7/3")
+        for n in GROWTH_ORDER
+    }
+    expected = []
+    for x in ("0", "0", "-7/3"):
+        expected += [f"{x} {n} " + " ".join([cold[x, n]] * 3) for n in GROWTH_ORDER]
+        expected.append(f"{x} m > n 0 0")
+    assert lines == expected
+
+
+def test_oracle_memos_concurrent_growth(fresh_python):
+    # six threads extend the same oracle rows, half with n rising and half
+    # with n falling, with thread switches forced as often as possible: a row
+    # is replaced whole, never changed in place, so without a lock every
+    # value still matches a sequential run
+    snippet = (
+        "import sys, threading\n"
+        "from fractions import Fraction\n"
+        "from probstirling.distributions import Poisson\n"
+        "from probstirling.gen_stirling import sy, sy_via_factorial, sy_via_uniform_rep\n"
+        "law, x = Poisson(Fraction(1, 3)), Fraction(-7, 3)\n"
+        "results = {}\n"
+        "def work(t):\n"
+        "    ns = range(13) if t % 2 else range(12, -1, -1)\n"
+        "    results[t] = [\n"
+        "        route(law, n, m, x) for n in ns for m in range(min(n, 2 + t) + 1)\n"
+        "        for route in (sy, sy_via_factorial, sy_via_uniform_rep)\n"
+        "    ]\n"
+        "THREADED\n"
+        "print(sorted(results.items()))"
+    )
+    threaded = fresh_python(
+        snippet.replace(
+            "THREADED",
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=120)\n"
+            "assert not any(thread.is_alive() for thread in threads)",
+        )
+    )
+    sequential = fresh_python(snippet.replace("THREADED", "for t in range(6):\n    work(t)"))
+    assert threaded == sequential
+    assert threaded.count("Fraction") == 3 * sum(
+        min(n, 2 + t) + 1 for t in range(6) for n in range(13)
+    )
+
+
 def test_production_paths_never_reach_an_oracle(capsys, monkeypatch):
     # the reverse of the test above: every production value comes from the
     # engine or a closed form, so the oracles may raise wherever they are bound
     def forbidden(*args, **kwargs):
         raise AssertionError("a production path reached an oracle route")
 
-    for name in ("sy", "sy_via_factorial", "sy_via_uniform_rep", "_falling_moment"):
+    oracles = ("sy", "sy_via_factorial", "sy_via_uniform_rep")
+    memos = ("_grown", "_falling_row", "_difference_row", "_orbits")
+    for name in oracles + memos:
         for module in (gen_stirling, sums):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)

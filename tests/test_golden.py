@@ -62,6 +62,11 @@ GOLDEN = [
      "b0b03cf1d5e6b6e15c58ac35ce35814c1972da65e953d6b6bce487d30a6ab726"),
     (("verify", "paths", "--dist", "geom:1/2"), 0,
      "47ee9138bf007da4cf7e2ed793ddc6cefe96aec66c80a838607da0f855e43a9f"),
+    # the inputs of the verify-routes benchmark at its other laws and signs of x
+    (("verify", "paths", "--dist", "geom:1/3", "--n-max", "10", "--x=0", "--x=-1/2"), 0,
+     "e33a21c9fd42e30523fd8f36235fa108d6a524e6becdf94fe274b4fa9fc864ba"),
+    (("verify", "paths", "--dist", "geom:2/3", "--n-max", "10", "--x=0", "--x=-1/2"), 0,
+     "146085d242a5578e2f82b1c38815d7c94a85ca9745b35af0c9124786cd0621f8"),
     (("verify", "bernoulli-classic"), 0,
      "d2fa25eff43ec2153ea983c7fd93a109780edf1bfd47d531c9bef68741583f04"),
     (("verify", "bernoulli-classic", "--n-max", "5", "--N-max", "8", "--x", "1/3"), 0,
