@@ -8,15 +8,15 @@ kind, not at runtime), so all moments used here are finite.
 
 The moments live in one row table per law, row k over n: a pair of
 integers (nums, den) with E[S_k^n] = nums[n] / den and gcd(den, *nums) = 1,
-grown by the Stirling triangles' grower, ``exact_core._grow_rows``, by this
-module's rule for one row. Row 1, E[Y^n], is the one place a law's raw
-moments are computed. It grows one entry at a time from E[Y^0] = 1, by
-M's recurrence for a Poisson (M' = lam e^z M) or geometric
-(M (1 - q e^z) = 1 - q) law and by a closed form for the others; a shifted
-law Y + c sums E[(c + Y)^n] over its base law's row 1. Row k >= 2 grows
-by the binomial convolution of rows k - 1 and 1, summed as integers and
-reduced with one gcd each time it grows, without recursion, so no k is too
-deep for a cold lookup.
+grown, as every exact memo row is, by ``exact_core._grow_rows``, from the
+new entries of one row that this module supplies. Row 1, E[Y^n], is the
+one place a law's raw moments are computed. It grows one entry at a time
+from E[Y^0] = 1, by M's recurrence for a Poisson (M' = lam e^z M) or
+geometric (M (1 - q e^z) = 1 - q) law and by a closed form for the others;
+a shifted law Y + c sums E[(c + Y)^n] over its base law's row 1. The new
+entries of row k >= 2 are the binomial convolution of rows k - 1 and 1,
+summed as integers and reduced with one gcd, without recursion, so no k is
+too deep for a cold lookup.
 E[(x + S_k)^n] with x = a/b sums the same numerators scaled by
 a^(n-j) b^j, so a Fraction is built only for a value handed to a caller.
 
@@ -261,8 +261,7 @@ def _next_moment(dist: Distribution, nums: list[int], den: int) -> Fraction:
 # pair (nums, den) of integers with E[S_k^n] = nums[n] / den and
 # gcd(den, *nums) == 1, so den is the lcm of the entries' denominators and a
 # row's form does not depend on how it grew; row 0 is ([1, 0, 0, ...], 1),
-# and row 1, E[S_1^n] = E[Y^n], is the law's one row of raw moments. A row
-# that grows is replaced by a new pair, never changed in place.
+# and row 1, E[S_1^n] = E[Y^n], is the law's one row of raw moments.
 _SUM_MOMENT_ROWS: dict[Distribution, list[tuple[list[int], int]]] = {}
 
 
@@ -282,35 +281,23 @@ def _sum_moment_row(dist: Distribution, k: int, n: int) -> tuple[list[int], int]
     return _grow_rows(_SUM_MOMENT_ROWS.setdefault(dist, []), k, n + 1, partial(_grow_moments, dist))
 
 
-def _grow_moments(dist: Distribution, i: int, rows: list, width: int) -> tuple[list[int], int]:
-    """Row i >= 1 of the law's E[S_k^n] table grown to `width` entries: row 1
-    entry by entry from E[Y^0] = 1 by the law's rule in `_next_moment`, and
-    row i >= 2 by the binomial convolution
-    E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as integers over
-    den_{i-1} den_1 and reduced with one gcd."""
-    old, old_den = rows[i]
+def _grow_moments(
+    dist: Distribution, i: int, rows: list, nums: list[int], den: int, width: int
+) -> tuple[list[int], int]:
+    """The tail of row i >= 1 of the law's E[S_k^n] table from len(nums) on:
+    of row 1, one entry, E[Y^0] = 1 or the next by the law's rule in
+    `_next_moment`; of row i >= 2, every entry below `width`, by the binomial
+    convolution E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as
+    integers over den_{i-1} den_1 and reduced with one gcd."""
     if i == 1:
-        nums, den = old[:] or [1], old_den  # a copy, since the row is replaced whole
-        while len(nums) < width:
-            value = _next_moment(dist, nums, den)
-            if den % value.denominator:  # a new lcm: rescale the row
-                scale = value.denominator // gcd(den, value.denominator)
-                nums = [c * scale for c in nums]
-                den *= scale
-            nums.append(value.numerator * (den // value.denominator))
-        return nums, den
+        value = _next_moment(dist, nums, den) if nums else Fraction(1)
+        return [value.numerator], value.denominator
     (p, p_den), (mu, mu_den) = rows[i - 1], rows[1]
-    # every entry of row i is an integer over den_{i-1} den_1, so the lcm
-    # of the stored entries' denominators, old_den, divides it
-    den = p_den * mu_den
-    scale = den // old_den
-    nums = [c * scale for c in old]
-    nums += [
-        sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1))
-        for m in range(len(old), width)
+    tail = [
+        sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1)) for m in range(len(nums), width)
     ]
-    g = gcd(den, *nums)
-    return [c // g for c in nums], den // g
+    g = gcd(p_den * mu_den, *tail)
+    return [c // g for c in tail], p_den * mu_den // g
 
 
 @lru_cache(maxsize=None)

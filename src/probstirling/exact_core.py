@@ -10,13 +10,15 @@ progressions.
 Every scalar is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds. No function changes a value in place, and all are pure.
 
-Every row table, the Stirling triangles here and the E[S_k^n] tables of
-:mod:`probstirling.distributions`, grows through ``_grow_rows``, under one
-lock and with no recursion, so a cold lookup at any depth costs one pass
-over its rectangle. The Stirling triangles are stored sheared: row j holds
-the entries (j + d, j) for d = 0, 1, ..., each read from the one before it
-and the one above it. The public functions are ``lru_cache`` memos over
-those tables.
+Every stored exact row, a pair (nums, den) of integers over one
+denominator, grows by one rule, ``_grow_row``, from the new entries its
+table supplies: the Stirling triangles here, the moment tables of
+:mod:`probstirling.distributions` and the oracle memos of
+:mod:`probstirling.gen_stirling`. ``_grow_rows`` grows a recurrence table
+with no recursion, so a cold lookup at any depth costs one pass over its
+rectangle. The Stirling triangles are stored sheared: row j holds (j + d, j)
+for d = 0, 1, ..., read from the entry before it and the one above it. The
+public functions are ``lru_cache`` memos over those tables.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from functools import lru_cache, partial
+from math import comb, factorial, gcd, lcm, perm
 
 __all__ = [
     "Polynomial",
@@ -160,6 +162,22 @@ def partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(current)
 
 
+def _orbit_sum(values: Sequence[Fraction], total: int, slots: int) -> Fraction:
+    """The sum over the weak compositions c of `total` into `slots` parts of
+    multinomial(c) prod_j values[c_j], taken once per partition of `total`
+    into at most `slots` positive parts, as the summand is symmetric, times
+    its :func:`arrangements` among the slots; an empty slot contributes
+    values[0]. That is at most p(total) terms, against
+    C(total + slots - 1, total) compositions; with no slots it is [total == 0]."""
+    out = Fraction(0)
+    for parts in partitions(total, slots):
+        term = arrangements(parts, slots) * multinomial(parts) * values[0] ** (slots - len(parts))
+        for part in parts:
+            term *= values[part]
+        out += term
+    return out
+
+
 def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """Integers ``nums`` and the lcm ``den`` of the denominators of
     `values`, with values[i] == nums[i] / den; an empty list has den 1.
@@ -176,52 +194,67 @@ def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], in
 _GROW_LOCK = threading.RLock()
 
 
-def _grow_rows(rows: list, k: int, width: int, grow: Callable) -> tuple:
-    """Row k of a recurrence table stored by rows, each a pair (nums, den)
-    with entries nums[j] / den, grown first, if need be, to `width` entries.
-
-    Row 0 is 1, 0, 0, ...; for i > 0, ``grow(i, rows, width)`` returns row i
-    at least `width` long, given that row i - 1 already is. Row lengths
-    never increase with the row index, so only the rows from the first one
-    shorter than `width` through row k grow: the table holds the rectangle
-    below every lookup made so far. Growth holds a module-wide reentrant
-    lock; stored entries never change, and a row whose denominator changes
-    is replaced whole, so reading a row takes none.
-    """
+def _grow_row(rows: list, k: int, width: int, tail: Callable) -> tuple[list[int], int]:
+    """Row k of a table of pairs (nums, den), entries nums[j] / den, grown
+    first, if need be, to `width` entries; a row not yet stored is empty.
+    ``tail(nums, den, width)`` returns entries from len(nums) on, at least
+    one, over a denominator of their own, until the row is wide enough. A new
+    lcm rescales the held entries into a new list that replaces the row; else
+    the row grows in place, as a copy per growth makes a Stirling triangle
+    O(n^3). No held entry changes, so reads take no lock; growth holds one
+    reentrant lock. A reduced row grown by a reduced tail stays reduced."""
     if k < len(rows) and len(rows[k][0]) >= width:
         return rows[k]
     with _GROW_LOCK:
-        while len(rows) <= k:
-            rows.append(([], 1))
-        low = k
-        while low > 0 and len(rows[low - 1][0]) < width:
-            low -= 1
-        for i in range(low, k + 1):
-            if len(rows[i][0]) < width:  # another thread may have grown it
-                rows[i] = grow(i, rows, width) if i else ([1] + [0] * (width - 1), 1)
+        rows.extend(([], 1) for _ in range(len(rows), k + 1))
+        nums, den = rows[k]
+        while len(nums) < width:  # another thread may have grown it
+            new, new_den = tail(nums, den, width)
+            scale = new_den // gcd(den, new_den)  # lcm(den, new_den) / den
+            if scale > 1:
+                nums, den = [c * scale for c in nums], den * scale
+            scale = den // new_den
+            nums += [c * scale for c in new] if scale > 1 else new
+        rows[k] = nums, den
+    return nums, den
+
+
+def _grow_rows(rows: list, k: int, width: int, grow: Callable) -> tuple[list[int], int]:
+    """Row k of a recurrence table grown by :func:`_grow_row` to `width`
+    entries: row 0 is 1, 0, 0, ..., and ``grow(i, rows, nums, den, width)``
+    is the tail of row i > 0, given row i - 1 that wide. Row lengths never
+    increase with the row index, so only the rows from the first one shorter
+    than `width` through row k grow, with no recursion."""
+    if k < len(rows) and len(rows[k][0]) >= width:
+        return rows[k]
+    low = min(k, len(rows))
+    while low > 0 and len(rows[low - 1][0]) < width:
+        low -= 1
+    for i in range(low, k + 1):
+        _grow_row(rows, i, width, partial(grow, i, rows) if i else _unit_row)
     return rows[k]
 
 
-# row j holds S(j + d, j) for d = 0, 1, ..., and likewise s(j + d, j), over
-# den 1; rows grow in place, since a copy per growth makes a triangle O(n^3)
+def _unit_row(nums: list[int], den: int, width: int) -> tuple[list[int], int]:
+    # the tail of row 0, 1, 0, 0, ...
+    return [int(not j) for j in range(len(nums), width)], 1
+
+
+# row j holds S(j + d, j) for d = 0, 1, ..., and likewise s(j + d, j), over den 1
 _STIRLING2_ROWS: list[tuple[list[int], int]] = []
 _STIRLING1_ROWS: list[tuple[list[int], int]] = []
 
 
-def _grow_stirling2(j: int, rows: list, width: int) -> tuple:
+def _grow_stirling2(j: int, rows: list, row: list[int], den: int, width: int) -> tuple:
     # S(j, j) = S(j - 1, j - 1); S(j + d, j) = j S(j + d - 1, j) + S(j + d - 1, j - 1)
-    row, prev = rows[j][0], rows[j - 1][0]
-    for d in range(len(row), width):
-        row.append(j * row[-1] + prev[d] if d else prev[0])
-    return rows[j]
+    prev, last = rows[j - 1][0], row[-1] if row else 0
+    return [last := j * last + prev[d] for d in range(len(row), width)], 1
 
 
-def _grow_stirling1(j: int, rows: list, width: int) -> tuple:
+def _grow_stirling1(j: int, rows: list, row: list[int], den: int, width: int) -> tuple:
     # s(j, j) = s(j - 1, j - 1); s(j + d, j) = s(j + d - 1, j - 1) - (j + d - 1) s(j + d - 1, j)
-    row, prev = rows[j][0], rows[j - 1][0]
-    for d in range(len(row), width):
-        row.append(prev[d] - (j + d - 1) * row[-1] if d else prev[0])
-    return rows[j]
+    prev, last = rows[j - 1][0], row[-1] if row else 0
+    return [last := prev[d] - (j + d - 1) * last for d in range(len(row), width)], 1
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,10 @@ alternating moment sum; :func:`sy_via_factorial`, through falling-factorial
 moments; and :func:`sy_via_uniform_rep`, a product representation over
 independent uniform variables. Each holds the part of its sum that does
 not depend on n in a memo of its own, which its docstring names and
-prices; the rows of ``sy`` and ``sy_via_factorial`` are integers over one
-denominator, extended when a cell asks for a wider one, so one of their
-cells costs O(n) integer products and one ``Fraction``. Every production
+prices. The rows of ``sy`` and ``sy_via_factorial`` are integers over one
+denominator, grown by ``exact_core._grow_row`` when a cell asks for a wider
+one, so one of their cells costs O(n) integer products and one
+``Fraction``. Every production
 value, :func:`whitney`
 included, comes from the engine or from a named closed form; the oracles
 only check it. What they,
@@ -47,13 +48,12 @@ from .distributions import _law_moments
 from .exact_core import (
     Polynomial,
     _common_denominator,
+    _grow_row,
+    _orbit_sum,
     _order,
     alternating_sum,
-    arrangements,
     binomial,
     double_factorial,
-    multinomial,
-    partitions,
     rising_factorial,
     stirling1,
     stirling2,
@@ -83,8 +83,10 @@ __all__ = [
 # exact agreement is evidence of correctness only while that holds, and
 # tests/test_route_map.py checks it. The moment tables that they share are
 # checked against each law's moment generating function, which shares
-# nothing with them, in tests/test_mgf_oracle.py. Names are
-# "module.function" strings.
+# nothing with them, in tests/test_mgf_oracle.py. The rule that grows every
+# stored row only stores entries a route computed, so it may be shared. The
+# uniform route and li_conv_direct share exact_core._orbit_sum across groups.
+# Names are "module.function" strings.
 _ROUTE_MAP = {
     "groups": (
         {"gen_stirling.sy_table": ("distributions._law_moments",),
@@ -102,7 +104,7 @@ _ROUTE_MAP = {
         "exact_core.alternating_sum": "the difference S_Y is defined by; sy_table and "
         "sy_via_uniform_rep, which do not call it, check it",
         **dict.fromkeys(
-            ("gen_stirling._grown", "exact_core._common_denominator"),
+            ("exact_core._grow_row", "exact_core._common_denominator"),
             "holding an oracle's memo row as integers over one denominator, which "
             "computes no value; sy_table and sy_via_uniform_rep, which do not call it, check it",
         ),
@@ -117,27 +119,11 @@ _ROUTE_MAP = {
 }
 
 
-# the oracles' memo rows, each read by one route and grown by `_grown`:
-# E[(x + S_k)^n] over k per (law, n, x) for `sy`; and per (law, x) for
-# `sy_via_factorial`, two dicts of rows over i: E[(x + S_k)_i] by k, and their
-# m-th differences at k = 0 by m
+# the oracles' memo rows, lists of rows over i grown by `exact_core._grow_row`,
+# per (law, x): for `sy`, E[(x + S_k)^n] over k by n; for `sy_via_factorial`,
+# E[(x + S_k)_i] by k, and their m-th differences at k = 0 by m
 _SY_COLUMNS: dict = {}
 _FACTORIAL_ROWS: dict = {}
-
-
-def _grown(memo: dict, key, width: int, tail) -> tuple[list[int], int]:
-    """The oracle row ``memo[key]``, (nums, den) with entries nums[i] / den,
-    first grown to `width` entries by ``tail(start, width)``, the entries from
-    `start` on over a denominator of their own; the held entries are rescaled
-    to the lcm of the two, and the row is replaced whole, so reads take no lock."""
-    nums, den = memo.get(key, ((), 1))
-    if len(nums) < width:
-        new, new_den = tail(len(nums), width)
-        common = lcm(den, new_den)
-        nums = [c * (common // den) for c in nums] + [c * (common // new_den) for c in new]
-        den = common
-        memo[key] = nums, den
-    return nums, den
 
 
 def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
@@ -148,17 +134,18 @@ def sy(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:
     operator annihilates. The cancellation is exact, so no special case is
     needed (or wanted; it is tested as a theorem).
 
-    ``_SY_COLUMNS`` holds E[(x + S_k)^n] per (law, n, x), extended to
+    ``_SY_COLUMNS`` holds E[(x + S_k)^n] per (law, x) and n, extended to
     k <= m as cells ask, so a cell costs m + 1 products of a binomial with
     an O(n log n)-bit integer, and one ``Fraction``.
     """
     _order("n", n)
     _order("m", m)
 
-    def column(start, width):
-        return _common_denominator([shifted_sum_moment(dist, k, n, x) for k in range(start, width)])
+    def column(held, den, width):
+        moments = [shifted_sum_moment(dist, k, n, x) for k in range(len(held), width)]
+        return _common_denominator(moments)
 
-    nums, den = _grown(_SY_COLUMNS, (dist, n, x), m + 1, column)
+    nums, den = _grow_row(_SY_COLUMNS.setdefault((dist, x), []), n, m + 1, column)
     return Fraction(alternating_sum(m, nums), den * factorial(m))
 
 
@@ -247,50 +234,40 @@ def sy_via_uniform_rep(dist: Distribution, n: int, m: int, x: Fraction | int = 0
 def _orbits(dist: Distribution, t: int, m: int) -> Fraction:
     """E[Y_1 ... Y_m (Y_1 U_1 + ... + Y_m U_m)^t], expanded
     multinomially; independence factors each term into moments of Y and of
-    U, with E[U^a] = 1/(a+1). The m pairs (Y_j, U_j) are exchangeable, so
-    the terms are summed once per partition of t into at most m positive
-    parts, weighted by its :func:`~probstirling.exact_core.arrangements`
-    among the m pairs; the pairs left out each contribute E[Y]. That is at
-    most p(t) terms of m + 1 ``Fraction`` products each, against
-    C(t + m - 1, t) weak compositions."""
+    U, with E[U^a] = 1/(a+1), and the m pairs (Y_j, U_j) are exchangeable,
+    so :func:`~probstirling.exact_core._orbit_sum` sums the terms once per
+    partition of t: at most p(t) terms of m + 1 ``Fraction`` products each."""
     # E[Y^(a+1) U^a] = E[Y^(a+1)] / (a+1), for each exponent a that a part can take
-    factors = [moment(dist, a + 1) / (a + 1) for a in range(t + 1)]
-    total = Fraction(0)
-    for parts in partitions(t, m):
-        term = arrangements(parts, m) * multinomial(parts) * factors[0] ** (m - len(parts))
-        for a in parts:
-            term *= factors[a]
-        total += term
-    return total
+    return _orbit_sum([moment(dist, a + 1) / (a + 1) for a in range(t + 1)], t, m)
 
 
-def _falling_row(dist: Distribution, x, rows: dict, k: int, width: int) -> tuple[list[int], int]:
+def _falling_row(dist: Distribution, x, rows: list, k: int, width: int) -> tuple[list[int], int]:
     """E[(x + S_k)_i] for i < width, the falling-factorial moments, held in
     `rows`, from the shifted power moments through signed Stirling numbers
     of the first kind."""
 
-    def tail(start, width):
+    def tail(held, den, width):
         powers, den = _common_denominator([shifted_sum_moment(dist, k, j, x) for j in range(width)])
         return [
-            sum(stirling1(i, j) * powers[j] for j in range(i + 1)) for i in range(start, width)
+            sum(stirling1(i, j) * powers[j] for j in range(i + 1)) for i in range(len(held), width)
         ], den
 
-    return _grown(rows, k, width, tail)
+    return _grow_row(rows, k, width, tail)
 
 
 def _difference_row(dist: Distribution, m: int, x, width: int) -> tuple[list[int], int]:
     """D_m[i] = sum_k (-1)^(m-k) C(m, k) E[(x + S_k)_i] for i < width."""
-    falling, differences = _FACTORIAL_ROWS.setdefault((dist, x), ({}, {}))
+    falling, differences = _FACTORIAL_ROWS.setdefault((dist, x), ([], []))
 
-    def tail(start, width):
+    def tail(held, den, width):
         rows = [_falling_row(dist, x, falling, k, width) for k in range(m + 1)]
         den = lcm(*[d for _, d in rows])
         scaled = [(nums, den // d) for nums, d in rows]
         return [
-            alternating_sum(m, [nums[i] * s for nums, s in scaled]) for i in range(start, width)
+            alternating_sum(m, [nums[i] * s for nums, s in scaled]) for i in range(len(held), width)
         ], den
 
-    return _grown(differences, m, width, tail)
+    return _grow_row(differences, m, width, tail)
 
 
 def sy_via_factorial(dist: Distribution, n: int, m: int, x: Fraction | int = 0) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distributions import Geometric, moment, shifted_sum_moment
-from .exact_core import _order, arrangements, multinomial, partitions
+from .exact_core import _orbit_sum, _order
 
 __all__ = ["li_neg", "li_conv_direct", "li_conv_prob"]
 
@@ -34,28 +34,16 @@ def li_neg(n: int, q: Fraction) -> Fraction:
 def li_conv_direct(n: int, k: int, q: Fraction | int) -> Fraction:
     """k-fold multinomial convolution of negative-order polylogarithms:
     the sum over weak compositions of n into k parts of the multinomial
-    times the product of Li at minus each part.
-
-    The summand is symmetric in the parts, so the sum runs over the
-    partitions of n into at most k positive parts, each weighted by its
-    :func:`~probstirling.exact_core.arrangements` among the k slots,
-    k!/((k - l)! prod mult!) for l parts of multiplicities mult; the k - l
-    empty slots each contribute Li at order 0, q/(1 - q). That is at most
-    p(n) terms, against C(n + k - 1, n) compositions. The 0-fold
-    convolution is 1 at n = 0 and 0 otherwise.
+    times the product of Li at minus each part, summed once per partition
+    by :func:`~probstirling.exact_core._orbit_sum`; an empty part
+    contributes Li at order 0, q/(1 - q). The 0-fold convolution is 1 at
+    n = 0 and 0 otherwise.
     """
     _order("n", n)
     _order("k", k)
     q = Geometric(q).q
     # read once per call: each memo lookup hashes q
-    values = [li_neg(j, q) for j in range(n + 1)]
-    total = Fraction(0)
-    for parts in partitions(n, k):
-        term = arrangements(parts, k) * multinomial(parts) * values[0] ** (k - len(parts))
-        for part in parts:
-            term *= values[part]
-        total += term
-    return total
+    return _orbit_sum([li_neg(j, q) for j in range(n + 1)], n, k)
 
 
 def li_conv_prob(n: int, k: int, q: Fraction | int) -> Fraction:

@@ -7,6 +7,7 @@ Stirling values come from sympy.
 """
 
 import functools
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,12 @@ from sympy import ff, rf
 from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.exact_core import (
+    _GROW_LOCK,
+    _STIRLING2_ROWS,
     Polynomial,
+    _grow_row,
+    _grow_rows,
+    _grow_stirling2,
     arrangements,
     bell_poly,
     binomial,
@@ -456,3 +462,68 @@ def test_cold_lookups_need_no_recursion(fresh_python):
         sum(stirling2(400, r) * factorial(r) * ratio**r for r in range(401)),
     ]
     assert out.split() == [str(value) for value in expected]
+
+
+# ------------------------------------------------------------- stored rows
+
+
+def test_grow_row_grows_in_place_while_den_stays():
+    # new entries over the held den, or over a divisor of it, are appended to
+    # the stored list: a copy per growth would make a Stirling triangle O(n^3)
+    rows = []
+    assert _grow_row(rows, 1, 2, lambda nums, den, width: ([1, 5], 6)) == ([1, 5], 6)
+    assert rows[0] == ([], 1)
+    held = rows[1][0]
+    assert _grow_row(rows, 1, 4, lambda nums, den, width: ([1, 1], 2)) == ([1, 5, 3, 3], 6)
+    assert rows[1][0] is held
+    row = _grow_rows(_STIRLING2_ROWS, 3, 1, _grow_stirling2)[0]
+    width = len(row) + 5
+    assert _grow_rows(_STIRLING2_ROWS, 3, width, _grow_stirling2)[0] is row
+    assert row == [_stirling_reference("stirling2", 3 + d, 3) for d in range(width)]
+
+
+def test_grow_row_rescales_to_a_new_lcm_and_replaces_the_pair():
+    rows = []
+    _grow_row(rows, 0, 2, lambda nums, den, width: ([1, 3], 4))
+    old = rows[0]
+    assert _grow_row(rows, 0, 3, lambda nums, den, width: ([5], 6)) == ([3, 9, 10], 12)
+    assert rows[0] == ([3, 9, 10], 12) and rows[0][0] is not old[0]
+    # a reader that took the old pair still reads the same values
+    assert old == ([1, 3], 4)
+
+
+def test_grow_row_calls_a_short_tail_until_the_row_is_full():
+    calls = []
+
+    def tail(nums, den, width):
+        calls.append(len(nums))
+        return [1], len(nums) + 1
+
+    rows = []
+    nums, den = _grow_row(rows, 0, 6, tail)
+    assert calls == list(range(6))
+    assert [Fraction(c, den) for c in nums] == [Fraction(1, j + 1) for j in range(6)]
+    assert den == 60 and rows[0] == (nums, den)
+    assert _grow_row(rows, 0, 4, tail) == (nums, den) and len(calls) == 6
+
+
+def test_grow_row_holds_the_lock_while_a_tail_runs():
+    # a second thread cannot take the lock while a row grows, so no two
+    # threads extend one row from the same length
+    probes = []
+
+    def probe():
+        taken = _GROW_LOCK.acquire(blocking=False)
+        if taken:
+            _GROW_LOCK.release()
+        probes.append(taken)
+
+    def tail(nums, den, width):
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return [len(nums)], 1
+
+    assert _grow_row([], 0, 2, tail) == ([0, 1], 1)
+    assert probes == [False, False]

@@ -218,8 +218,8 @@ def test_oracle_memos_grow_to_the_cold_values(fresh_python):
 
 def test_oracle_memos_concurrent_growth(fresh_python):
     # six threads extend the same oracle rows, half with n rising and half
-    # with n falling, with thread switches forced as often as possible: a row
-    # is replaced whole, never changed in place, so without a lock every
+    # with n falling, with thread switches forced as often as possible: rows
+    # grow under one lock, in place while their denominator stays, so every
     # value still matches a sequential run
     snippet = (
         "import sys, threading\n"
@@ -263,7 +263,7 @@ def test_production_paths_never_reach_an_oracle(capsys, monkeypatch):
         raise AssertionError("a production path reached an oracle route")
 
     oracles = ("sy", "sy_via_factorial", "sy_via_uniform_rep")
-    memos = ("_grown", "_falling_row", "_difference_row", "_orbits")
+    memos = ("_grow_row", "_falling_row", "_difference_row", "_orbits", "_orbit_sum")
     for name in oracles + memos:
         for module in (gen_stirling, sums):
             if hasattr(module, name):
