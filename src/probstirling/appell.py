@@ -2,21 +2,21 @@
 
 A family A_n(x) is determined by the series of its initial values
 sum_n A_n(0) z^n / n!, the seed, which must have a nonzero constant term
-so that it is invertible among truncated series. Binomial convolution of
-two families multiplies their seeds, so the k-fold convolution has the
-k-th power of the seed, which the theorem12 grid in :mod:`probstirling.sums`
-builds. The families here are the classical Bernoulli, Euler, and
-probabilists' Hermite polynomials plus moment-generated families
-E[(x + Y)^n] for catalog distributions.
+so that it is invertible among truncated series. A_n(x) = E[(x + Y)^n]
+for a possibly signed Y with moments A_j(0), and the k-fold family, whose
+seed is the k-th power, is E[(x + S_k)^n], so the moment tables' kernels
+``exact_core._convolve_tail`` and ``_shifted_value`` build and evaluate it.
+The families here are the classical Bernoulli, Euler, and probabilists'
+Hermite polynomials plus the moment families of catalog distributions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .distributions import Distribution, format_distribution, parse_distribution
-from .exact_core import Polynomial, _common_denominator, _order, binomial
+from .exact_core import Polynomial, _common_denominator, _order, _shifted_value, binomial
 from .series import (
     EGFSeries,
     egf_coefficient,
@@ -41,14 +41,19 @@ __all__ = [
 
 class AppellSeed:
     """Generating seed of an Appell family: the truncated series of initial
-    values A_n(0) z^n / n!, required to have a nonzero constant term."""
+    values A_n(0) z^n / n!, required to have a nonzero constant term. Every
+    evaluation reads A_j(0) = j! g_j, held once as integers over their lcm."""
 
-    __slots__ = ("name", "g0")
+    __slots__ = ("name", "g0", "_initial_values")
 
     def __init__(self, name: str, g0: EGFSeries):
         if g0.coeffs[0] == 0:
             raise ValueError("Appell seed requires a nonzero constant term")
         self.name, self.g0 = name, g0
+        nums, den = _common_denominator(g0.coeffs)
+        nums = [factorial(j) * c for j, c in enumerate(nums)]
+        g = gcd(den, *nums)
+        self._initial_values = [c // g for c in nums], den // g
 
     @property
     def order(self) -> int:
@@ -69,27 +74,10 @@ def appell_polynomial(seed: AppellSeed, n: int) -> Polynomial:
 
 
 def appell_eval(seed: AppellSeed, n: int, x: Fraction | int) -> Fraction:
-    """A_n(x) = sum_d C(n, d) A_(n-d)(0) x^d, summed as integers: with the
-    seed's coefficients g_j = G_j / D over their lcm D and x = u/v,
-    C(n, d) A_(n-d)(0) = n!/d! g_(n-d), so
-    A_n(x) = sum_d n!/d! G_(n-d) u^d v^(n-d) / (D v^n), one Fraction in
-    all; n must not exceed the seed's truncation order. The sum itself is
-    :func:`_appell_value`, on the pair (G, D), which the theorem12 grid
-    calls on the seed powers it holds in that form."""
-    return _appell_value(*_common_denominator(seed.g0.coeffs), n, x)
-
-
-def _appell_value(g: list[int], g_den: int, n: int, x: Fraction | int) -> Fraction:
-    """A_n(x) for the seed whose coefficients are g_j / g_den, summed as in
-    :func:`appell_eval`; n must not exceed the seed's order, len(g) - 1."""
-    _order("n", n, len(g) - 1)
-    x = Fraction(x)
-    u, v = x.numerator, x.denominator
-    acc, weight = 0, 1  # weight = n!/d!, from d = n down
-    for d in range(n, -1, -1):
-        acc += weight * g[n - d] * u**d * v ** (n - d)
-        weight *= d
-    return Fraction(acc, g_den * v**n)
+    """A_n(x) = sum_j C(n, j) A_j(0) x^(n-j), summed as integers, one Fraction
+    in all; n must not exceed the seed's truncation order."""
+    _order("n", n, seed.order)
+    return _shifted_value(*seed._initial_values, n, x)
 
 
 def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
@@ -100,6 +88,7 @@ def theorem12_check(seed: AppellSeed, n: int, N: int, x: Fraction | int = 0):
     sums imports this module, so the driver is imported on call."""
     if N < n:
         raise ValueError(f"requires N >= n, got n={n}, N={N}")
+    _order("n", n, seed.order)
     from .sums import _theorem12
 
     return next(_theorem12(seed, [(n, [N])], [x]))

@@ -15,10 +15,10 @@ from E[Y^0] = 1, by M's recurrence for a Poisson (M' = lam e^z M) or
 geometric (M (1 - q e^z) = 1 - q) law and by a closed form for the others;
 a shifted law Y + c sums E[(c + Y)^n] over its base law's row 1. The new
 entries of row k >= 2 are the binomial convolution of rows k - 1 and 1,
-summed as integers and reduced with one gcd, without recursion, so no k is
-too deep for a cold lookup.
-E[(x + S_k)^n] with x = a/b sums the same numerators scaled by
-a^(n-j) b^j, so a Fraction is built only for a value handed to a caller.
+summed as integers by ``exact_core._convolve_tail`` without recursion, so
+no k is too deep for a cold lookup. E[(x + S_k)^n], ``_shifted_value``,
+builds one Fraction from row k. The theorem12 grid runs both on an Appell
+seed's initial values in place of row 1.
 
 :func:`moment`, :func:`sum_moment` and :func:`shifted_sum_moment` (keyed on
 the value of x, so an int x and an equal Fraction share an entry) are
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, gcd
+from math import comb, factorial
 
-from .exact_core import _grow_rows, _order, double_factorial
+from .exact_core import _convolve_tail, _grow_rows, _order, _shifted_value, double_factorial
 
 __all__ = [
     "Distribution",
@@ -286,18 +286,12 @@ def _grow_moments(
 ) -> tuple[list[int], int]:
     """The tail of row i >= 1 of the law's E[S_k^n] table from len(nums) on:
     of row 1, one entry, E[Y^0] = 1 or the next by the law's rule in
-    `_next_moment`; of row i >= 2, every entry below `width`, by the binomial
-    convolution E[S_i^n] = sum_j C(n, j) E[S_{i-1}^j] E[Y^{n-j}], summed as
-    integers over den_{i-1} den_1 and reduced with one gcd."""
+    `_next_moment`; of row i >= 2, every entry below `width`, by
+    ``exact_core._convolve_tail``."""
     if i == 1:
         value = _next_moment(dist, nums, den) if nums else Fraction(1)
         return [value.numerator], value.denominator
-    (p, p_den), (mu, mu_den) = rows[i - 1], rows[1]
-    tail = [
-        sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1)) for m in range(len(nums), width)
-    ]
-    g = gcd(p_den * mu_den, *tail)
-    return [c // g for c in tail], p_den * mu_den // g
+    return _convolve_tail(i, rows, nums, den, width)
 
 
 @lru_cache(maxsize=None)
@@ -313,16 +307,7 @@ def sum_moment(dist: Distribution, k: int, n: int) -> Fraction:
 @lru_cache(maxsize=None)
 def shifted_sum_moment(dist: Distribution, k: int, n: int, x: Fraction | int) -> Fraction:
     """Exact E[(x + S_k)^n], expanded binomially over powers of x."""
-    x = Fraction(x)
-    p, p_den = _sum_moment_row(dist, k, n)
-    # x = a/b, so x^(n-j) = a^(n-j) b^j / b^n; Horner's rule over j, with
-    # acc = sum_{i<=j} C(n, i) p[i] a^(j-i) b^i after step j
-    a, b = x.numerator, x.denominator
-    acc, b_j = 0, 1
-    for j in range(n + 1):
-        acc = acc * a + comb(n, j) * p[j] * b_j
-        b_j *= b
-    return Fraction(acc, p_den * b**n)
+    return _shifted_value(*_sum_moment_row(dist, k, n), n, x)
 
 
 # syntax name -> law, for the laws written as the bare name or, for a law

@@ -18,7 +18,8 @@ table supplies: the Stirling triangles here, the moment tables of
 with no recursion, so a cold lookup at any depth costs one pass over its
 rectangle. The Stirling triangles are stored sheared: row j holds (j + d, j)
 for d = 0, 1, ..., read from the entry before it and the one above it. The
-public functions are ``lru_cache`` memos over those tables.
+public functions are ``lru_cache`` memos over those tables. The k-fold
+tables grow by ``_convolve_tail`` and are evaluated at x by ``_shifted_value``.
 """
 
 from __future__ import annotations
@@ -238,6 +239,32 @@ def _grow_rows(rows: list, k: int, width: int, grow: Callable) -> tuple[list[int
 def _unit_row(nums: list[int], den: int, width: int) -> tuple[list[int], int]:
     # the tail of row 0, 1, 0, 0, ...
     return [int(not j) for j in range(len(nums), width)], 1
+
+
+def _convolve_tail(i: int, rows: list, nums: list[int], den: int, width: int) -> tuple:
+    """Entries len(nums) to width - 1 of row i >= 2 of a k-fold table, whose
+    row 1 is a law's E[Y^m] or a seed's A_m(0): sum_j C(m, j) r_(i-1)[j]
+    r_1[m - j], as integers over den_(i-1) den_1 reduced with one gcd."""
+    (p, p_den), (mu, mu_den) = rows[i - 1], rows[1]
+    tail = [
+        sum(comb(m, j) * p[j] * mu[m - j] for j in range(m + 1)) for m in range(len(nums), width)
+    ]
+    g = gcd(p_den * mu_den, *tail)
+    return [c // g for c in tail], p_den * mu_den // g
+
+
+def _shifted_value(nums: list[int], den: int, n: int, x: Fraction | int) -> Fraction:
+    """sum_j C(n, j) (nums[j] / den) x^(n-j), one Fraction: from row k of a
+    k-fold table, E[(x + S_k)^n] or A_n(k; x)."""
+    x = Fraction(x)
+    # x = a/b, so x^(n-j) = a^(n-j) b^j / b^n; Horner's rule over j, with
+    # acc = sum_{i<=j} C(n, i) nums[i] a^(j-i) b^i after step j
+    a, b = x.numerator, x.denominator
+    acc, b_j = 0, 1
+    for j in range(n + 1):
+        acc = acc * a + comb(n, j) * nums[j] * b_j
+        b_j *= b
+    return Fraction(acc, den * b**n)
 
 
 # row j holds S(j + d, j) for d = 0, 1, ..., and likewise s(j + d, j), over den 1

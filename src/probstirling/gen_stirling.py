@@ -27,12 +27,10 @@ independent uniform variables. Each holds the part of its sum that does
 not depend on n in a memo of its own, which its docstring names and
 prices. The rows of ``sy`` and ``sy_via_factorial`` are integers over one
 denominator, grown by ``exact_core._grow_row`` when a cell asks for a wider
-one, so one of their cells costs O(n) integer products and one
-``Fraction``. Every production
-value, :func:`whitney`
-included, comes from the engine or from a named closed form; the oracles
-only check it. What they,
-the power-sum forms of :mod:`~probstirling.sums` and the polylogarithm
+one, so one of their cells costs O(n) integer products and one ``Fraction``.
+Every production value, :func:`whitney` included, comes from the engine or
+from a named closed form; the oracles only check it. What they, the
+power-sum forms of :mod:`~probstirling.sums` and the polylogarithm
 convolutions may read and share is stated once, in ``_ROUTE_MAP`` below.
 Closed forms for specific catalog laws round out the module.
 """

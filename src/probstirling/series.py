@@ -11,9 +11,10 @@ order.
 
 The Cauchy product runs on a pair (nums, den) of integer numerators over
 one denominator: it convolves the numerators and reduces the result with
-one gcd, and a product of products, such as a power or the seed powers of
-the theorem12 grid in :mod:`~probstirling.sums`, stays in that form, so a
-Fraction is built only for a coefficient handed to a caller.
+one gcd, and a product of products, such as a power, stays in that form, so
+a Fraction is built only for a coefficient handed to a caller. The theorem12
+grid in :mod:`~probstirling.sums` builds its seed powers with the moment
+tables' convolution instead, so :func:`series_pow` is a second route for it.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import factorial
 
-from .appell import AppellSeed, _appell_value, appell_eval, bernoulli_seed, family_seed
+from .appell import AppellSeed, appell_eval, bernoulli_seed, family_seed
 from .distributions import (
     Constant,
     Distribution,
@@ -36,8 +36,10 @@ from .distributions import (
 )
 from .exact_core import (
     Polynomial,
-    _common_denominator,
+    _convolve_tail,
+    _grow_rows,
     _order,
+    _shifted_value,
     alternating_sum,
     bell_poly,
     binomial,
@@ -55,7 +57,6 @@ from .gen_stirling import (
     sy_via_uniform_rep,
 )
 from .polylog import li_conv_prob
-from .series import _cauchy_product
 
 # (n, the N values reported for that n) pairs, in report order
 Grid = Iterable[tuple[int, Sequence[int]]]
@@ -220,7 +221,8 @@ def sum_poly(p: Polynomial, dist: Distribution, N: int, x: Fraction | int = 0) -
 
 def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[IdentityReport]:
     """The classical baseline over a grid (see :func:`classical_bernoulli_check`),
-    reading one Bernoulli seed, of the grid's largest order n + 1."""
+    reading one Bernoulli seed, of the grid's largest order n + 1, whose
+    initial values are computed once, when it is built."""
     seed = bernoulli_seed(max((n for n, _ in grid), default=-1) + 1)
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
@@ -337,18 +339,14 @@ def verify_theorem11(q: Fraction | int, n_max: int, N_max: int) -> Iterator[Iden
 
 def _theorem12(seed: AppellSeed, grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[IdentityReport]:
     """Two-sided Appell-family compression sums for one seed over a grid: the
-    k-th summand is A_n(k; x), read from the seed's k-th power. Each power is
-    one integer Cauchy product from the previous one, held as integers over
-    one reduced denominator and built once per grid, and each summand is one
-    integer Appell evaluation of it, so the grid builds a Fraction only for a
-    summand."""
-    seed_row = _common_denominator(seed.g0.coeffs)
-    powers = [([1] + [0] * seed.order, 1)]
+    k-th summand A_n(k; x) is one ``_shifted_value`` of row k of a table grown
+    once per grid as a moment table is, from row 0, 1, 0, 0, ..., and row 1,
+    the seed's initial values A_j(0), by ``_convolve_tail``."""
+    width = seed.order + 1
+    rows = [([1] + [0] * seed.order, 1), seed._initial_values]
 
     def term(n: int, x: Fraction, k: int) -> Fraction:
-        while len(powers) <= k:
-            powers.append(_cauchy_product(*powers[-1], *seed_row))
-        return _appell_value(*powers[k], n, x)
+        return _shifted_value(*_grow_rows(rows, k, width, _convolve_tail), n, x)
 
     label = lambda n, N, x: {"family": seed.name, "n": n, "N": N, "x": x}
     return triple_identity("theorem12", label, grid, term, None, xs)

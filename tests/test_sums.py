@@ -32,6 +32,8 @@ from probstirling.distributions import (
 )
 from probstirling.exact_core import (
     Polynomial,
+    _convolve_tail,
+    _grow_rows,
     alternating_sum,
     bell_poly,
     binomial,
@@ -46,7 +48,7 @@ from probstirling.gen_stirling import (
     sy_via_gf,
 )
 from probstirling.polylog import li_conv_prob
-from probstirling.series import _cauchy_product, series_mul, series_one
+from probstirling.series import series_mul, series_one, series_pow
 from probstirling.sums import (
     UNIFORM_REP_DEFAULT_CAP,
     _poly_mean,
@@ -444,19 +446,40 @@ def test_one_instance_checks_match_the_per_instance_formula(N):
 
 
 def test_theorem12_grid_builds_each_seed_power_once(monkeypatch):
+    # row 0 is the unit row and row 1 the seed's initial values, so the
+    # convolution builds rows 2..N_max, once each, for every n and x
     calls = []
 
-    def counting_product(*operands):
-        calls.append(None)
-        return _cauchy_product(*operands)
+    def counting_tail(i, *args):
+        calls.append(i)
+        return _convolve_tail(i, *args)
 
-    monkeypatch.setattr(sums, "_cauchy_product", counting_product)
+    monkeypatch.setattr(sums, "_convolve_tail", counting_tail)
     reports = list(verify_theorem12("moment:exp", 4, 9, [0, HALF, HALF]))
     assert len(reports) == 3 * sum(10 - n for n in range(5))
-    assert len(calls) == 9
+    assert calls == list(range(2, 10))
     calls.clear()
     theorem12_check(hermite_seed(4), 2, 5, 1)
-    assert len(calls) == 5
+    assert calls == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "euler", "hermite", "moment:exp"])
+def test_theorem12_rows_are_the_scaled_seed_powers(monkeypatch, family):
+    # row k holds A_j(0) of the k-fold family, j! [z^j] g^k, which
+    # series_pow computes by Cauchy products, without the grid's table
+    rows = {}
+
+    def recording(table, k, width, grow):
+        rows[k] = _grow_rows(table, k, width, grow)
+        return rows[k]
+
+    monkeypatch.setattr(sums, "_grow_rows", recording)
+    list(verify_theorem12(family, 6, 6, [HALF]))
+    g0 = family_seed(family, 6).g0
+    assert sorted(rows) == list(range(7))
+    for k, (nums, den) in rows.items():
+        power = series_pow(g0, k).coeffs
+        assert [Fraction(c, den) for c in nums] == [factorial(j) * power[j] for j in range(7)]
 
 
 def test_theorem11_refuses_q_outside_the_unit_interval():
