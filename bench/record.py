@@ -32,11 +32,12 @@ perfbench's run record, and two row sets:
   geom:2/7 at widths 11 and 60 and of uniform and shift:2/9:exp at width
   200, a cold ``stirling2(600, 300)`` and ``stirling1(600, 300)`` (both
   Stirling row tables), ``import probstirling.cli``, the imports that
-  ``table`` runs, and ``import probstirling.sums``, the further imports
-  that ``verify`` runs. Every repeat runs in a fresh interpreter, so every memo
-  and row table starts empty and nothing is imported yet, and only the
-  call itself is timed; the row also records how far the call raised the
-  interpreter's peak RSS. The identity-sweep
+  ``table`` runs, ``import probstirling.sums``, the further imports that
+  ``verify`` runs, and ``import probstirling.montecarlo``, the imports an
+  ``mc-check`` worker runs. Every repeat runs in a fresh interpreter, so
+  every memo and row table starts empty and nothing is imported yet, and
+  only the call itself is timed; the row also records how far the call
+  raised the interpreter's peak RSS. The identity-sweep
   row is the summed per-query latency of the seed-0 identity stream, run
   by ``perfbench/child.py sweep``.
 
@@ -167,6 +168,7 @@ CALLS["cold stirling2(600, 300) and stirling1(600, 300)"] = (
 )
 CALLS["import probstirling.cli"] = ("", "import probstirling.cli")
 CALLS["import probstirling.sums"] = ("", "import probstirling.sums")
+CALLS["import probstirling.montecarlo"] = ("", "import probstirling.montecarlo")
 
 # prints the call's seconds and how far it raised the peak RSS, in KiB (Linux)
 _TIMER = (

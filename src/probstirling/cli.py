@@ -29,10 +29,12 @@ exception.
 
 ``mc-check`` runs its rows on W = min(CPUs, rows) forked worker processes
 and prints them in row order; every row owns its random stream, so the
-output does not depend on W. Each worker holds one float64 array of
-``--samples`` entries, so W is also cut to the arrays that fit in half
-the free memory, and a run too small to pay for its workers (fewer than
-2^17 samples a row or 2^23 in all) keeps W = 1, which runs in process.
+output does not depend on W. Each worker holds numpy, the sampler and
+one float64 array of ``--samples`` entries; its draws add fixed scratch
+of well under a megabyte, and it loads no OpenSSL (see ``montecarlo``).
+So W is also cut to the arrays that fit in half the free memory, and a
+run too small to pay for its workers (fewer than 2^17 samples a row or
+2^23 in all) keeps W = 1, which runs in process.
 """
 
 from __future__ import annotations

@@ -24,18 +24,24 @@ a Poisson rate past about 275, whose table would miss mass, is refused.
 Memory is one float64 array of `samples` entries, the running k-fold
 sums, plus fixed scratch for one chunk of a draw: each draw is generated
 chunk by chunk, since counter mode lets any window of a stream be read
-on its own, and added into its slice of the sums. Every step up to the
-sums is elementwise, and the power, mean and standard deviation then run
-in place over the whole array in numpy's own order, so the bits do not
-depend on the chunk size. A sample count whose array cannot be allocated
-is refused with :class:`SampleMemoryError`, a ValueError.
+on its own, and added into its slice of the sums. A chunk is 2^13
+samples, so each of its float64 temporaries is 64 KB, which fits a
+typical L2 cache, and a draw raises the peak by well under a megabyte.
+Every step up to the sums is elementwise, and the power, mean and
+standard deviation then run in place over the whole array in numpy's
+own order, so the bits do not depend on the chunk size. A sample count
+whose array cannot be allocated is refused with
+:class:`SampleMemoryError`, a ValueError. The stream seeds hash with
+CPython's own ``_blake2`` module, which is what ``hashlib.blake2b`` is:
+importing ``hashlib`` would also map OpenSSL's libcrypto into every
+process that samples.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
+from _blake2 import blake2b  # hashlib.blake2b itself, without loading OpenSSL
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
@@ -73,7 +79,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(2**53)
 # samples per chunk of a draw; every step is elementwise and the reductions
 # run over the whole total, so no output bit depends on this size
-_CHUNK = 1 << 15
+_CHUNK = 1 << 13
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -123,7 +129,7 @@ def _stream_seed(seed: int, dist: Distribution, k: int, n: int) -> int:
     # the label spells the law out in full, whatever the caller's digit limit
     with _unlimited_digits():
         label = f"{seed}|{format_distribution(dist)}|{k}|{n}".encode()
-    return int.from_bytes(hashlib.blake2b(label, digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(label, digest_size=8).digest(), "little")
 
 
 def _chunks(count: int) -> Iterator[tuple[int, int]]:

@@ -224,10 +224,13 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[Ide
     reading one Bernoulli seed, of the grid's largest order n + 1, whose
     initial values are computed once, when it is built."""
     seed = bernoulli_seed(max((n for n, _ in grid), default=-1) + 1)
+    at_x = {}  # B_(n+1)(x), the same for every N
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
+        if (n, x) not in at_x:
+            at_x[n, x] = appell_eval(seed, n + 1, x)
         # a negative N sums no summand, as in the long member
-        return (appell_eval(seed, n + 1, x + max(N + 1, 0)) - appell_eval(seed, n + 1, x)) / (n + 1)
+        return (appell_eval(seed, n + 1, x + max(N + 1, 0)) - at_x[n, x]) / (n + 1)
 
     return triple_identity(
         "bernoulli-classic",

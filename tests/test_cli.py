@@ -204,6 +204,22 @@ def test_mc_check_constant(capsys):
         assert all(r["pass"] for r in jsonl(out))
 
 
+def test_mc_check_negative_constant_passes_despite_rounding(capsys):
+    # the rounding allowance scales with |exact|: a negative exact moment
+    # gets the same allowance as its positive twin
+    code, out, _ = run_cli(
+        capsys, "mc-check", "--dist", "const:-1/10", "--k-max", "1", "--n-max", "1", "--samples", "1000"
+    )
+    assert code == 0
+    assert [r["pass"] for r in jsonl(out)] == [True] * 4
+
+
+def test_table_reads_a_shift_with_a_space_before_its_base(capsys):
+    code, out, err = run_cli(capsys, "table", "sy", "--dist", "shift:1: poisson:1", "--n", "2")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "table", "sy", "--dist", "shift:1:poisson:1", "--n", "2")[1]
+
+
 def test_mc_check_deterministic(capsys):
     argv = [
         "mc-check", "--dist", "normal", "--k-max", "1", "--n-max", "2",
@@ -399,12 +415,14 @@ def test_each_command_loads_only_what_it_runs(fresh_python, argv, loaded):
         "           if 'probstirling.' + m in sys.modules]\n"
         "print(status, modules, 'numpy' in sys.modules)\n"
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        # OpenSSL's hashlib backend, which the Monte Carlo stream seeds do not need
+        "print('_hashlib' in sys.modules)\n"
         + PRINT_UNUSED_STDLIB
     )
     numpy_loads = "[]\n"
     if loaded.endswith("True"):
         numpy_loads = fresh_python("import sys\nbefore = set(sys.modules)\nimport numpy\n" + PRINT_UNUSED_STDLIB)
-    assert out == f"0 {loaded}\n[]\n{numpy_loads}"
+    assert out == f"0 {loaded}\n[]\nFalse\n{numpy_loads}"
 
 
 @pytest.mark.parametrize("fmt, loaded", [("csv", "False"), ("json", "True")])

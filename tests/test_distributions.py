@@ -368,6 +368,8 @@ def test_parse_examples():
         ((Fraction(0), HALF), (Fraction(2), HALF))
     )
     assert parse_distribution("shift:1:geom:1/2") == Shifted(Geometric(HALF), 1)
+    # spaces after a shift's offset are skipped, as before the whole text
+    assert parse_distribution("shift:1: poisson:1") == parse_distribution("shift:1:poisson:1")
     # nested shifts fold into one
     assert parse_distribution("shift:-1/2:shift:1:uniform") == Shifted(Uniform01(), HALF)
 

@@ -2,6 +2,7 @@
 agreement with the exact moment engine at modest sample counts (the full
 million-sample sweep lives in the acceptance suite)."""
 
+import _blake2
 import hashlib
 import math
 import sys
@@ -24,6 +25,7 @@ from probstirling.distributions import (
     StdNormal,
     Uniform01,
     UniformTimesExponential,
+    format_distribution,
     sum_moment,
 )
 from probstirling.montecarlo import (
@@ -262,6 +264,34 @@ def test_stream_seeds_in_threads_give_the_digit_limit_back():
             assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_stream_seeds_use_hashlibs_blake2b():
+    # the sampler imports CPython's own blake2b, so that no worker loads OpenSSL
+    assert hashlib.blake2b is _blake2.blake2b is montecarlo.blake2b
+    laws = [StdNormal(), Poisson(HALF), Shifted(Exponential(), Fraction(-7, 3))]
+    laws.append(Constant(Fraction(10**5000, 10**5000 + 1)))  # spelled past the digit limit
+    for dist in laws:
+        for seed, k, n in ((0, 0, 0), (7, 3, 5), (2**70, 1, 2)):
+            with digit_limit(0):
+                label = f"{seed}|{format_distribution(dist)}|{k}|{n}".encode()
+            digest = hashlib.blake2b(label, digest_size=8).digest()
+            with digit_limit(4300):
+                assert _stream_seed(seed, dist, k, n) == int.from_bytes(digest, "little")
+
+
+def test_finite_support_draw_at_the_largest_uniform_is_the_last_atom():
+    # ten atoms of 1/10 sum to 0.9999999999999999 in float64, the largest
+    # uniform 1 - 2^-53 itself, so the search lands one past the last atom
+    dist = FiniteSupport(tuple((Fraction(v), Fraction(1, 10)) for v in range(10)))
+    top = 1.0 - 2.0**-53
+    assert np.cumsum([0.1] * 10)[-1] == top
+
+    class TopStream(SplitMixStream):
+        def uniform(self, start, count):
+            return np.full(count, top)
+
+    assert np.array_equal(_draw(dist, 5, TopStream(0)), np.full(5, 9.0))
 
 
 def test_law_beyond_the_digit_limit_and_float_range_raises_value_error():

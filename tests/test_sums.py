@@ -281,6 +281,21 @@ def test_verify_bernoulli_classic_suite():
     assert all(r.passed for r in verify_bernoulli_classic(6, 10, X))
 
 
+def test_bernoulli_grid_evaluates_each_bernoulli_value_once(monkeypatch):
+    calls = []
+
+    def counted(seed, n, x):
+        calls.append((n, x))
+        return appell_eval(seed, n, x)
+
+    monkeypatch.setattr(sums, "appell_eval", counted)
+    reports = list(verify_bernoulli_classic(10, 60))
+    # B_(n+1)(x + N + 1) per report, and B_(n+1)(x) once per n, not per N
+    assert len(reports) == 11 * 61
+    assert len(calls) == len(set(calls)) == 11 * 61 + 11
+    assert repr(reports) == repr([_reference_bernoulli(n, N, 0) for n in range(11) for N in range(61)])
+
+
 def test_report_fields():
     report = list(verify_corollary8(Exponential(), 2, 2, [HALF]))[0]
     assert report.identity == "corollary8"
