@@ -17,10 +17,12 @@ perfbench's run record, and two row sets:
   computation, not interpreter start-up, dominates: ``sy_table``, a cold
   ``sum_moment``, a cold ``sum_direct`` of shift:1/3:poisson:5/7 at
   n = 10, N = 30, x = 7/11, a cold ``theorem12_check`` of the Hermite
-  seed at n = 10, N = 30, x = 3/13, the theorem12 and bernoulli-classic
-  verify grids at n <= 10, N <= 60, the all-route ``verify_paths`` grid
-  for geom:1/2 at n <= 10 and x = 0, 1/2 (each grid collected into a
-  list, as a grid is an iterator that computes nothing until read), the
+  seed at n = 10, N = 30, x = 3/13, a cold ``family_seed`` of order 30
+  for bernoulli, euler, hermite and moment:exp, the theorem12 and
+  bernoulli-classic verify grids at n <= 10, N <= 60, the all-route
+  ``verify_paths`` grid for geom:1/2 at n <= 10 and x = 0, 1/2 (each
+  grid collected into a list, as a grid is an iterator that computes
+  nothing until read), the
   corollary8 grid of poisson:1/3 at n <= 12, N <= 1500, x = 1/2, each
   report dropped once read, as ``verify`` drops it once printed, every
   ``sy_via_uniform_rep`` cell for geom:1/2 at n <= 14 and x = 1/2, every
@@ -94,6 +96,15 @@ CALLS["cold theorem12_check hermite_seed(10) n=10 N=30 x=3/13"] = (
     "from probstirling.appell import hermite_seed, theorem12_check\n"
     "seed = hermite_seed(10)\n",
     "theorem12_check(seed, 10, 30, Fraction(3, 13))",
+)
+CALLS.update(
+    {
+        f"cold family_seed {family} order=30": (
+            "from probstirling.appell import family_seed\n",
+            f"family_seed({family!r}, 30)",
+        )
+        for family in ("bernoulli", "euler", "hermite", "moment:exp")
+    }
 )
 CALLS["verify_theorem12 moment:exp n<=10 N<=60"] = (
     "from probstirling.sums import verify_theorem12\n",

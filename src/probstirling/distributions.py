@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .exact_core import _convolve_tail, _grow_rows, _order, _shifted_value, double_factorial
+from .exact_core import _convolve_tail, _Frozen, _grow_rows, _order, _shifted_value
+from .exact_core import double_factorial
 
 __all__ = [
     "Distribution",
@@ -61,7 +62,7 @@ def _rational(value, what: str) -> Fraction:
         raise ValueError(f"{what} must be rational, got {value!r}") from exc
 
 
-class Distribution:
+class Distribution(_Frozen):
     """Base class for catalog laws, which are immutable, hashable values.
 
     A law names its parameters once, in ``__match_args__``, which are also
@@ -73,15 +74,13 @@ class Distribution:
     """
 
     __slots__ = ("_params", "_hash")
-    __match_args__: tuple[str, ...] = ()
 
     def __init__(self):
         self._freeze()
 
     def _freeze(self, *params) -> None:
         """Store the parameters, in ``__match_args__`` order, and their hash."""
-        for name, value in zip(self.__match_args__, params):
-            object.__setattr__(self, name, value)
+        super()._freeze(*params)
         object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_hash", hash(params))
 
@@ -97,15 +96,8 @@ class Distribution:
         args = ", ".join(f"{name}={v!r}" for name, v in zip(self.__match_args__, self._params))
         return f"{type(self).__qualname__}({args})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # rebuilt through the constructor, so a law that is unpickled, as in
-        # an mc-check worker, or copied is checked again
+        # the one stored tuple that the hash and equality read
         return type(self), self._params
 
 

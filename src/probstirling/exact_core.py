@@ -320,7 +320,33 @@ def bell_poly(n: int, x: Fraction | int) -> Fraction | int:
     return sum(stirling2(n, j) * x**j for j in range(n + 1))
 
 
-class Polynomial:
+class _Frozen:
+    """Base of the immutable value objects: the laws, polynomials, series,
+    Appell seeds and weight tables, which memos hand out shared. ``__init__``
+    sets the fields named in ``__match_args__`` once, by :meth:`_freeze`;
+    assigning or deleting any field then raises AttributeError. A copy or an
+    unpickled value, such as a law sent to an mc-check worker, is rebuilt
+    through the constructor from those fields, so it is checked again."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        """Set the fields of ``__match_args__`` to `values`, in that order."""
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Polynomial(_Frozen):
     """Dense univariate polynomial with exact rational coefficients.
 
     ``coeffs[j]`` is the coefficient of x^j. Trailing zeros are stripped on
@@ -328,17 +354,14 @@ class Polynomial:
     degree -1. Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = __match_args__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        self._freeze(tuple(cs))
 
     @classmethod
     def monomial(cls, n: int) -> "Polynomial":
@@ -407,17 +430,18 @@ def forward_diff(p: Polynomial, m: int = 1) -> Polynomial:
     return p
 
 
-class CnNTable:
+class CnNTable(_Frozen):
     """Integer weights c[k], k = 0..min(n, N), rewriting the power sum of
     N+1 shifted n-th powers as a weighted sum of min(n, N)+1 of them.
 
-    The row always sums to N+1, and every entry is 1 when N <= n.
+    The row always sums to N+1, and every entry is 1 when N <= n. A table is
+    immutable, as :func:`cnn_table` hands the same one to every caller.
     """
 
-    __slots__ = ("n", "N", "values")
+    __slots__ = __match_args__ = ("n", "N", "values")
 
     def __init__(self, n: int, N: int, values: tuple[int, ...]):
-        self.n, self.N, self.values = n, N, values
+        self._freeze(n, N, values)
 
 
 @lru_cache(maxsize=None)

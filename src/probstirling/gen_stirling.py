@@ -109,8 +109,8 @@ _ROUTE_MAP = {
         "distributions.Distribution.__hash__": "a law's hash, computed when it is built, "
         "which every memo keyed on the law reads",
         **dict.fromkeys(
-            ("distributions.Geometric.__init__",
-             "distributions.Distribution._freeze", "distributions._rational"),
+            ("distributions.Geometric.__init__", "distributions.Distribution._freeze",
+             "exact_core._Frozen._freeze", "distributions._rational"),
             "building the law whose moment tables both polylog routes read",
         ),
     },
@@ -325,7 +325,9 @@ def sy_closed_geometric_shifted(n: int, m: int, q: Fraction | int) -> Fraction:
 def hermite_at_zero(n: int) -> Fraction:
     """Value at 0 of the probabilists' Hermite polynomial H_n, the Appell
     family of the standard normal law: 0 for odd n and (-1)^(n/2) (n-1)!!
-    for even n. The tests check it against the Hermite seed e^(-z^2/2)."""
+    for even n. The Hermite seed e^(-z^2/2) of :mod:`probstirling.appell`
+    reads these values, and the tests check them against sympy's
+    ``hermite_prob(n, 0)``."""
     _order("n", n)
     if n % 2:
         return Fraction(0)

@@ -225,6 +225,14 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[Ide
     initial values are computed once, when it is built."""
     seed = bernoulli_seed(max((n for n, _ in grid), default=-1) + 1)
     at_x = {}  # B_(n+1)(x), the same for every N
+    diffs = {}  # the m-th forward differences of x^n, m = 0..n, for every x
+
+    def middle(n: int, x: Fraction, m: int) -> Fraction:
+        if n not in diffs:
+            diffs[n] = [Polynomial.monomial(n)]
+            for _ in range(n):
+                diffs[n].append(forward_diff(diffs[n][-1]))
+        return diffs[n][m](x)
 
     def short(n: int, N: int, x: Fraction) -> Fraction:
         if (n, x) not in at_x:
@@ -237,7 +245,7 @@ def _bernoulli_classic(grid: Grid, xs: Sequence[Fraction | int]) -> Iterator[Ide
         lambda n, N, x: {"n": n, "N": N, "x": x},
         grid,
         lambda n, x, k: (x + k) ** n,
-        lambda n, x, m: forward_diff(Polynomial.monomial(n), m)(x),
+        middle,
         xs,
         short,
     )

@@ -19,6 +19,7 @@ from sympy.functions.combinatorial.numbers import stirling
 
 from probstirling.appell import (
     AppellSeed,
+    appell_eval,
     appell_moment_link,
     appell_polynomial,
     bernoulli_seed,
@@ -72,14 +73,7 @@ from probstirling.gen_stirling import (
 )
 from probstirling.montecarlo import estimate_sum_moment
 from probstirling.polylog import li_conv_direct, li_conv_prob, li_neg
-from probstirling.series import (
-    EGFSeries,
-    egf_coefficient,
-    series_div,
-    series_from_moments,
-    series_one,
-    series_pow,
-)
+from probstirling.series import EGFSeries, series_pow
 from probstirling.sums import (
     classical_bernoulli_check,
     sum_direct,
@@ -261,18 +255,16 @@ def test_cnn_weights_refuse_or_agree_with_the_closed_form(n, N, k):
 
 @fuzz
 @given(laws, orders, st.integers(0, 8), rationals)
-@example(Exponential(), -1, 3, Fraction(0))  # series_one gave order 0, appell_polynomial zero
+@example(Exponential(), -1, 3, Fraction(0))  # appell_polynomial gave zero
 def test_series_and_appell_refuse_or_agree_with_the_moments(dist, n, order, x):
     def moment_series(k, order):
         return EGFSeries(tuple(sum_moment(dist, k, j) / factorial(j) for j in range(order + 1)))
 
-    one = lambda: series_div(moment_series(1, n), moment_series(1, n))
-    contract(lambda: series_one(n), n >= 0, one, "order")
     seed = appell_moment_link(dist, order)
+    contract(lambda: seed.g0, True, lambda: moment_series(1, order))
     contract(lambda: series_pow(seed.g0, n), n >= 0, lambda: moment_series(n, order), "m")
-    contract(lambda: series_from_moments(dist, order), True, lambda: moment_series(1, order))
     in_order = 0 <= n <= order
-    contract(lambda: egf_coefficient(seed.g0, n), in_order, lambda: moment(dist, n), "n")
+    contract(lambda: appell_eval(seed, n, 0), in_order, lambda: moment(dist, n), "n")
     # A_n(x) = E[(x + Y)^n], and the k-fold family is E[(x + S_k)^n]
     one_fold = lambda: shifted_sum_moment(dist, 1, n, x)
     contract(lambda: appell_polynomial(seed, n)(x), in_order, one_fold, "n")
@@ -314,11 +306,10 @@ def test_power_sums_refuse_or_agree_across_forms(dist, n, N, x):
         bernoulli_seed,
         euler_seed,
         hermite_seed,
-        lambda order: series_from_moments(Exponential(), order),
         lambda order: appell_moment_link(Exponential(), order),
         lambda order: family_seed("moment:exp", order),
     ],
-    ids=["bernoulli_seed", "euler_seed", "hermite_seed", "series_from_moments", "appell_moment_link", "family_seed"],
+    ids=["bernoulli_seed", "euler_seed", "hermite_seed", "appell_moment_link", "family_seed"],
 )
 def test_seed_builders_refuse_negative_orders(build):
     with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):

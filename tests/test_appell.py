@@ -1,6 +1,8 @@
 """Tests for Appell families: seeds, k-fold powers, and the
 weighted power-sum compression identity."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -24,13 +26,13 @@ from probstirling.distributions import (
     Constant,
     Exponential,
     Uniform01,
+    moment,
     shifted_sum_moment,
 )
 from probstirling.exact_core import Polynomial, double_factorial
-from probstirling.gen_stirling import hermite_at_zero
-from probstirling.series import EGFSeries, egf_coefficient, series_pow
+from probstirling.series import EGFSeries, series_pow
 
-from catalog import HALF
+from catalog import CATALOG, HALF
 
 
 def test_bernoulli_seed_values():
@@ -58,11 +60,62 @@ def test_seed_polynomials_match_sympy(seed_fn, sympy_fn):
 
 
 def test_hermite_seed_values():
-    seq = hermite_seed(6)
-    for n in range(7):
-        assert appell_eval(seq, n, 0) == hermite_at_zero(n)
+    seq = hermite_seed(12)
+    for n in range(13):
+        assert appell_eval(seq, n, 0) == int(sympy.hermite_prob(n, 0))
     # classical cubic: H_3(x) = x^3 - 3x
     assert appell_polynomial(seq, 3) == Polynomial([0, -3, 0, 1])
+
+
+# --- the seed construction the initial-value rules replaced, kept as a reference:
+# each seed as a quotient of truncated series, or as a moment series ---
+
+
+def _reference_div(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    # the series h with h g = f up to the common order
+    out = []
+    for n in range(len(f)):
+        out.append((f[n] - sum(g[j] * out[n - j] for j in range(1, n + 1))) / g[0])
+    return out
+
+
+def _reference_seeds(order: int) -> list[list[Fraction]]:
+    """The series of the Bernoulli, Euler and Hermite seeds, then of the
+    moment seed of each law of the catalog."""
+    one = [Fraction(1)] + [Fraction(0)] * order
+    ratio = [Fraction(1, factorial(j + 1)) for j in range(order + 1)]  # (e^z - 1)/z
+    plus_one = [Fraction(2)] + [Fraction(1, factorial(j)) for j in range(1, order + 1)]  # e^z + 1
+    hermite = [Fraction(0)] * (order + 1)  # e^(-z^2/2)
+    for k in range(order // 2 + 1):
+        hermite[2 * k] = Fraction((-1) ** k, 2**k * factorial(k))
+    moments = [[Fraction(moment(dist, j)) / factorial(j) for j in range(order + 1)] for dist in CATALOG]
+    return [_reference_div(one, ratio), _reference_div([2 * c for c in one], plus_one), hermite, *moments]
+
+
+def test_seeds_match_the_series_construction():
+    for order in range(31):
+        built = [bernoulli_seed(order), euler_seed(order), hermite_seed(order)]
+        built += [appell_moment_link(dist, order) for dist in CATALOG]
+        for seed, coeffs in zip(built, _reference_seeds(order), strict=True):
+            old = AppellSeed(seed.name, EGFSeries(coeffs))
+            assert seed.g0 == old.g0, (seed.name, order)
+            assert seed._initial_values == old._initial_values, (seed.name, order)
+
+
+def test_seeds_are_values():
+    seed = bernoulli_seed(4)
+    for twin in (pickle.loads(pickle.dumps(seed)), copy.deepcopy(seed)):
+        assert twin is not seed and twin.name == seed.name and twin.g0 == seed.g0
+        assert twin._initial_values == seed._initial_values
+    # a seed whose series could be swapped would keep evaluating the old
+    # initial values, so appell_eval and appell_polynomial would disagree
+    for name in AppellSeed.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(seed, name, EGFSeries((1, 1, 1, 1, 1)))
+        with pytest.raises(AttributeError):
+            delattr(seed, name)
+    assert seed.g0 == bernoulli_seed(4).g0
+    assert appell_eval(seed, 3, HALF) == appell_polynomial(seed, 3)(HALF) == 0
 
 
 def test_seed_requires_invertible_constant_term():
@@ -107,7 +160,7 @@ def test_derivative_property():
 
 
 def test_zero_fold_family_is_x_to_the_n():
-    # the seed's 0th power is series_one, the seed of the identity family
+    # the seed's 0th power is the constant-1 series, the seed of the identity family
     zero_fold = AppellSeed("identity", series_pow(bernoulli_seed(5).g0, 0))
     for n in range(6):
         for x in (Fraction(0), Fraction(2), Fraction(-1, 3)):

@@ -6,7 +6,9 @@ multinomial expansion; factorial products, polynomial expansions and deep
 Stirling values come from sympy.
 """
 
+import copy
 import functools
+import pickle
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -252,6 +254,24 @@ def test_cnn_alternating_rejects_out_of_domain():
         cnn_alternating(3, 2, 0)
     with pytest.raises(ValueError):
         cnn_alternating(2, 5, 3)
+
+
+def test_polynomials_and_tables_are_values():
+    p, table = Polynomial([1, Fraction(2, 3)]), cnn_table(3, 5)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert twin is not p and twin == p
+    twin = pickle.loads(pickle.dumps(table))
+    assert (twin.n, twin.N, twin.values) == (3, 5, table.values)
+    # cnn_table hands every caller the one memoized table, so a change to
+    # its fields would change what every later cnn_table(3, 5) returns
+    for value in (p, table):
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, (0,))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    assert p.coeffs == (1, Fraction(2, 3))
+    assert cnn_table(3, 5).values == (-4, 20, -25, 15)
 
 
 def test_ones_when_N_at_most_n():

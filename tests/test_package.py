@@ -63,7 +63,6 @@ PAPER_API = {
     "sy_closed_normal",
     "sy_closed_uniform",
     "sy_closed_ut",
-    "hermite_at_zero",
     "appell_polynomial",
     "sum_poly",
     "series_pow",

@@ -48,7 +48,7 @@ from probstirling.gen_stirling import (
     sy_via_gf,
 )
 from probstirling.polylog import li_conv_prob
-from probstirling.series import series_mul, series_one, series_pow
+from probstirling.series import EGFSeries, series_mul, series_pow
 from probstirling.sums import (
     UNIFORM_REP_DEFAULT_CAP,
     _poly_mean,
@@ -318,7 +318,7 @@ def _reference_triple(identity, params, n, N, term, middle_term):
 
 def _reference_theorem12(seed, n, N, x):
     values = []
-    power = series_one(seed.g0.order)
+    power = EGFSeries((1,) + (0,) * seed.g0.order)
     for _ in range(N + 1):
         values.append(appell_eval(AppellSeed(seed.name, power), n, x))
         power = series_mul(power, seed.g0)
