@@ -29,7 +29,7 @@ perfbench's run record, and two row sets:
   ``sy_via_factorial`` cell and every ``sy`` cell for geom:2/3 at n <= 14
   and x = -1/2, every ``li_conv_direct`` cell at q = 1/3, n <= 6, k <= 8,
   a Monte Carlo ``estimate_sum_moment`` of the normal law at k = 3,
-  n = 5 and 500k samples, a cold
+  500k samples and n = 5, and at n = 0, a row that draws nothing, a cold
   ``_law_moments`` (a law's row of raw moments) of poisson:5/7 and
   geom:2/7 at widths 11 and 60 and of uniform and shift:2/9:exp at width
   200, a cold ``stirling2(600, 300)`` and ``stirling1(600, 300)`` (both
@@ -151,10 +151,15 @@ CALLS["li_conv_direct q=1/3 n<=6 k<=8"] = (
     "from probstirling.polylog import li_conv_direct\n",
     "[li_conv_direct(n, k, Fraction(1, 3)) for n in range(7) for k in range(9)]",
 )
-CALLS["estimate_sum_moment normal k=3 n=5 samples=500000"] = (
-    "from probstirling.distributions import StdNormal\n"
-    "from probstirling.montecarlo import estimate_sum_moment\n",
-    "estimate_sum_moment(StdNormal(), 3, 5, 500_000, 0)",
+CALLS.update(
+    {
+        f"estimate_sum_moment normal k=3 n={n} samples=500000": (
+            "from probstirling.distributions import StdNormal\n"
+            "from probstirling.montecarlo import estimate_sum_moment\n",
+            f"estimate_sum_moment(StdNormal(), 3, {n}, 500_000, 0)",
+        )
+        for n in (5, 0)
+    }
 )
 CALLS.update(
     {

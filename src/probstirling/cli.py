@@ -27,14 +27,16 @@ and, when it forks workers, the modules of its worker pool. ``json`` is
 loaded only to print JSON, and ``traceback`` only for an unexpected
 exception.
 
-``mc-check`` runs its rows on W = min(CPUs, rows) forked worker processes
-and prints them in row order; every row owns its random stream, so the
-output does not depend on W. Each worker holds numpy, the sampler and
-one float64 array of ``--samples`` entries; its draws add fixed scratch
-of well under a megabyte, and it loads no OpenSSL (see ``montecarlo``).
-So W is also cut to the arrays that fit in half the free memory, and a
-run too small to pay for its workers (fewer than 2^17 samples a row or
-2^23 in all) keeps W = 1, which runs in process.
+``mc-check`` runs its rows on W = min(CPUs, rows that draw) forked worker
+processes, heaviest first, and prints them in row order; every row owns
+its random stream, so the output does not depend on W or on the order the
+rows run in. A row (k, n) draws k summands, and none when k = 0 or n = 0
+(see ``montecarlo``). Each worker holds numpy, the sampler and one
+float64 array of ``--samples`` entries; its draws add fixed scratch of
+well under a megabyte, and it loads no OpenSSL. So W is also cut to the
+arrays that fit in half the free memory, and a run too small to pay for
+its workers (fewer than 2^17 samples a row, or 2^23 summand samples over
+all rows) keeps W = 1, which runs in process.
 """
 
 from __future__ import annotations
@@ -335,19 +337,22 @@ def _free_memory() -> int:
 
 # runs too small to pay for a pool stay in process: on 2 CPUs a worker
 # costs about 0.1 s to start and a row about 0.2 ms to ship and collect,
-# while a sample of a row costs about 20-70 ns to draw
+# while a sample of a summand costs about 20-70 ns to draw
 _POOL_MIN_ROW_SAMPLES = 1 << 17
 _POOL_MIN_SAMPLES = 1 << 23
 
 
-def _worker_count(rows: int, samples: int) -> int:
-    """min(CPUs, rows), and no more workers than half the free memory
-    holds arrays of `samples` float64 entries, one per worker; 1 when the
-    rows are too small to pay for a pool, or only one array fits."""
-    if samples < _POOL_MIN_ROW_SAMPLES or rows * samples < _POOL_MIN_SAMPLES:
+def _worker_count(rows: Sequence[tuple[int, int]], samples: int) -> int:
+    """min(CPUs, rows that draw), and no more workers than half the free
+    memory holds arrays of `samples` float64 entries, one per worker; 1
+    when the draws are too small to pay for a pool, or only one array fits.
+    A row (k, n) draws k summands of `samples` each, and none when k = 0
+    or n = 0 (see ``montecarlo.estimate_sum_moment``)."""
+    summands = [k for k, n in rows if k and n]
+    if samples < _POOL_MIN_ROW_SAMPLES or sum(summands) * samples < _POOL_MIN_SAMPLES:
         return 1
     cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, rows, _free_memory() // 2 // (8 * samples)))
+    return max(1, min(cpus, len(summands), _free_memory() // 2 // (8 * samples)))
 
 
 def _handle_mc(args) -> int:
@@ -355,7 +360,7 @@ def _handle_mc(args) -> int:
     rows = [(k, n) for k in range(args.k_max + 1) for n in range(args.n_max + 1)]
     law = format_distribution(args.dist)
     compare = partial(_compare_row, (args.dist, law, args.samples, args.seed, args.z))
-    workers = _worker_count(len(rows), args.samples)
+    workers = _worker_count(rows, args.samples)
     if workers == 1:
         return _emit_records(map(compare, rows))
     # the pool's modules, which nothing else needs
@@ -368,9 +373,14 @@ def _handle_mc(args) -> int:
     _sum_moment_row(args.dist, args.k_max, args.n_max)
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
-        # map submits every row, which forks all the workers at once, before
-        # this process loads numpy: forking once its BLAS threads run is unsafe
-        return _emit_records(pool.map(compare, rows))
+        # every row is submitted at once, which forks all the workers before
+        # this process loads numpy: forking once its BLAS threads run is
+        # unsafe. The heaviest rows go first, as a row costs about k draws
+        # and a power, so no worker is left alone with a heavy row at the
+        # end; the free rows (k = 0 or n = 0) come last. The records are
+        # read and printed in row order all the same.
+        futures = [pool.submit(compare, row) for row in reversed(rows)]
+        return _emit_records(future.result() for future in reversed(futures))
     except BrokenProcessPool as exc:
         raise ValueError(f"mc-check lost a worker process: {exc}") from exc
     finally:

@@ -20,6 +20,19 @@ order, and safe to run in parallel.
 Transforms are deterministic inversions: exponentials by -log(U), normals
 by the Box-Muller pair transform, geometric and Poisson by CDF inversion;
 a Poisson rate past about 275, whose table would miss mass, is refused.
+A law's sampler is prepared once per row, which reads its parameters
+into floats and builds its tables, and so makes every refusal of the law
+before anything is drawn.
+
+A row (k, n) costs k draws of `samples` each, then the n-th power of the
+sums. For the normal law a draw is bound by the Box-Muller ``cos`` and
+``sin``, and for n >= 3 numpy's ``power`` of a negative base costs about
+twice a draw. Rows whose value the draws cannot change draw nothing:
+k = 0 gives S_0 = 0, so its mean is 0.0 for n >= 1, and n = 0 gives
+x**0 = 1.0 for every float, nan and inf included, so its mean is 1.0;
+the standard error of both is 0.0. These are the values the draws would
+give, bit for bit. A row with n = 0 still prepares its law's sampler, so
+it refuses what a drawing row refuses; a row with k = 0 reads no law.
 
 Memory is one float64 array of `samples` entries, the running k-fold
 sums, plus fixed scratch for one chunk of a draw: each draw is generated
@@ -193,30 +206,45 @@ def _law(
     raise ValueError(f"distribution is not samplable: {dist!r}")
 
 
-def _pieces(dist: Distribution, count: int, stream: SplitMixStream) -> Iterator[tuple[int, int, np.ndarray]]:
-    """One draw of `count` samples as (lo, hi, samples lo .. hi - 1), at
-    most one chunk of randomness at a time."""
+def _sampler(
+    dist: Distribution, count: int, stream: SplitMixStream
+) -> Callable[[], Iterator[tuple[int, int, np.ndarray]]]:
+    """The law's sampler, with its parameters read and its tables built, so
+    that every refusal of the law is made here and none by a draw: draw()
+    yields one draw of `count` samples as (lo, hi, samples lo .. hi - 1),
+    at most one chunk of randomness at a time."""
     match dist:
         case StdNormal():
             # Box-Muller pairs: the cosines are samples 0 .. pairs - 1, the
             # sines the rest, cut at count
             pairs = (count + 1) // 2
-            start = stream.reserve(2 * pairs)
-            for lo, hi in _chunks(pairs):
-                radius = np.sqrt(-2.0 * np.log(stream.uniform_pos(start + lo, hi - lo)))
-                angle = (2.0 * np.pi) * stream.uniform(start + pairs + lo, hi - lo)
-                yield lo, hi, radius * np.cos(angle)
-                end = min(pairs + hi, count)
-                yield pairs + lo, end, (radius * np.sin(angle))[: end - pairs - lo]
+
+            def draw():
+                start = stream.reserve(2 * pairs)
+                for lo, hi in _chunks(pairs):
+                    radius = np.sqrt(-2.0 * np.log(stream.uniform_pos(start + lo, hi - lo)))
+                    angle = (2.0 * np.pi) * stream.uniform(start + pairs + lo, hi - lo)
+                    yield lo, hi, radius * np.cos(angle)
+                    end = min(pairs + hi, count)
+                    yield pairs + lo, end, (radius * np.sin(angle))[: end - pairs - lo]
+
         case Shifted(base=base, offset=c):
             c = float(c)
-            for lo, hi, values in _pieces(base, count, stream):
-                yield lo, hi, values + c
+            draw_base = _sampler(base, count, stream)
+
+            def draw():
+                for lo, hi, values in draw_base():
+                    yield lo, hi, values + c
+
         case _:
-            width, draw = _law(dist, count, stream)
-            start = stream.reserve(width)
-            for lo, hi in _chunks(count):
-                yield lo, hi, draw(start + lo, hi - lo)
+            width, draw_at = _law(dist, count, stream)
+
+            def draw():
+                start = stream.reserve(width)
+                for lo, hi in _chunks(count):
+                    yield lo, hi, draw_at(start + lo, hi - lo)
+
+    return draw
 
 
 def _mean_and_std(a: np.ndarray) -> tuple[float, float]:
@@ -261,6 +289,14 @@ def estimate_sum_moment(
     power and the reductions run in place on that array, and no output bit
     depends on the chunk size. A sample count whose array cannot be
     allocated raises :class:`SampleMemoryError`, a ValueError.
+
+    The row costs k draws, each bound by the law's transform (``cos`` and
+    ``sin`` for the normal law), and the n-th power of the sums, slowest
+    for n >= 3 on sums with negative entries. A row with k = 0 or n = 0
+    draws nothing and returns mean 0.0 (k = 0, n >= 1) or 1.0 (n = 0) with
+    standard error 0.0, which is what its draws would give; it still
+    checks the sample count and allocates the array, and for k >= 1 it
+    prepares the law's sampler, so it makes the law's refusals too.
     """
     if samples <= 1:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -275,12 +311,18 @@ def estimate_sum_moment(
         raise SampleMemoryError(
             f"{samples} samples need {8 * samples} bytes of float64, more than can be allocated"
         ) from exc
-    try:
-        for _ in range(k):
-            for lo, hi, values in _pieces(dist, samples, stream):
-                total[lo:hi] += values
-    except OverflowError as exc:  # a rational parameter beyond the float range
-        raise ValueError("distribution parameter too large to sample in floating point") from exc
+    if k:  # S_0 = 0 whatever the law, so k = 0 reads none of it
+        try:
+            draw = _sampler(dist, samples, stream)
+        except OverflowError as exc:  # a rational parameter beyond the float range
+            raise ValueError("distribution parameter too large to sample in floating point") from exc
+    if k == 0 or n == 0:
+        # rows the draws cannot change: S_0 = 0, and x**0 is 1.0 for every
+        # float, nan and inf included; the law has made its refusals above
+        return SampleEstimate(mean=1.0 if n == 0 else 0.0, stderr=0.0, samples=samples, seed=seed)
+    for _ in range(k):
+        for lo, hi, values in draw():
+            total[lo:hi] += values
     # an overflow shows as an inf or nan that `finite` reports, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         total **= n  # numpy's `square` for n = 2 and `power` otherwise, as `total ** n`

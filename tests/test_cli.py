@@ -644,14 +644,14 @@ def test_worker_count_is_bounded_by_cpus_rows_and_free_memory(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
     monkeypatch.setattr(cli, "_free_memory", lambda: 10**9)
     # half of 1 GB holds 6 arrays of 10^7 float64 entries (80 MB each)
-    assert cli._worker_count(24, 10**7) == 6
-    assert cli._worker_count(3, 10**7) == 3
-    assert cli._worker_count(100, 2 * 10**5) == 32
+    assert cli._worker_count([(1, 1)] * 24, 10**7) == 6
+    assert cli._worker_count([(1, 1)] * 3, 10**7) == 3
+    assert cli._worker_count([(1, 1)] * 100, 2 * 10**5) == 32
     # one array past half the free memory is drawn in process, as it
     # would be without a pool
-    assert cli._worker_count(24, 10**8) == 1
+    assert cli._worker_count([(1, 1)] * 24, 10**8) == 1
     monkeypatch.setattr(cli, "_free_memory", lambda: -1)
-    assert cli._worker_count(24, 10**6) == 1
+    assert cli._worker_count([(1, 1)] * 24, 10**6) == 1
 
 
 def test_worker_count_keeps_small_runs_in_process(monkeypatch):
@@ -659,11 +659,28 @@ def test_worker_count_keeps_small_runs_in_process(monkeypatch):
     monkeypatch.setattr(cli, "_free_memory", lambda: 10**12)
     least = cli._POOL_MIN_ROW_SAMPLES
     # too few samples in a row, or in all rows, to pay for the workers
-    assert cli._worker_count(10**6, least - 1) == 1
-    assert cli._worker_count(cli._POOL_MIN_SAMPLES // least - 1, least) == 1
-    assert cli._worker_count(cli._POOL_MIN_SAMPLES // least, least) == 32
+    assert cli._worker_count([(1, 1)] * 10**6, least - 1) == 1
+    assert cli._worker_count([(1, 1)] * (cli._POOL_MIN_SAMPLES // least - 1), least) == 1
+    assert cli._worker_count([(1, 1)] * (cli._POOL_MIN_SAMPLES // least), least) == 32
     for samples in (-1, 0, 1):
-        assert cli._worker_count(24, samples) == 1
+        assert cli._worker_count([(1, 1)] * 24, samples) == 1
+
+
+def test_worker_count_counts_the_summands_that_rows_draw(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+    monkeypatch.setattr(cli, "_free_memory", lambda: 10**12)
+    least = cli._POOL_MIN_ROW_SAMPLES
+    summands = cli._POOL_MIN_SAMPLES // least  # 64 draws of `least` samples pay for a pool
+    # a row (k, n) draws k summands, and none when k = 0 or n = 0
+    assert cli._worker_count([(4, 1)] * (summands // 4), least) == summands // 4
+    assert cli._worker_count([(4, 1)] * (summands // 4 - 1) + [(3, 1)], least) == 1
+    free = [(0, n) for n in range(10**4)] + [(k, 0) for k in range(10**4)]
+    assert cli._worker_count(free, 10**7) == 1
+    # two rows draw, so two workers, however many rows there are
+    assert cli._worker_count(free + [(64, 1), (64, 2)], least) == 2
+    # perfbench's mc-check: 15 of its 24 rows draw, 30 summands in all
+    rows = [(k, n) for k in range(4) for n in range(6)]
+    assert cli._worker_count(rows, 500_000) == 15
 
 
 def test_free_memory_reads_a_cgroup_limit(tmp_path, monkeypatch):
@@ -699,6 +716,26 @@ def test_mc_check_forks_its_workers_before_numpy_loads(fresh_python):
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     assert out == "0 [(False, 1), (False, 1)]\n['concurrent.futures', 'multiprocessing']\n"
+
+
+def test_mc_check_forks_no_worker_for_rows_that_draw_nothing(fresh_python):
+    # every k = 0 row is a constant, so ten rows of a million samples fork
+    # nothing, even where CPUs and memory would allow a pool
+    argv = ["mc-check", "--dist", "normal", "--k-max", "0", "--n-max", "9", "--samples", "1000000"]
+    out = fresh_python(
+        "import contextlib, io, os, sys\n"
+        "from probstirling import cli\n"
+        "os.sched_getaffinity = lambda pid: set(range(4))\n"
+        "cli._free_memory = lambda: 10**12\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(os.getpid()))\n"
+        "stdout = io.StringIO()\n"
+        "with contextlib.redirect_stdout(stdout):\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(status, len(forks), len(stdout.getvalue().splitlines()))\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    assert out == "0 0 10\n[]\n"
 
 
 def test_mc_check_workers_inherit_the_exact_table(fresh_python):

@@ -33,7 +33,7 @@ from probstirling.montecarlo import (
     SampleEstimate,
     SplitMixStream,
     _mean_and_std,
-    _pieces,
+    _sampler,
     _stream_seed,
     compare_moment,
     estimate_sum_moment,
@@ -45,7 +45,7 @@ from catalog import CATALOG, HALF, digit_limit, reference_estimate, reference_sa
 def _draw(dist, count, stream):
     """One chunked draw of `count` samples, assembled into one array."""
     out = np.full(count, np.nan)
-    for lo, hi, values in _pieces(dist, count, stream):
+    for lo, hi, values in _sampler(dist, count, stream)():
         out[lo:hi] = values
     return out
 
@@ -73,8 +73,13 @@ def test_uniform_ranges():
 
 _C = montecarlo._CHUNK
 # every k <= 3 and n <= 6, spread over the three seeds: the draws depend on
-# (seed, k, n) only through the stream seed
-_KN_BY_SEED = {0: [(0, 3), (2, 6), (3, 5)], 7: [(1, 0), (3, 4)], 2024: [(1, 2), (2, 1)]}
+# (seed, k, n) only through the stream seed; the rows with k = 0 or n = 0
+# draw nothing, and must still equal the reference, which draws them
+_KN_BY_SEED = {
+    0: [(0, 0), (0, 3), (2, 6), (3, 5)],
+    7: [(1, 0), (3, 4), (0, 1)],
+    2024: [(1, 2), (2, 1), (3, 0)],
+}
 
 
 @pytest.mark.parametrize("dist", [*CATALOG, Poisson(0)], ids=repr)
@@ -333,20 +338,43 @@ def test_compare_moment_refuses_bad_z(z):
 
 
 def test_sample_count_past_memory_is_refused(fresh_python):
-    # the child caps its own address space at 3 GB: 10^12 samples need 8 TB
+    # the child caps its own address space at 3 GB: 10^12 samples need 8 TB;
+    # the rows with k = 0 or n = 0 draw nothing, and are refused all the same
+    rows = ((1, 1), (0, 0), (2, 0), (0, 2))
     out = fresh_python(
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
         "from probstirling.distributions import StdNormal\n"
         "from probstirling.montecarlo import SampleMemoryError, estimate_sum_moment\n"
-        "try:\n"
-        "    estimate_sum_moment(StdNormal(), 1, 1, 10**12, 0)\n"
-        "except SampleMemoryError as exc:\n"
-        "    print(isinstance(exc, ValueError), exc)\n"
+        f"for k, n in {rows!r}:\n"
+        "    try:\n"
+        "        estimate_sum_moment(StdNormal(), k, n, 10**12, 0)\n"
+        "    except SampleMemoryError as exc:\n"
+        "        print(isinstance(exc, ValueError), exc)\n"
     )
-    assert out == (
-        "True 1000000000000 samples need 8000000000000 bytes of float64, more than can be allocated\n"
-    )
+    assert out.splitlines() == [
+        "True 1000000000000 samples need 8000000000000 bytes of float64, more than can be allocated"
+    ] * len(rows)
+
+
+def test_rows_that_draw_nothing_keep_every_refusal():
+    # a row with n = 0 draws nothing, but prepares its law's sampler, so it
+    # refuses what the row with n = 1 refuses
+    refused = {
+        Poisson(300): "Poisson rate 300.0 too large to sample",
+        Constant(10**400): "too large to sample in floating point",
+        Shifted(StdNormal(), 10**400): "too large to sample in floating point",
+    }
+    for dist, message in refused.items():
+        for k in (1, 3):
+            with pytest.raises(ValueError, match=message):
+                estimate_sum_moment(dist, k, 0, 100, seed=0)
+        # S_0 = 0 whatever the law, so k = 0 reads none of it
+        for n in (0, 2):
+            assert estimate_sum_moment(dist, 0, n, 100, seed=0) == SampleEstimate(float(n == 0), 0.0, 100, 0)
+    for k, n in ((0, 0), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            estimate_sum_moment(StdNormal(), k, n, 1, seed=0)
 
 
 def test_peak_memory_is_one_float_array(fresh_python):
